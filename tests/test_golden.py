@@ -1,0 +1,73 @@
+"""Golden digests of the shipped scenarios' outputs.
+
+Each pinned SHA-256 covers the exact bytes the command line writes: both
+report JSONs and the histogram dump of a feedback comparison, and the
+readout-fidelity JSON.  The repetition count is not a multiple of
+CHUNK_REPS so the trailing partial chunk is part of every digest.  A
+speed-only change must leave every digest as it is; a change that moves
+one must say so and why.
+"""
+
+import hashlib
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+import qfbsim
+from qfbsim import config as run_config
+from qfbsim.experiment import CHUNK_REPS, readout_fidelity, run_feedback_comparison
+
+CONFIG_DIR = Path(qfbsim.__file__).parent / "configs"
+REPS = 4096 + 1000
+SEED = 7
+
+GOLDEN = {
+    "scenario_pi_half.cfg": {
+        "report_feedback_off.json":
+            "39a5802db0dd47e36de77d02b07a8fa28bf338663c29ca049b9e10259d0301bb",
+        "report_feedback_on.json":
+            "7121ce466f4c9f3bdf85358547d24165f9ba610c35f24fe6acef9f2cd77296d4",
+        "histogram.bin":
+            "c3a90c17b64e84ebb7259d9dc2dd16acc8ea4c397426342648560c02589f42f4",
+        "readout_fidelity.json":
+            "0c21af3323e02028d46111c96d9e9c8863d4d6c4589fde2893edf30074cabe0c",
+    },
+    "scenario_thermal.cfg": {
+        "report_feedback_off.json":
+            "33428a3014c428f171ef7563770fc46aaa3af36e6b636c17b969cf1326d19ac6",
+        "report_feedback_on.json":
+            "16d467bb27f61b13ab01d2d532e59e75863f6add0014c5e61e446f3dd45c7408",
+        "histogram.bin":
+            "fb412d326e01332a45d209377158671039008a7dd8e0484c8a1aa714b2ff837a",
+        "readout_fidelity.json":
+            "0c21af3323e02028d46111c96d9e9c8863d4d6c4589fde2893edf30074cabe0c",
+    },
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _shipped(name: str):
+    cfg, target = run_config.load_file(CONFIG_DIR / name)
+    cfg = replace(cfg, repetitions=REPS, master_seed=SEED)
+    return run_config.resolve_noise(cfg, target)
+
+
+def test_repetitions_cover_a_partial_chunk():
+    assert REPS % CHUNK_REPS != 0
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_shipped_scenario_digests(name):
+    cfg = _shipped(name)
+    comp = run_feedback_comparison(cfg)
+    digests = {
+        "report_feedback_off.json": _sha((comp.off.to_json() + "\n").encode()),
+        "report_feedback_on.json": _sha((comp.on.to_json() + "\n").encode()),
+        "histogram.bin": _sha(comp.histogram.dump_bytes()),
+        "readout_fidelity.json": _sha(readout_fidelity(cfg).to_json().encode()),
+    }
+    assert digests == GOLDEN[name]
