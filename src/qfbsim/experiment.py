@@ -17,8 +17,13 @@ readout pulse.
 
 run_experiment drives a vectorized Monte Carlo of the full loop (exact
 exponential jump times, closed-form cavity envelope propagation, the
-bit-exact batch pipeline) and reports quadrant statistics next to an
-independent analytic rate-equation prediction.
+bit-exact pipeline) and reports quadrant statistics next to an
+independent analytic rate-equation prediction.  The Monte Carlo only
+synthesizes the 2 l samples inside the two integration windows and
+evaluates the pipeline only at the two readout ticks (scaled_iq_at);
+the scalar tick() machine and run_stream_batch stay the reference
+models it is tested against, and the noiseless calibration still runs
+the whole stream through run_stream_batch.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -34,7 +39,15 @@ from . import histo, sigmodel
 from .fxp import ADC_LSB_VOLTS, ConfigError, FxpSample, quantize
 from .histo import HistogramRam, Mode, bin7_raw_array
 from .latency import CLOCK_PERIOD_NS, LatencyBudget, tau_eltot, total_feedback_latency
-from .pipeline import FILTER_WIDTH, PipelineConfig, run_stream_batch
+from .pipeline import (
+    FILTER_WIDTH,
+    PipelineConfig,
+    _trigger_path,
+    filter_window,
+    lut_bits,
+    run_stream_batch,
+    scaled_iq_at,
+)
 from .sigmodel import STATE_E, STATE_G, DeviceParams, carrier_tables, quantize_array
 
 NS = 1e-9
@@ -120,6 +133,11 @@ class ExperimentConfig:
             raise ConfigError("integration end (delay * 10 ns) falls beyond the pulse")
         if pipe.delay < pipe.window_len:
             raise ConfigError("integration window starts before the pulse")
+        if not M1_START_NS + PULSE_NS <= self.t_pi_ns < M2_START_NS:
+            raise ConfigError(
+                f"conditional pi at {self.t_pi_ns:g} ns must fall after the "
+                f"first readout pulse ends ({M1_START_NS + PULSE_NS} ns) and "
+                f"before the second starts ({M2_START_NS} ns)")
 
     @property
     def tau_ro_ns(self) -> int:
@@ -202,16 +220,22 @@ def _sample_jump_columns(rng, state: np.ndarray, a: float, b: float,
 
 
 class _EnvelopeFiller:
-    """Propagates the batch cavity envelope across one repetition."""
+    """Propagates the batch cavity envelope across one repetition.
 
-    def __init__(self, device: DeviceParams, reps: int):
+    Only the grid columns named in cols are evaluated (out[:, k] is grid
+    column cols[k]); alpha still advances through every jump and pulse
+    edge, so each evaluated column is the same whichever others are
+    evaluated.
+    """
+
+    def __init__(self, device: DeviceParams, reps: int, cols: np.ndarray):
         self.a_g = device.steady_alpha(STATE_G)
         self.a_e = device.steady_alpha(STATE_E)
         self.lam_g = device.envelope_rate(STATE_G)
         self.lam_e = device.envelope_rate(STATE_E)
         self.alpha = np.zeros(reps, dtype=complex)
-        self.grid = _grid_times_s()
-        self.out = np.zeros((reps, N_SOURCE), dtype=complex)
+        self.grid = _grid_times_s()[cols]
+        self.out = np.zeros((reps, self.grid.size), dtype=complex)
 
     def _step(self, alpha, state, t_from, t_to, pulse_on):
         lam = np.where(state == STATE_G, self.lam_g, self.lam_e)
@@ -223,7 +247,7 @@ class _EnvelopeFiller:
 
     def run_segment(self, state: np.ndarray, a: float, b: float,
                     pulse_on: bool, cols) -> np.ndarray:
-        """Fill grid points inside [a, b) and advance alpha to b.
+        """Fill the evaluated grid points inside [a, b); advance alpha to b.
 
         cols are chronological per repetition, so each grid point is
         evaluated exactly once: right before the first event past it.
@@ -260,21 +284,19 @@ def _phase_a_segments(cfg: ExperimentConfig):
             ((M1_START_NS + PULSE_NS) * NS, t_pi, False)]
 
 
-def _phase_b_segments(cfg: ExperimentConfig, double: bool):
+def _phase_b_segments(cfg: ExperimentConfig):
     t_pi = cfg.t_pi_ns * NS
     t_end = (GRID_START_NS + N_SOURCE * TICK_NS) * NS
-    if not double:
-        return [(t_pi, t_end, False)]
     return [(t_pi, M2_START_NS * NS, False),
             (M2_START_NS * NS, (M2_START_NS + PULSE_NS) * NS, True),
             ((M2_START_NS + PULSE_NS) * NS, t_end, False)]
 
 
-def _waveform_volts(device: DeviceParams, alpha_grid: np.ndarray,
+def _waveform_volts(device: DeviceParams, alpha: np.ndarray,
                     cols: slice) -> np.ndarray:
+    """ADC voltages of the grid columns cols from their envelope values."""
     cos, sin = carrier_tables(N_SOURCE, CARRIER_PHASE_OFFSET)
-    b = device.demod_gain() * alpha_grid[:, cols] \
-        + complex(device.offset_i, device.offset_q)
+    b = device.demod_gain() * alpha + complex(device.offset_i, device.offset_q)
     return 2.0 * (b.real * cos[cols] - b.imag * sin[cols])
 
 
@@ -294,6 +316,26 @@ def _to_pipeline_stream(raw: np.ndarray, ticks: int) -> np.ndarray:
     return stream
 
 
+def _window_cols(cfg: ExperimentConfig, trigger_tick: int) -> slice:
+    """Source-grid columns in the filter window of a readout's eval tick."""
+    ticks = filter_window(cfg.pipeline, cfg.eval_tick(trigger_tick))
+    return slice(ticks.start - ADC_SKEW_TICKS, ticks.stop - ADC_SKEW_TICKS)
+
+
+def _read_window(cfg: ExperimentConfig, alpha: np.ndarray,
+                 noise: np.ndarray | None, cols: slice):
+    """Digitize one integration window and evaluate the pipeline on it.
+
+    Returns (i_t, q_t, clipped) at the readout's evaluation tick.
+    """
+    volts = _waveform_volts(cfg.device, alpha, cols)
+    if noise is not None:
+        volts = volts + noise[:, cols]
+    raw, clipped = quantize_array(volts)
+    i_t, q_t = scaled_iq_at(cfg.pipeline, raw, cols.start + ADC_SKEW_TICKS)
+    return i_t, q_t, clipped
+
+
 def _run_chunk(cfg: ExperimentConfig, protocol: _Protocol, stream_id: int,
                chunk_idx: int, reps: int):
     """One deterministic batch of repetitions.
@@ -304,6 +346,11 @@ def _run_chunk(cfg: ExperimentConfig, protocol: _Protocol, stream_id: int,
     second-phase jumps.  Nothing after the first phase influences the
     first readout, so the first-measurement statistics are bit-identical
     between feedback-on and feedback-off runs of the same seed.
+
+    Only the samples inside the two integration windows reach a result,
+    so only those are synthesized and digitized, and the pipeline is
+    evaluated only at the two readout ticks.  The noise draw still spans
+    the whole window, which keeps every seed's outputs unchanged.
     """
     rng = np.random.default_rng(
         np.random.SeedSequence([cfg.master_seed & 0xFFFFFFFFFFFFFFFF,
@@ -315,7 +362,12 @@ def _run_chunk(cfg: ExperimentConfig, protocol: _Protocol, stream_id: int,
 
     gamma_down = dev.decay_rate()
     gamma_up = dev.excitation_rate()
-    filler = _EnvelopeFiller(dev, reps)
+    pipe = cfg.pipeline
+    l = pipe.window_len
+    w1 = _window_cols(cfg, TRIG1_TICK)
+    w2 = _window_cols(cfg, TRIG2_TICK)
+    filler = _EnvelopeFiller(dev, reps,
+                             np.r_[w1, w2] if protocol.double else np.r_[w1])
 
     for seg_idx, (a, b, on) in enumerate(_phase_a_segments(cfg)):
         if seg_idx == 1:
@@ -326,46 +378,24 @@ def _run_chunk(cfg: ExperimentConfig, protocol: _Protocol, stream_id: int,
         cols = _sample_jump_columns(rng, state, a, b, gamma_down, gamma_up)
         state = filler.run_segment(state, a, b, on, cols)
 
-    # first readout: quantize the part of the window decided so far and
-    # run the pipeline just past the first evaluation tick
-    n_a = np.flatnonzero(filler.grid < cfg.t_pi_ns * NS).size
-    v_a = _waveform_volts(dev, filler.out, slice(0, n_a))
-    if noise is not None:
-        v_a = v_a + noise[:, :n_a]
-    raw_a, sat_a = quantize_array(v_a)
+    # first readout: the whole first window precedes the conditional pi
+    it1, qt1, sat = _read_window(cfg, filler.out[:, :l], noise, w1)
     m1 = cfg.eval_tick(TRIG1_TICK)
-    ticks_a = n_a + ADC_SKEW_TICKS
-    bt_a = run_stream_batch(cfg.pipeline, _to_pipeline_stream(raw_a, ticks_a),
-                            _trigger_lane(False, ticks_a))
-    fb1 = bt_a.fb[:, m1 + 1]
+    fbt_comb, _ = _trigger_path(pipe, _trigger_lane(False, m1 + 1))
+    fb1 = lut_bits(pipe.lut1, it1, qt1) & fbt_comb[m1]
 
-    flip = fb1.astype(bool) if (protocol.conditional and cfg.feedback_enabled) \
-        else np.zeros(reps, dtype=bool)
-    state = np.where(flip, state ^ 1, state)
+    if not protocol.double:
+        # nothing after the conditional pi is observed
+        return it1, qt1, fb1, None, None, sat
 
-    for a, b, on in _phase_b_segments(cfg, protocol.double):
+    if protocol.conditional and cfg.feedback_enabled:
+        state = np.where(fb1.astype(bool), state ^ 1, state)
+    for a, b, on in _phase_b_segments(cfg):
         cols = _sample_jump_columns(rng, state, a, b, gamma_down, gamma_up)
         state = filler.run_segment(state, a, b, on, cols)
 
-    v_b = _waveform_volts(dev, filler.out, slice(n_a, N_SOURCE))
-    if noise is not None:
-        v_b = v_b + noise[:, n_a:]
-    raw_b, sat_b = quantize_array(v_b)
-    raw = np.hstack([raw_a, raw_b])
-
-    bt = run_stream_batch(cfg.pipeline, _to_pipeline_stream(raw, N_TICKS),
-                          _trigger_lane(protocol.double, N_TICKS))
-    if not np.array_equal(bt.fb[:, m1 + 1], fb1):
-        raise RuntimeError("feedback preview diverged from the full pipeline run")
-
-    it1 = bt.i_t[:, m1]
-    qt1 = bt.q_t[:, m1]
-    it2 = qt2 = None
-    if protocol.double:
-        m2 = cfg.eval_tick(TRIG2_TICK)
-        it2 = bt.i_t[:, m2]
-        qt2 = bt.q_t[:, m2]
-    return it1, qt1, fb1, it2, qt2, int(sat_a + sat_b)
+    it2, qt2, sat2 = _read_window(cfg, filler.out[:, l:], noise, w2)
+    return it1, qt1, fb1, it2, qt2, sat + sat2
 
 
 def _run_mc(cfg: ExperimentConfig, protocol: _Protocol, *, stream_id: int = 0,
@@ -451,7 +481,12 @@ def overlap_probability(cfg: ExperimentConfig,
     sigma = cfg.device.noise_sigma if noise_sigma is None else noise_sigma
     if sigma == 0:
         return 0.0
-    mu_g, mu_e = noiseless_filtered_means(cfg)
+    return _overlap(cfg, sigma, *noiseless_filtered_means(cfg))
+
+
+def _overlap(cfg: ExperimentConfig, sigma: float, mu_g: float,
+             mu_e: float) -> float:
+    """overlap_probability for a positive sigma and precomputed means."""
     c = cfg.pipeline.c_i.raw * ADC_LSB_VOLTS
     sigma_f = sigma / math.sqrt(2 * cfg.pipeline.window_len)
     return 0.5 * (_gauss_tail((c - mu_g) / sigma_f)
@@ -476,12 +511,12 @@ def calibrate_noise(target_overlap: float, cfg: ExperimentConfig) -> float:
     lo, hi = 0.0, 10.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if overlap_probability(cfg, mid) < target_overlap:
+        if _overlap(cfg, mid, mu_g, mu_e) < target_overlap:
             lo = mid
         else:
             hi = mid
     sigma = 0.5 * (lo + hi)
-    if abs(overlap_probability(cfg, sigma) - target_overlap) > 1e-3:
+    if abs(_overlap(cfg, sigma, mu_g, mu_e) - target_overlap) > 1e-3:
         raise CalibrationError("noise calibration did not converge")
     return sigma
 
@@ -550,11 +585,15 @@ class ExperimentReport:
     oracle: dict
     latency: dict
     config_echo: dict
+    # ADC samples clipped by the quantizer, counted over the 2 l samples
+    # of the two integration windows: the only samples a result reads
     adc_saturated: int
     histogram: HistogramRam = field(repr=False, default=None)
 
     def to_json(self) -> str:
-        doc = {k: v for k, v in asdict(self).items() if k != "histogram"}
+        # field by field: asdict would deep-copy the histogram RAM first
+        doc = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name != "histogram"}
         return json.dumps(doc, sort_keys=True, indent=2)
 
 

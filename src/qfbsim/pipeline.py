@@ -21,8 +21,10 @@ registered stages), and the fb rising edge lands exactly
 sync_depth + 2 + d + 1 ticks after the trigger rising edge at the input.
 
 A vectorized batch implementation (`run_stream_batch`) reproduces the
-scalar machine bit-exactly over arrays of independent streams; the test
-suite proves the equivalence element by element.
+scalar machine bit-exactly over arrays of independent streams, and
+`scaled_iq_at` evaluates the preprocessed outputs of a single tick from
+just the samples in its filter window; the test suite proves both
+equivalences element by element.
 """
 
 from __future__ import annotations
@@ -460,6 +462,55 @@ def filtered_iq_batch(config: PipelineConfig, raw: np.ndarray) -> tuple[np.ndarr
     return window_sum_shift(mix_re), window_sum_shift(mix_im)
 
 
+def preprocess_array(v: np.ndarray, c_raw: int, s: int) -> np.ndarray:
+    """Vectorized preprocess_raw: (v - c) * 2**s, saturated to 16 bits."""
+    t = (v - c_raw) << s if s >= 0 else (v - c_raw) >> (-s)
+    lo, hi = fxp.raw_bounds(PREPROC_WIDTH)
+    return np.clip(t, lo, hi)
+
+
+def lut_bits(lut: tuple[int, int, int, int], i_t: np.ndarray,
+             q_t: np.ndarray) -> np.ndarray:
+    """Vectorized discriminate() on the sign bits of preprocessed I/Q."""
+    x = (i_t < 0).astype(np.uint8)
+    y = (q_t < 0).astype(np.uint8)
+    return np.array(lut, dtype=np.uint8)[(x << 1) | y]
+
+
+def filter_window(config: PipelineConfig, tick: int) -> range:
+    """Stream indices of the samples the filter register holds during tick.
+
+    A sample passes the ADC and mixer registers before it enters the
+    moving average, whose register shows the sum up to the previous
+    tick: the window during tick n is samples n - l - 2 .. n - 3.
+    """
+    return range(tick - config.window_len - 2, tick - 2)
+
+
+def scaled_iq_at(config: PipelineConfig, window: np.ndarray,
+                 first: int) -> tuple[np.ndarray, np.ndarray]:
+    """Preprocessed (i_t, q_t) of a single tick from its filter window.
+
+    window has shape (reps, l) and holds stream samples first ..
+    first + l - 1, i.e. filter_window(config, first + l + 2).  The result
+    equals run_stream_batch(...).i_t/q_t[:, first + l + 2] bit for bit
+    for any stream carrying these samples, and costs l samples per
+    repetition instead of the whole stream.
+    """
+    window = np.asarray(window, dtype=np.int64)
+    if window.ndim != 2 or window.shape[1] != config.window_len:
+        raise ValueError(f"window must be a (reps, {config.window_len}) array")
+    if first < 0:
+        raise ValueError("the window must start at or after stream sample 0")
+    phase = (first + np.arange(config.window_len)) & 3
+    cos = np.array(COS_SEQ, dtype=np.int64)[phase]
+    nsin = np.array(NSIN_SEQ, dtype=np.int64)[phase]
+    i = (window @ cos) >> config.norm_shift
+    q = (window @ nsin) >> config.norm_shift
+    return (preprocess_array(i, config.c_i.raw, config.s_i),
+            preprocess_array(q, config.c_q.raw, config.s_q))
+
+
 def run_stream_batch(config: PipelineConfig, raw: np.ndarray,
                      triggers: np.ndarray) -> BatchTrace:
     """Vectorized equivalent of run_stream over (reps, ticks) sample arrays."""
@@ -470,21 +521,11 @@ def run_stream_batch(config: PipelineConfig, raw: np.ndarray,
         raise ValueError("triggers length must equal the tick count")
 
     i_arr, q_arr = filtered_iq_batch(config, raw)
-
-    def prep(v: np.ndarray, c: int, s: int) -> np.ndarray:
-        t = (v - c) << s if s >= 0 else (v - c) >> (-s)
-        lo, hi = fxp.raw_bounds(PREPROC_WIDTH)
-        return np.clip(t, lo, hi)
-
-    i_t = prep(i_arr, config.c_i.raw, config.s_i)
-    q_t = prep(q_arr, config.c_q.raw, config.s_q)
-    x = (i_t < 0).astype(np.uint8)
-    y = (q_t < 0).astype(np.uint8)
-    lut1 = np.array(config.lut1, dtype=np.uint8)
-    lut2 = np.array(config.lut2, dtype=np.uint8)
+    i_t = preprocess_array(i_arr, config.c_i.raw, config.s_i)
+    q_t = preprocess_array(q_arr, config.c_q.raw, config.s_q)
     fbt_comb, fbt_reg = _trigger_path(config, np.asarray(triggers))
-    fb_comb = lut1[(x << 1) | y] & fbt_comb
-    fb2_comb = lut2[(x << 1) | y] & fbt_comb
+    fb_comb = lut_bits(config.lut1, i_t, q_t) & fbt_comb
+    fb2_comb = lut_bits(config.lut2, i_t, q_t) & fbt_comb
     fb = np.zeros_like(fb_comb)
     fb2 = np.zeros_like(fb2_comb)
     fb[:, 1:] = fb_comb[:, :-1]

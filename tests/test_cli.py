@@ -187,6 +187,17 @@ def test_bad_config_lists_every_error(tmp_path, capsys):
     assert "unknown key 'device.nope'" in err
 
 
+@pytest.mark.parametrize("delay,rc", [(12, 0), (13, 1)])
+def test_conditional_pi_past_second_readout_is_usage_error(tmp_path, capsys,
+                                                           delay, rc):
+    cfg = tmp_path / "late.cfg"
+    cfg.write_text(f"pipeline.delay = {delay}\n")
+    assert cli.main(["run-experiment", "--config", str(cfg), "--repetitions",
+                     "64", "--out-dir", str(tmp_path / "out")]) == rc
+    if rc:
+        assert "conditional pi" in capsys.readouterr().err
+
+
 def test_missing_config_file_is_usage_error(tmp_path, capsys):
     rc = cli.main(["latency-report"])  # warm-up, no config needed
     assert rc == 0

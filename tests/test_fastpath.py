@@ -1,0 +1,268 @@
+"""Differential tests for the Monte Carlo's readout-tick fast path.
+
+The chunk evaluates the pipeline only at the two readout ticks, from the
+2 l samples inside the integration windows.  These tests hold it to the
+full-stream batch pipeline, which is itself held to the scalar machine.
+"""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qfbsim import experiment as ex
+from qfbsim.fxp import ConfigError, FxpSample, raw_bounds
+from qfbsim.latency import LatencyBudget
+from qfbsim.pipeline import (
+    FILTER_WIDTH,
+    PREPROC_WIDTH,
+    PipelineConfig,
+    filter_window,
+    run_stream_batch,
+    scaled_iq_at,
+)
+from qfbsim.sigmodel import DeviceParams, quantize_array, thermal_population
+
+ADC_LO, ADC_HI = raw_bounds(14)
+FILTER_LO, FILTER_HI = raw_bounds(FILTER_WIDTH)
+# clipped samples of 4096 forced-clipping repetitions (seed 11) inside
+# the two integration windows; the whole 66-sample window clips 8754
+ADC_SATURATED_SIGMA_0_4 = 1612
+
+# ---------------------------------------------------------------------------
+# one tick from its window == the whole-stream batch pipeline
+
+
+@st.composite
+def tick_cases(draw):
+    l = draw(st.sampled_from([2, 4, 8, 16, 32]))
+    first = draw(st.integers(0, 7))
+    cfg = PipelineConfig(
+        window_len=l,
+        c_i=FxpSample(draw(st.integers(FILTER_LO, FILTER_HI)), FILTER_WIDTH),
+        c_q=FxpSample(draw(st.integers(FILTER_LO, FILTER_HI)), FILTER_WIDTH),
+        s_i=draw(st.integers(-7, 7)),
+        s_q=draw(st.integers(-7, 7)))
+    reps = draw(st.integers(1, 4))
+    ticks = first + l + 3 + draw(st.integers(0, 5))
+    full_scale = draw(st.booleans())
+    values = st.sampled_from([ADC_LO, ADC_HI]) if full_scale \
+        else st.integers(ADC_LO, ADC_HI)
+    stream = np.array(draw(st.lists(values, min_size=reps * ticks,
+                                    max_size=reps * ticks)),
+                      dtype=np.int64).reshape(reps, ticks)
+    return cfg, stream, first
+
+
+@settings(max_examples=300, deadline=None)
+@given(tick_cases())
+def test_scaled_iq_at_matches_batch_pipeline(case):
+    cfg, stream, first = case
+    tick = first + cfg.window_len + 2
+    assert filter_window(cfg, tick) == range(first, first + cfg.window_len)
+    bt = run_stream_batch(cfg, stream, np.zeros(stream.shape[1], dtype=np.int64))
+    i_t, q_t = scaled_iq_at(cfg, stream[:, first:first + cfg.window_len], first)
+    np.testing.assert_array_equal(i_t, bt.i_t[:, tick])
+    np.testing.assert_array_equal(q_t, bt.q_t[:, tick])
+
+
+@pytest.mark.parametrize("first", range(4))
+def test_scaled_iq_at_saturates_like_batch(first):
+    lo, hi = raw_bounds(PREPROC_WIDTH)
+    cfg = PipelineConfig(window_len=2, s_i=7, s_q=7)
+    stream = np.array([[ADC_LO] * 8, [ADC_HI] * 8])
+    i_t, q_t = scaled_iq_at(cfg, stream[:, first:first + 2], first)
+    bt = run_stream_batch(cfg, stream, np.zeros(8, dtype=np.int64))
+    np.testing.assert_array_equal(i_t, bt.i_t[:, first + 4])
+    np.testing.assert_array_equal(q_t, bt.q_t[:, first + 4])
+    both = np.concatenate([i_t, q_t])
+    assert set(both.tolist()) & {lo, hi}
+
+
+def test_scaled_iq_at_rejects_bad_windows():
+    cfg = PipelineConfig(window_len=4)
+    with pytest.raises(ValueError):
+        scaled_iq_at(cfg, np.zeros((3, 2), dtype=np.int64), 0)
+    with pytest.raises(ValueError):
+        scaled_iq_at(cfg, np.zeros((3, 4), dtype=np.int64), -1)
+
+
+# ---------------------------------------------------------------------------
+# one chunk == a full 66-sample synthesis through the 72-tick batch pipeline
+
+P_THERM = thermal_population(0.114, 6.148e9)
+
+
+def _device(**kw):
+    base = dict(t1=1.4e-6, p_therm=P_THERM, amp_ss=0.6, offset_i=0.013,
+                noise_sigma=0.06)
+    base.update(kw)
+    return DeviceParams(**base)
+
+
+def _reference_chunk(cfg, protocol, stream_id, chunk_idx, reps):
+    """The chunk as the whole window would compute it: every sample
+    synthesized, every tick of the 72-tick stream run, same draws."""
+    rng = np.random.default_rng(
+        np.random.SeedSequence([cfg.master_seed & 0xFFFFFFFFFFFFFFFF,
+                                stream_id, chunk_idx]))
+    dev = cfg.device
+    noise = (rng.normal(0.0, dev.noise_sigma, size=(reps, ex.N_SOURCE))
+             if dev.noise_sigma > 0 else np.zeros((reps, ex.N_SOURCE)))
+    state = (rng.random(reps) < dev.p_therm).astype(np.uint8)
+    filler = ex._EnvelopeFiller(dev, reps, np.arange(ex.N_SOURCE))
+
+    def segments(segs, state):
+        for a, b, on in segs:
+            cols = ex._sample_jump_columns(rng, state, a, b, dev.decay_rate(),
+                                           dev.excitation_rate())
+            state = filler.run_segment(state, a, b, on, cols)
+        return state
+
+    def volts():
+        return ex._waveform_volts(dev, filler.out, slice(None)) + noise
+
+    def pipeline(raw, double):
+        return run_stream_batch(cfg.pipeline,
+                                ex._to_pipeline_stream(raw, ex.N_TICKS),
+                                ex._trigger_lane(double, ex.N_TICKS))
+
+    a_segs = ex._phase_a_segments(cfg)
+    state = segments(a_segs[:1], state)
+    if protocol.init_gate == "pi_half":
+        state = (rng.random(reps) < 0.5).astype(np.uint8)
+    elif protocol.init_gate == "pi":
+        state = state ^ 1
+    state = segments(a_segs[1:], state)
+
+    # samples after the conditional pi are not final yet, and cannot
+    # reach the first readout: the feedback bit is read from this run
+    m1 = cfg.eval_tick(ex.TRIG1_TICK)
+    fb1 = pipeline(quantize_array(volts())[0], False).fb[:, m1 + 1]
+
+    if protocol.conditional and cfg.feedback_enabled:
+        state = np.where(fb1.astype(bool), state ^ 1, state)
+    t_end = (ex.GRID_START_NS + ex.N_SOURCE * ex.TICK_NS) * ex.NS
+    segments(ex._phase_b_segments(cfg) if protocol.double
+             else [(cfg.t_pi_ns * ex.NS, t_end, False)], state)
+
+    v = volts()
+    bt = pipeline(quantize_array(v)[0], protocol.double)
+    windows = [ex.TRIG1_TICK] + ([ex.TRIG2_TICK] if protocol.double else [])
+    clipped = 0
+    for trig in windows:
+        ticks = filter_window(cfg.pipeline, cfg.eval_tick(trig))
+        clipped += quantize_array(v[:, ticks.start - ex.ADC_SKEW_TICKS:
+                                    ticks.stop - ex.ADC_SKEW_TICKS])[1]
+    it1, qt1 = bt.i_t[:, m1], bt.q_t[:, m1]
+    assert np.array_equal(bt.fb[:, m1 + 1], fb1)
+    if not protocol.double:
+        return it1, qt1, fb1, None, None, clipped
+    m2 = cfg.eval_tick(ex.TRIG2_TICK)
+    return it1, qt1, fb1, bt.i_t[:, m2], bt.q_t[:, m2], clipped
+
+
+DOUBLE = "double"
+CASES = [
+    (ex.PI_HALF_INIT, {}, DOUBLE),
+    (ex.THERMAL_INIT, {}, DOUBLE),
+    (ex.PI_HALF_INIT, {}, ex._Protocol("none", double=False, conditional=False)),
+    (ex.PI_HALF_INIT, {}, ex._Protocol("pi", double=False, conditional=False)),
+    (ex.THERMAL_INIT, {}, ex._Protocol("none", double=False, conditional=False)),
+    (ex.THERMAL_INIT, {}, ex._Protocol("pi", double=False, conditional=False)),
+    (ex.PI_HALF_INIT, {"noise_sigma": 0.0}, DOUBLE),
+    (ex.THERMAL_INIT, {"t1": math.inf}, DOUBLE),
+    (ex.PI_HALF_INIT, {"noise_sigma": 0.4}, DOUBLE),   # ADC clipping
+]
+
+
+@pytest.mark.parametrize("scenario,dev_kw,protocol", CASES)
+@pytest.mark.parametrize("feedback", [False, True])
+def test_chunk_matches_full_window_reference(scenario, dev_kw, protocol, feedback):
+    cfg = ex.ExperimentConfig(device=_device(**dev_kw), scenario=scenario,
+                              feedback_enabled=feedback, repetitions=300,
+                              master_seed=5)
+    if protocol == DOUBLE:
+        protocol = ex._protocol_for(cfg)
+    got = ex._run_chunk(cfg, protocol, 3, 1, 300)
+    want = _reference_chunk(cfg, protocol, 3, 1, 300)
+    for g, w in zip(got[:5], want[:5]):
+        if w is None:
+            assert g is None
+        else:
+            np.testing.assert_array_equal(g, w)
+    assert got[5] == want[5]
+    if dev_kw.get("noise_sigma") == 0.4:
+        assert got[5] > 0
+
+
+def test_chunk_with_wider_window_and_longer_delay():
+    cfg = ex.ExperimentConfig(device=_device(), scenario=ex.PI_HALF_INIT,
+                              feedback_enabled=True, repetitions=200,
+                              master_seed=9)
+    cfg = replace(cfg, pipeline=replace(cfg.pipeline, window_len=8, delay=12))
+    protocol = ex._protocol_for(cfg)
+    got = ex._run_chunk(cfg, protocol, 0, 0, 200)
+    want = _reference_chunk(cfg, protocol, 0, 0, 200)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+
+
+# ---------------------------------------------------------------------------
+# what the fast path leaves out must not be reachable
+
+
+@pytest.mark.parametrize("delay,ok", [(12, True), (13, False), (16, False)])
+def test_conditional_pi_must_land_between_the_readouts(delay, ok):
+    cfg = ex.ExperimentConfig(device=_device(), scenario=ex.PI_HALF_INIT)
+    pipe = replace(cfg.pipeline, delay=delay)
+    if ok:
+        assert replace(cfg, pipeline=pipe).t_pi_ns < ex.M2_START_NS
+    else:
+        with pytest.raises(ConfigError, match="conditional pi"):
+            replace(cfg, pipeline=pipe)
+
+
+def test_conditional_pi_inside_the_first_pulse_is_rejected():
+    fast = LatencyBudget(tau_adcdio=0.0, tau_awg=0.0, tau_g=0.0)
+    with pytest.raises(ConfigError, match="conditional pi"):
+        ex.ExperimentConfig(device=_device(), scenario=ex.PI_HALF_INIT,
+                            latency_budget=fast)
+
+
+def test_adc_saturation_counts_only_integration_windows():
+    cfg = ex.ExperimentConfig(device=_device(noise_sigma=0.4),
+                              scenario=ex.PI_HALF_INIT, repetitions=4096,
+                              master_seed=11)
+    rep = ex.run_experiment(cfg)
+    assert rep.adc_saturated == ADC_SATURATED_SIGMA_0_4
+
+
+def test_calibrate_noise_computes_the_means_once(monkeypatch):
+    cfg = ex.ExperimentConfig(device=_device(noise_sigma=0.0),
+                              scenario=ex.PI_HALF_INIT)
+    calls = []
+    means = ex.noiseless_filtered_means
+
+    def counted(c):
+        calls.append(c)
+        return means(c)
+
+    monkeypatch.setattr(ex, "noiseless_filtered_means", counted)
+    for target in (0.005, 0.01, 0.02, 0.03, 0.05, 0.1, 0.2, 0.4):
+        calls.clear()
+        sigma = ex.calibrate_noise(target, cfg)
+        assert len(calls) == 1
+        # the same bisection on overlap_probability, means recomputed
+        # every step, lands on the same float
+        lo, hi = 0.0, 10.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if ex.overlap_probability(cfg, mid) < target:
+                lo = mid
+            else:
+                hi = mid
+        assert sigma == 0.5 * (lo + hi)
