@@ -57,6 +57,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _worker_count(text: str) -> int:
+    """--jobs: the number of worker processes, at least 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a whole number of at least 1, got {text!r}")
+    return jobs
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="qfbsim", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
@@ -79,7 +91,7 @@ def _build_parser() -> _Parser:
     run.add_argument("--repetitions", type=int, help="override the document")
     run.add_argument("--feedback", choices=("off", "on", "both"),
                      default="both")
-    run.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    run.add_argument("--jobs", type=_worker_count, default=os.cpu_count() or 1)
 
     lat = sub.add_parser("latency-report", help="print the latency budget")
     lat.add_argument("--delay-cycles", type=int, default=10)
@@ -96,13 +108,13 @@ def _build_parser() -> _Parser:
     opt = sub.add_parser("optimize-threshold",
                          help="scan thresholds for best fidelity")
     opt.add_argument("--config", required=True)
-    opt.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    opt.add_argument("--jobs", type=_worker_count, default=os.cpu_count() or 1)
     opt.add_argument("--json", action="store_true")
 
     fid = sub.add_parser("readout-fidelity",
                          help="single-shot fidelity and its error budget")
     fid.add_argument("--config", required=True)
-    fid.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    fid.add_argument("--jobs", type=_worker_count, default=os.cpu_count() or 1)
     fid.add_argument("--json", action="store_true")
     return parser
 

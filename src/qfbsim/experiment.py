@@ -24,6 +24,12 @@ evaluates the pipeline only at the two readout ticks (scaled_iq_at);
 the scalar tick() machine and run_stream_batch stay the reference
 models it is tested against, and the noiseless calibration still runs
 the whole stream through run_stream_batch.
+
+The envelope is not propagated before the first pulse (it is exactly
+zero there), the second phase stops at the end of the second integration
+window, and a feedback comparison runs each chunk's first phase once and
+branches into the feedback-off and feedback-on arms from a snapshot of
+it.
 """
 
 from __future__ import annotations
@@ -285,11 +291,19 @@ def _phase_a_segments(cfg: ExperimentConfig):
 
 
 def _phase_b_segments(cfg: ExperimentConfig):
+    """From the conditional pi to the end of the second integration
+    window: no result reads the rest of the repetition."""
     t_pi = cfg.t_pi_ns * NS
-    t_end = (GRID_START_NS + N_SOURCE * TICK_NS) * NS
+    w2_end = (GRID_START_NS + TICK_NS * _window_cols(cfg, TRIG2_TICK).stop) * NS
     return [(t_pi, M2_START_NS * NS, False),
-            (M2_START_NS * NS, (M2_START_NS + PULSE_NS) * NS, True),
-            ((M2_START_NS + PULSE_NS) * NS, t_end, False)]
+            (M2_START_NS * NS, w2_end, True)]
+
+
+def _flip_at_jumps(state: np.ndarray, cols) -> np.ndarray:
+    """Qubit state after the jump columns of a segment, without the envelope."""
+    for times in cols:
+        state = np.where(np.isfinite(times), state ^ 1, state)
+    return state
 
 
 def _waveform_volts(device: DeviceParams, alpha: np.ndarray,
@@ -337,20 +351,28 @@ def _read_window(cfg: ExperimentConfig, alpha: np.ndarray,
 
 
 def _run_chunk(cfg: ExperimentConfig, protocol: _Protocol, stream_id: int,
-               chunk_idx: int, reps: int):
-    """One deterministic batch of repetitions.
+               chunk_idx: int, reps: int, feedback: tuple):
+    """One deterministic batch of repetitions, once per feedback setting.
+
+    Returns one (it1, qt1, fb1, it2, qt2, clipped) tuple for each entry
+    of feedback (True: the conditional pi fires on fb1).
 
     Draw order is fixed: per-sample noise, initial states, first-phase
     jumps (with the init-gate draw at t = 0), then - after the feedback
     bit is known from the pipeline - the conditional pi and the
     second-phase jumps.  Nothing after the first phase influences the
-    first readout, so the first-measurement statistics are bit-identical
-    between feedback-on and feedback-off runs of the same seed.
+    first readout, so the first phase runs once: the generator state,
+    qubit states and cavity envelope are snapshotted after it, and each
+    feedback setting runs the second phase from that snapshot, drawing
+    exactly what a chunk run for that setting alone would draw.
 
     Only the samples inside the two integration windows reach a result,
     so only those are synthesized and digitized, and the pipeline is
-    evaluated only at the two readout ticks.  The noise draw still spans
-    the whole window, which keeps every seed's outputs unchanged.
+    evaluated only at the two readout ticks.  Before the first pulse the
+    envelope is exactly zero, so that segment only advances the qubit
+    state; the second phase ends with the second integration window.
+    The noise draw still spans the whole window, which keeps every
+    seed's outputs unchanged.
     """
     rng = np.random.default_rng(
         np.random.SeedSequence([cfg.master_seed & 0xFFFFFFFFFFFFFFFF,
@@ -376,7 +398,10 @@ def _run_chunk(cfg: ExperimentConfig, protocol: _Protocol, stream_id: int,
             elif protocol.init_gate == "pi":
                 state = state ^ 1
         cols = _sample_jump_columns(rng, state, a, b, gamma_down, gamma_up)
-        state = filler.run_segment(state, a, b, on, cols)
+        if seg_idx == 0:
+            state = _flip_at_jumps(state, cols)
+        else:
+            state = filler.run_segment(state, a, b, on, cols)
 
     # first readout: the whole first window precedes the conditional pi
     it1, qt1, sat = _read_window(cfg, filler.out[:, :l], noise, w1)
@@ -386,32 +411,61 @@ def _run_chunk(cfg: ExperimentConfig, protocol: _Protocol, stream_id: int,
 
     if not protocol.double:
         # nothing after the conditional pi is observed
-        return it1, qt1, fb1, None, None, sat
+        return ((it1, qt1, fb1, None, None, sat),) * len(feedback)
 
-    if protocol.conditional and cfg.feedback_enabled:
-        state = np.where(fb1.astype(bool), state ^ 1, state)
-    for a, b, on in _phase_b_segments(cfg):
-        cols = _sample_jump_columns(rng, state, a, b, gamma_down, gamma_up)
-        state = filler.run_segment(state, a, b, on, cols)
+    rng_after_a = rng.bit_generator.state
+    alpha_after_a = filler.alpha
+    segments_b = _phase_b_segments(cfg)
+    arms = []
+    for enabled in feedback:
+        rng.bit_generator.state = rng_after_a
+        filler.alpha = alpha_after_a.copy()
+        arm_state = state
+        if protocol.conditional and enabled:
+            arm_state = np.where(fb1.astype(bool), state ^ 1, state)
+        for a, b, on in segments_b:
+            cols = _sample_jump_columns(rng, arm_state, a, b, gamma_down, gamma_up)
+            arm_state = filler.run_segment(arm_state, a, b, on, cols)
+        it2, qt2, sat2 = _read_window(cfg, filler.out[:, l:], noise, w2)
+        arms.append((it1, qt1, fb1, it2, qt2, sat + sat2))
+    return tuple(arms)
 
-    it2, qt2, sat2 = _read_window(cfg, filler.out[:, l:], noise, w2)
-    return it1, qt1, fb1, it2, qt2, sat + sat2
 
+def _run_chunks(cfg: ExperimentConfig, protocol: _Protocol, stream_id: int,
+                jobs: int, feedback: tuple) -> list:
+    """Every chunk of one Monte Carlo, each branched into the feedback
+    settings; returns, per setting, the list of its per-chunk outputs.
 
-def _run_mc(cfg: ExperimentConfig, protocol: _Protocol, *, stream_id: int = 0,
-            jobs: int = 1) -> _McResult:
+    With jobs > 1 each worker runs whole chunks, all settings included,
+    and no more workers start than there are chunks.
+    """
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
     sizes = []
     remaining = cfg.repetitions
     while remaining > 0:
         sizes.append(min(CHUNK_REPS, remaining))
         remaining -= sizes[-1]
-    args = [(cfg, protocol, stream_id, idx, size)
+    args = [(cfg, protocol, stream_id, idx, size, feedback)
             for idx, size in enumerate(sizes)]
     if jobs > 1 and len(args) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_run_chunk_star, args, chunksize=1))
+        with ProcessPoolExecutor(max_workers=min(jobs, len(args))) as pool:
+            chunks = list(pool.map(_run_chunk_star, args, chunksize=1))
     else:
-        parts = [_run_chunk(*a) for a in args]
+        chunks = [_run_chunk(*a) for a in args]
+    return list(zip(*chunks))
+
+
+def _run_mc(cfg: ExperimentConfig, protocol: _Protocol, *, stream_id: int = 0,
+            jobs: int = 1, parts: list | None = None) -> _McResult:
+    """One Monte Carlo ensemble at cfg's feedback setting.
+
+    parts, when given, holds the per-chunk outputs _run_chunks already
+    computed for this setting; otherwise the chunks run here.
+    """
+    if parts is None:
+        (parts,) = _run_chunks(cfg, protocol, stream_id, jobs,
+                               (cfg.feedback_enabled,))
     it1 = np.concatenate([p[0] for p in parts])
     qt1 = np.concatenate([p[1] for p in parts])
     fb1 = np.concatenate([p[2] for p in parts])
@@ -699,12 +753,20 @@ class FeedbackComparison:
 
 def run_feedback_comparison(cfg: ExperimentConfig, *,
                             jobs: int = 1) -> FeedbackComparison:
-    """Same-seed feedback-off and feedback-on runs sharing one histogram."""
+    """Same-seed feedback-off and feedback-on runs sharing one histogram.
+
+    Both arms come out of one pass over the chunks: each chunk's first
+    phase runs once and branches into the two arms, which are
+    byte-identical to two separate run_experiment calls.
+    """
+    protocol = _protocol_for(cfg)
+    arms = (False, True)
+    per_arm = _run_chunks(cfg, protocol, 0, jobs, arms)
     ram = HistogramRam(Mode.CORRELATION, segment_count=2)
     reports = []
-    for seg, enabled in enumerate((False, True)):
+    for seg, (enabled, parts) in enumerate(zip(arms, per_arm)):
         sub = replace(cfg, feedback_enabled=enabled)
-        res = _run_mc(sub, _protocol_for(sub), stream_id=0, jobs=jobs)
+        res = _run_mc(sub, protocol, parts=parts)
         ram.update_addresses(_correlation_addresses(res, seg=seg))
         reports.append(_assemble_report(sub, res, ram))
     return FeedbackComparison(off=reports[0], on=reports[1], histogram=ram)
@@ -729,6 +791,17 @@ class ReadoutFidelity:
         return json.dumps(asdict(self), sort_keys=True, indent=2)
 
 
+def _calibration_ensembles(cfg: ExperimentConfig,
+                           jobs: int) -> tuple[_McResult, _McResult]:
+    """The single-readout ensembles both calibrations read: no pulse
+    (stream id 1) and a pi pulse at the first pulse's start (stream id 2)."""
+    res_g = _run_mc(cfg, _Protocol("none", double=False, conditional=False),
+                    stream_id=1, jobs=jobs)
+    res_e = _run_mc(cfg, _Protocol("pi", double=False, conditional=False),
+                    stream_id=2, jobs=jobs)
+    return res_g, res_e
+
+
 def readout_fidelity(cfg: ExperimentConfig, *, jobs: int = 1) -> ReadoutFidelity:
     """Single-shot fidelity from the two single-measurement ensembles.
 
@@ -736,10 +809,7 @@ def readout_fidelity(cfg: ExperimentConfig, *, jobs: int = 1) -> ReadoutFidelity
     pi-pulse ensemble inverts it at the pulse start.  Decisions use the
     pipeline threshold.
     """
-    res_g = _run_mc(cfg, _Protocol("none", double=False, conditional=False),
-                    stream_id=1, jobs=jobs)
-    res_e = _run_mc(cfg, _Protocol("pi", double=False, conditional=False),
-                    stream_id=2, jobs=jobs)
+    res_g, res_e = _calibration_ensembles(cfg, jobs)
     p_e_no = float(np.count_nonzero(res_g.it1 >= 0)) / res_g.n
     p_g_pi = float(np.count_nonzero(res_e.it1 < 0)) / res_e.n
     f_r = 1.0 - p_e_no - p_g_pi
@@ -766,10 +836,7 @@ def optimize_threshold(cfg: ExperimentConfig, *, jobs: int = 1) -> float:
     at the scaled output's full resolution; ties resolve to the midpoint
     of the tied candidate range.
     """
-    res_g = _run_mc(cfg, _Protocol("none", double=False, conditional=False),
-                    stream_id=1, jobs=jobs)
-    res_e = _run_mc(cfg, _Protocol("pi", double=False, conditional=False),
-                    stream_id=2, jobs=jobs)
+    res_g, res_e = _calibration_ensembles(cfg, jobs)
     candidates = np.unique(np.concatenate([res_g.it1, res_e.it1]))
     sorted_g = np.sort(res_g.it1)
     sorted_e = np.sort(res_e.it1)

@@ -198,6 +198,21 @@ def test_conditional_pi_past_second_readout_is_usage_error(tmp_path, capsys,
         assert "conditional pi" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run-experiment", "optimize-threshold",
+                                     "readout-fidelity"])
+@pytest.mark.parametrize("jobs", ["0", "-2", "two"])
+def test_jobs_below_one_is_usage_error(tmp_path, capsys, command, jobs):
+    argv = [command, "--config", shipped("scenario_thermal.cfg"),
+            "--jobs", jobs]
+    if command == "run-experiment":
+        argv += ["--out-dir", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 1
+    assert "--jobs: expected a whole number of at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_config_file_is_usage_error(tmp_path, capsys):
     rc = cli.main(["latency-report"])  # warm-up, no config needed
     assert rc == 0

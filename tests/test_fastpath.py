@@ -1,8 +1,11 @@
 """Differential tests for the Monte Carlo's readout-tick fast path.
 
 The chunk evaluates the pipeline only at the two readout ticks, from the
-2 l samples inside the integration windows.  These tests hold it to the
-full-stream batch pipeline, which is itself held to the scalar machine.
+2 l samples inside the integration windows, skips the envelope before
+the first pulse and after the second window, and runs its first phase
+once for all feedback settings.  These tests hold it to the full-stream
+batch pipeline, which is itself held to the scalar machine, and a
+feedback comparison to two separate runs.
 """
 
 import math
@@ -103,9 +106,27 @@ def _device(**kw):
     return DeviceParams(**base)
 
 
+def _full_segments(cfg):
+    """Every segment of the repetition window, as (start, end, pulse on):
+    the first phase from the grid start to the conditional pi, the
+    second from there to the end of the 66-sample window."""
+    t_pi = cfg.t_pi_ns * ex.NS
+    m1_end = ex.M1_START_NS + ex.PULSE_NS
+    m2_end = ex.M2_START_NS + ex.PULSE_NS
+    t_end = ex.GRID_START_NS + ex.N_SOURCE * ex.TICK_NS
+    first = [(ex.GRID_START_NS * ex.NS, ex.M1_START_NS * ex.NS, False),
+             (ex.M1_START_NS * ex.NS, m1_end * ex.NS, True),
+             (m1_end * ex.NS, t_pi, False)]
+    second = [(t_pi, ex.M2_START_NS * ex.NS, False),
+              (ex.M2_START_NS * ex.NS, m2_end * ex.NS, True),
+              (m2_end * ex.NS, t_end * ex.NS, False)]
+    return first, second
+
+
 def _reference_chunk(cfg, protocol, stream_id, chunk_idx, reps):
-    """The chunk as the whole window would compute it: every sample
-    synthesized, every tick of the 72-tick stream run, same draws."""
+    """The chunk as the whole window would compute it: every segment of
+    the envelope propagated, every sample synthesized, every tick of the
+    72-tick stream run, same draws, one feedback setting."""
     rng = np.random.default_rng(
         np.random.SeedSequence([cfg.master_seed & 0xFFFFFFFFFFFFFFFF,
                                 stream_id, chunk_idx]))
@@ -130,7 +151,7 @@ def _reference_chunk(cfg, protocol, stream_id, chunk_idx, reps):
                                 ex._to_pipeline_stream(raw, ex.N_TICKS),
                                 ex._trigger_lane(double, ex.N_TICKS))
 
-    a_segs = ex._phase_a_segments(cfg)
+    a_segs, b_segs = _full_segments(cfg)
     state = segments(a_segs[:1], state)
     if protocol.init_gate == "pi_half":
         state = (rng.random(reps) < 0.5).astype(np.uint8)
@@ -145,9 +166,8 @@ def _reference_chunk(cfg, protocol, stream_id, chunk_idx, reps):
 
     if protocol.conditional and cfg.feedback_enabled:
         state = np.where(fb1.astype(bool), state ^ 1, state)
-    t_end = (ex.GRID_START_NS + ex.N_SOURCE * ex.TICK_NS) * ex.NS
-    segments(ex._phase_b_segments(cfg) if protocol.double
-             else [(cfg.t_pi_ns * ex.NS, t_end, False)], state)
+    segments(b_segs if protocol.double
+             else [(b_segs[0][0], b_segs[-1][1], False)], state)
 
     v = volts()
     bt = pipeline(quantize_array(v)[0], protocol.double)
@@ -179,6 +199,26 @@ CASES = [
 ]
 
 
+def _chunk_both_ways(cfg, protocol, stream_id, chunk_idx, reps):
+    """The chunk run for cfg's feedback setting alone, and branched from
+    one first phase into both settings; both must give the same output."""
+    (alone,) = ex._run_chunk(cfg, protocol, stream_id, chunk_idx, reps,
+                             (cfg.feedback_enabled,))
+    branched = ex._run_chunk(cfg, protocol, stream_id, chunk_idx, reps,
+                             (False, True))
+    assert len(branched) == 2
+    return alone, branched[cfg.feedback_enabled]
+
+
+def _assert_chunk_equal(got, want):
+    for g, w in zip(got[:5], want[:5]):
+        if w is None:
+            assert g is None
+        else:
+            np.testing.assert_array_equal(g, w)
+    assert got[5] == want[5]
+
+
 @pytest.mark.parametrize("scenario,dev_kw,protocol", CASES)
 @pytest.mark.parametrize("feedback", [False, True])
 def test_chunk_matches_full_window_reference(scenario, dev_kw, protocol, feedback):
@@ -187,16 +227,11 @@ def test_chunk_matches_full_window_reference(scenario, dev_kw, protocol, feedbac
                               master_seed=5)
     if protocol == DOUBLE:
         protocol = ex._protocol_for(cfg)
-    got = ex._run_chunk(cfg, protocol, 3, 1, 300)
     want = _reference_chunk(cfg, protocol, 3, 1, 300)
-    for g, w in zip(got[:5], want[:5]):
-        if w is None:
-            assert g is None
-        else:
-            np.testing.assert_array_equal(g, w)
-    assert got[5] == want[5]
-    if dev_kw.get("noise_sigma") == 0.4:
-        assert got[5] > 0
+    for got in _chunk_both_ways(cfg, protocol, 3, 1, 300):
+        _assert_chunk_equal(got, want)
+        if dev_kw.get("noise_sigma") == 0.4:
+            assert got[5] > 0
 
 
 def test_chunk_with_wider_window_and_longer_delay():
@@ -205,10 +240,87 @@ def test_chunk_with_wider_window_and_longer_delay():
                               master_seed=9)
     cfg = replace(cfg, pipeline=replace(cfg.pipeline, window_len=8, delay=12))
     protocol = ex._protocol_for(cfg)
-    got = ex._run_chunk(cfg, protocol, 0, 0, 200)
     want = _reference_chunk(cfg, protocol, 0, 0, 200)
-    for g, w in zip(got, want):
-        np.testing.assert_array_equal(g, w)
+    for got in _chunk_both_ways(cfg, protocol, 0, 0, 200):
+        _assert_chunk_equal(got, want)
+
+
+def test_second_phase_ends_with_the_second_window():
+    cfg = ex.ExperimentConfig(device=_device(), scenario=ex.PI_HALF_INIT)
+    cfg = replace(cfg, pipeline=replace(cfg.pipeline, window_len=8, delay=12))
+    (_, _, _), (a, b, on) = ex._phase_b_segments(cfg)
+    assert (a, on) == (ex.M2_START_NS * ex.NS, True)
+    # the window covers 40..120 ns into the pulse: its last sample is at
+    # 110 ns, the pulse itself ends at 160 ns
+    assert b == (ex.M2_START_NS + 120) * ex.NS
+
+
+# ---------------------------------------------------------------------------
+# a feedback comparison == two separate runs, one per feedback setting
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("dev_kw", [{}, {"noise_sigma": 0.0},
+                                    {"t1": math.inf, "p_therm": 0.0}],
+                         ids=["default", "noiseless", "no_jumps"])
+@pytest.mark.parametrize("scenario", ex.SCENARIOS)
+def test_comparison_equals_two_separate_runs(scenario, dev_kw, jobs):
+    cfg = ex.ExperimentConfig(device=_device(**dev_kw), scenario=scenario,
+                              repetitions=ex.CHUNK_REPS + 1000, master_seed=13)
+    comp = ex.run_feedback_comparison(cfg, jobs=jobs)
+    for seg, rep in enumerate((comp.off, comp.on)):
+        alone = ex.run_experiment(replace(cfg, feedback_enabled=bool(seg)),
+                                  jobs=jobs)
+        assert rep.to_json() == alone.to_json()
+        for marginal in ("marginal_i1", "marginal_i2", "joint_i1_i2"):
+            np.testing.assert_array_equal(
+                getattr(comp.histogram, marginal)(seg),
+                getattr(alone.histogram, marginal)(0))
+        np.testing.assert_array_equal(
+            comp.histogram.correlation_counts()[..., seg],
+            alone.histogram.correlation_counts()[..., 0])
+
+
+# ---------------------------------------------------------------------------
+# worker count
+
+
+@pytest.mark.parametrize("jobs,chunks,workers", [(64, 2, 2), (2, 3, 2), (3, 3, 3)])
+def test_pool_starts_no_more_workers_than_chunks(monkeypatch, jobs, chunks,
+                                                 workers):
+    started = []
+
+    class RecordingPool:
+        """Records max_workers and maps in this process: no worker starts."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    cfg = ex.ExperimentConfig(device=_device(), scenario=ex.THERMAL_INIT,
+                              repetitions=(chunks - 1) * ex.CHUNK_REPS + 7)
+    serial = ex.run_feedback_comparison(cfg, jobs=1)
+    monkeypatch.setattr(ex, "ProcessPoolExecutor", RecordingPool)
+    pooled = ex.run_feedback_comparison(cfg, jobs=jobs)
+    assert started == [workers]
+    assert pooled.off.to_json() == serial.off.to_json()
+    assert pooled.on.to_json() == serial.on.to_json()
+
+
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_jobs_below_one_are_rejected(jobs):
+    cfg = ex.ExperimentConfig(device=_device(), scenario=ex.THERMAL_INIT,
+                              repetitions=64)
+    with pytest.raises(ConfigError, match="jobs"):
+        ex.run_experiment(cfg, jobs=jobs)
 
 
 # ---------------------------------------------------------------------------

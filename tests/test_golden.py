@@ -1,11 +1,13 @@
 """Golden digests of the shipped scenarios' outputs.
 
 Each pinned SHA-256 covers the exact bytes the command line writes: both
-report JSONs and the histogram dump of a feedback comparison, and the
-readout-fidelity JSON.  The repetition count is not a multiple of
-CHUNK_REPS so the trailing partial chunk is part of every digest.  A
-speed-only change must leave every digest as it is; a change that moves
-one must say so and why.
+report JSONs and the histogram dump of a feedback comparison, the
+readout-fidelity JSON, and the simulate-pipeline trace of an excited
+qubit.  The repetition count is not a multiple of CHUNK_REPS so the
+trailing partial chunk is part of every digest.  The comparison digests
+hold in-process and on the process pool alike.  A speed-only change must
+leave every digest as it is; a change that moves one must say so and
+why.
 """
 
 import hashlib
@@ -15,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import qfbsim
+from qfbsim import cli
 from qfbsim import config as run_config
 from qfbsim.experiment import CHUNK_REPS, readout_fidelity, run_feedback_comparison
 
@@ -45,6 +48,9 @@ GOLDEN = {
     },
 }
 
+# simulate-pipeline --state e on the pi/2 scenario, default 48 cycles
+TRACE_E = "8ade7508070ff53f278da0c559b9908b7885968a780afe6e63fb84914a6adac4"
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -60,14 +66,33 @@ def test_repetitions_cover_a_partial_chunk():
     assert REPS % CHUNK_REPS != 0
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_shipped_scenario_digests(name):
-    cfg = _shipped(name)
-    comp = run_feedback_comparison(cfg)
-    digests = {
+def _comparison_digests(cfg, jobs: int) -> dict:
+    comp = run_feedback_comparison(cfg, jobs=jobs)
+    return {
         "report_feedback_off.json": _sha((comp.off.to_json() + "\n").encode()),
         "report_feedback_on.json": _sha((comp.on.to_json() + "\n").encode()),
         "histogram.bin": _sha(comp.histogram.dump_bytes()),
-        "readout_fidelity.json": _sha(readout_fidelity(cfg).to_json().encode()),
     }
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_shipped_scenario_digests(name):
+    cfg = _shipped(name)
+    digests = _comparison_digests(cfg, jobs=1)
+    digests["readout_fidelity.json"] = _sha(readout_fidelity(cfg).to_json().encode())
     assert digests == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_shipped_comparison_digests_on_two_workers(name):
+    digests = _comparison_digests(_shipped(name), jobs=2)
+    want = {k: v for k, v in GOLDEN[name].items() if k in digests}
+    assert digests == want
+
+
+def test_simulate_pipeline_trace_digest(tmp_path):
+    out = tmp_path / "trace.csv"
+    assert cli.main(["simulate-pipeline", "--config",
+                     str(CONFIG_DIR / "scenario_pi_half.cfg"), "--state", "e",
+                     "--out", str(out)]) == 0
+    assert _sha(out.read_bytes()) == TRACE_E
