@@ -29,10 +29,8 @@ from .latency import LatencyBudget, tau_eltot, total_feedback_latency
 from .pipeline import PipelineConfig, run_stream, run_stream_batch
 from .sigmodel import (
     DeviceParams,
-    Gate,
     PulseSchedule,
     QubitTrajectory,
-    sample_trajectory,
     synthesize_adc_stream,
     thermal_population,
 )
@@ -49,7 +47,6 @@ __all__ = [
     "ExperimentReport",
     "FeedbackComparison",
     "FxpSample",
-    "Gate",
     "HistogramRam",
     "LatencyBudget",
     "Mode",
@@ -69,7 +66,6 @@ __all__ = [
     "run_feedback_comparison",
     "run_stream",
     "run_stream_batch",
-    "sample_trajectory",
     "synthesize_adc_stream",
     "tau_eltot",
     "thermal_population",

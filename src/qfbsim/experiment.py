@@ -16,14 +16,17 @@ matches it, which is what lines the integration window up with the
 readout pulse.
 
 run_experiment drives a vectorized Monte Carlo of the full loop (exact
-exponential jump times, closed-form cavity envelope propagation, the
-bit-exact pipeline) and reports quadrant statistics next to an
-independent analytic rate-equation prediction.  The Monte Carlo only
-synthesizes the 2 l samples inside the two integration windows and
-evaluates the pipeline only at the two readout ticks (scaled_iq_at);
-the scalar tick() machine and run_stream_batch stay the reference
-models it is tested against, and the noiseless calibration still runs
-the whole stream through run_stream_batch.
+exponential jump times from _sample_jump_columns, the package's one jump
+sampler; closed-form cavity envelope propagation; the bit-exact
+pipeline) and reports quadrant statistics next to an independent
+analytic rate-equation prediction.  The Monte Carlo only synthesizes
+the 2 l samples inside the two integration windows and evaluates the
+pipeline only at the two readout ticks (scaled_iq_at), which lie
+pipeline.trigger_to_eval_cycles after the triggers, so the feedback bit
+needs no trigger-chain simulation; the scalar tick() machine and
+run_stream_batch stay the reference models it is tested against, and
+the noiseless calibration still runs the whole stream through
+run_stream_batch.
 
 The envelope is not propagated before the first pulse (it is exactly
 zero there), the second phase stops at the end of the second integration
@@ -41,18 +44,18 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from . import histo, sigmodel
+from . import sigmodel
 from .fxp import ADC_LSB_VOLTS, ConfigError, FxpSample, quantize
 from .histo import HistogramRam, Mode, bin7_raw_array
-from .latency import CLOCK_PERIOD_NS, LatencyBudget, tau_eltot, total_feedback_latency
+from .latency import LatencyBudget, tau_eltot, total_feedback_latency
 from .pipeline import (
     FILTER_WIDTH,
     PipelineConfig,
-    _trigger_path,
     filter_window,
     lut_bits,
     run_stream_batch,
     scaled_iq_at,
+    trigger_to_eval_cycles,
 )
 from .sigmodel import STATE_E, STATE_G, DeviceParams, carrier_tables, quantize_array
 
@@ -165,7 +168,7 @@ class ExperimentConfig:
     def eval_tick(self, trigger_tick: int) -> int:
         """Pipeline tick whose outputs form a readout event for a
         trigger asserted at trigger_tick."""
-        return trigger_tick + self.pipeline.sync_depth + 2 + self.pipeline.delay
+        return trigger_tick + trigger_to_eval_cycles(self.pipeline)
 
 
 @dataclass(frozen=True)
@@ -403,11 +406,10 @@ def _run_chunk(cfg: ExperimentConfig, protocol: _Protocol, stream_id: int,
         else:
             state = filler.run_segment(state, a, b, on, cols)
 
-    # first readout: the whole first window precedes the conditional pi
+    # first readout: the whole first window precedes the conditional pi,
+    # and fb_time is high at its evaluation tick by construction
     it1, qt1, sat = _read_window(cfg, filler.out[:, :l], noise, w1)
-    m1 = cfg.eval_tick(TRIG1_TICK)
-    fbt_comb, _ = _trigger_path(pipe, _trigger_lane(False, m1 + 1))
-    fb1 = lut_bits(pipe.lut1, it1, qt1) & fbt_comb[m1]
+    fb1 = lut_bits(pipe.lut1, it1, qt1)
 
     if not protocol.double:
         # nothing after the conditional pi is observed

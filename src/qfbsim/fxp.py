@@ -91,21 +91,6 @@ def quantize_flagged(
     return FxpSample(raw, width, lsb_volts), clipped
 
 
-def add_sat(a: FxpSample, b: FxpSample, width: int) -> FxpSample:
-    """Exact sum of two equal-scale samples, saturated to a caller-declared width."""
-    sample, _ = add_sat_flagged(a, b, width)
-    return sample
-
-
-def add_sat_flagged(a: FxpSample, b: FxpSample, width: int) -> tuple[FxpSample, bool]:
-    if a.lsb_volts != b.lsb_volts:
-        raise ValueError(
-            f"scale mismatch: {a.lsb_volts} V/LSB vs {b.lsb_volts} V/LSB"
-        )
-    raw, clipped = saturate(a.raw + b.raw, width)
-    return FxpSample(raw, width, a.lsb_volts), clipped
-
-
 def shift_raw(raw: int, s: int, width: int) -> tuple[int, bool]:
     """Scale a raw integer by 2**s.
 
@@ -118,10 +103,3 @@ def shift_raw(raw: int, s: int, width: int) -> tuple[int, bool]:
     if s >= 0:
         return saturate(raw << s, width)
     return saturate(raw >> (-s), width)
-
-
-def shift_scale(a: FxpSample, s: int, width: int | None = None) -> FxpSample:
-    """Multiply a sample by a power of two; width defaults to the input width."""
-    w = a.width if width is None else width
-    raw, _ = shift_raw(a.raw, s, w)
-    return FxpSample(raw, w, a.lsb_volts)

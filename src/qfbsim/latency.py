@@ -69,10 +69,6 @@ class LatencyBudget:
             "tau_ap": self.u_ap,
         }
 
-    @property
-    def proc_cycles(self) -> int:
-        return round(self.tau_proc / CLOCK_PERIOD_NS)
-
 
 def _quadrature(values) -> float:
     return math.sqrt(sum(v * v for v in values))

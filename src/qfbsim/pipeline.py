@@ -17,8 +17,9 @@ what is observable *during* the cycle, i.e. the state the registers held
 when the cycle began; the sample and trigger passed in are captured at
 the end of the cycle and influence later ticks only.  Consequently the
 filtered output at tick n depends on input samples up to n-3 (the three
-registered stages), and the fb rising edge lands exactly
-sync_depth + 2 + d + 1 ticks after the trigger rising edge at the input.
+registered stages).  A trigger rising edge at the input reaches its
+evaluation tick trigger_to_eval_cycles(config) ticks later, and the
+registered fb rising edge lands one tick after that.
 
 A vectorized batch implementation (`run_stream_batch`) reproduces the
 scalar machine bit-exactly over arrays of independent streams, and
@@ -29,12 +30,12 @@ equivalences element by element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import fxp
-from .fxp import ADC_LSB_VOLTS, ADC_WIDTH, ConfigError, FxpSample
+from .fxp import ADC_WIDTH, ConfigError, FxpSample
 
 # Datapath widths.  A full-scale 14-bit sample negated by the mixer needs
 # 15 bits (-(-8192) = +8192); the accumulator holds up to 40 mixer
@@ -121,11 +122,8 @@ class PipelineState:
         self.adc_phase = 0
         self.mix_re = 0
         self.mix_im = 0
-        self.dly_re = [0] * cfg.window_len  # moving-average delay lines
-        self.dly_im = [0] * cfg.window_len
-        self.dly_pos = 0
-        self.acc_re = 0
-        self.acc_im = 0
+        self.ma_re = MovingAverageBranch(cfg.window_len)
+        self.ma_im = MovingAverageBranch(cfg.window_len)
         self.i_reg = 0
         self.q_reg = 0
         self.sync = [0] * cfg.sync_depth    # trigger synchronization stages
@@ -136,21 +134,7 @@ class PipelineState:
         self.fb_reg = 0
         self.fb2_reg = 0
         self.fbtime_reg = 0
-        self.overflow = {"accumulator": False, "filter": False, "i_t": False, "q_t": False}
-
-    def snapshot(self) -> dict:
-        """Copyable view of all registers (for save/restore tests)."""
-        d = self.__dict__.copy()
-        d.pop("config")
-        for key in ("dly_re", "dly_im", "sync", "dline"):
-            d[key] = list(d[key])
-        d["overflow"] = dict(d["overflow"])
-        return d
-
-    def restore(self, snap: dict) -> None:
-        for key, value in snap.items():
-            setattr(self, key, list(value) if isinstance(value, list) else
-                    (dict(value) if isinstance(value, dict) else value))
+        self.overflow = {"i_t": False, "q_t": False}
 
 
 @dataclass(frozen=True)
@@ -221,22 +205,9 @@ class MovingAverageBranch:
         return out
 
 
-def moving_average_step(branch: MovingAverageBranch, a_n: FxpSample) -> FxpSample:
-    """One clock of the boxcar filter; returns the normalized window mean."""
-    return FxpSample(branch.step_raw(a_n.raw), FILTER_WIDTH, a_n.lsb_volts)
-
-
 def preprocess_raw(v_raw: int, c_raw: int, s: int) -> tuple[int, bool]:
     """(v - c) scaled by 2**s, saturated to the 16-bit preprocessed width."""
     return fxp.shift_raw(v_raw - c_raw, s, PREPROC_WIDTH)
-
-
-def preprocess(v: FxpSample, c: FxpSample, s: int) -> FxpSample:
-    """Offset subtraction and power-of-two scaling (combinational)."""
-    if v.lsb_volts != c.lsb_volts:
-        raise ValueError("offset scale must match signal scale")
-    raw, _ = preprocess_raw(v.raw, c.raw, s)
-    return FxpSample(raw, PREPROC_WIDTH, v.lsb_volts)
 
 
 def discriminate(x: int, y: int, lut: tuple[int, int, int, int]) -> int:
@@ -293,21 +264,8 @@ def tick(config: PipelineConfig, state: PipelineState, adc_sample: FxpSample,
     state.fbtime_reg = fbt_comb
 
     # Moving average consumes the current mixer registers.
-    for (acc_attr, dly_attr, out_attr, a) in (
-        ("acc_re", "dly_re", "i_reg", state.mix_re),
-        ("acc_im", "dly_im", "q_reg", state.mix_im),
-    ):
-        dly = getattr(state, dly_attr)
-        oldest = dly[state.dly_pos]
-        dly[state.dly_pos] = a
-        total = getattr(state, acc_attr) + a - oldest
-        total, clipped = fxp.saturate(total, ACCUMULATOR_WIDTH)
-        state.overflow["accumulator"] |= clipped
-        setattr(state, acc_attr, total)
-        norm, clipped = fxp.saturate(total >> config.norm_shift, FILTER_WIDTH)
-        state.overflow["filter"] |= clipped
-        setattr(state, out_attr, norm)
-    state.dly_pos = (state.dly_pos + 1) % config.window_len
+    state.i_reg = state.ma_re.step_raw(state.mix_re)
+    state.q_reg = state.ma_im.step_raw(state.mix_im)
 
     # Mixer consumes the current ADC register and its captured phase.
     state.mix_re = state.adc_raw * COS_SEQ[state.adc_phase]
@@ -355,31 +313,15 @@ def dump_trace(trace: list[TickOutput]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def trigger_to_fb_cycles(config: PipelineConfig) -> int:
-    """Ticks from the trigger rising edge at the input to the fb rising edge."""
-    return config.sync_depth + 2 + config.delay + 1
+def trigger_to_eval_cycles(config: PipelineConfig) -> int:
+    """Ticks from a trigger rising edge at the input to its evaluation tick.
 
-
-def readout_events(trace: list[TickOutput]) -> list[dict]:
-    """Extract one record per fb_time event from a trace.
-
-    The discriminator and histogram capture act combinationally during
-    the evaluation cycle, one tick before the registered fb_time output
-    rises.  Each record therefore pairs the preprocessed values of the
-    evaluation cycle with the registered feedback bits of the next tick.
+    The edge crosses the sync_depth synchronizer stages, the two
+    per-stage trigger registers and the d-cycle user delay.  During the
+    evaluation tick the discriminator result is gated into fb/fb2; the
+    registered fb, fb2 and fb_time outputs rise one tick later.
     """
-    events = []
-    for n in range(1, len(trace)):
-        if trace[n].fb_time and not trace[n - 1].fb_time:
-            ev = trace[n - 1]
-            events.append({
-                "cycle": ev.cycle,
-                "i_t": ev.i_t,
-                "q_t": ev.q_t,
-                "fb": trace[n].fb,
-                "fb2": trace[n].fb2,
-            })
-    return events
+    return config.sync_depth + 2 + config.delay
 
 
 # ---------------------------------------------------------------------------
@@ -400,30 +342,22 @@ class BatchTrace:
 
 
 def _trigger_path(config: PipelineConfig, triggers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Scalar simulation of the (shared) trigger chain.
+    """fb_time of the (shared) trigger chain, in closed form.
 
     Returns (fbt_comb, fbt_reg): the combinational fb_time value during
-    each tick and the registered output observable during each tick.
+    each tick, which is the trigger lane's rising edges moved to their
+    evaluation ticks, and the registered output, one tick behind it.
+    The registers start at zero, so a trigger high at tick 0 is a
+    rising edge.
     """
     m = len(triggers)
+    prev = np.concatenate(([0], triggers[:-1])).astype(np.uint8)
+    rising = triggers.astype(np.uint8) & (1 - prev)
+    k = trigger_to_eval_cycles(config)
     fbt_comb = np.zeros(m, dtype=np.uint8)
+    fbt_comb[k:] = rising[:max(m - k, 0)]
     fbt_reg = np.zeros(m, dtype=np.uint8)
-    sync = [0] * config.sync_depth
-    tr_a = tr_b = tr_b_prev = 0
-    dline = [0] * config.delay
-    reg = 0
-    for n in range(m):
-        edge = tr_b & (1 - tr_b_prev)
-        comb = dline[-1] if config.delay else edge
-        fbt_comb[n] = comb
-        fbt_reg[n] = reg
-        reg = comb
-        if config.delay:
-            dline = [edge] + dline[:-1]
-        tr_b_prev = tr_b
-        tr_b = tr_a
-        tr_a = sync[-1]
-        sync = [int(triggers[n])] + sync[:-1]
+    fbt_reg[1:] = fbt_comb[:-1]
     return fbt_comb, fbt_reg
 
 
@@ -517,13 +451,16 @@ def run_stream_batch(config: PipelineConfig, raw: np.ndarray,
     raw = np.asarray(raw, dtype=np.int64)
     if raw.ndim != 2:
         raise ValueError("raw must be a (reps, ticks) array")
+    triggers = np.asarray(triggers)
     if raw.shape[1] != len(triggers):
         raise ValueError("triggers length must equal the tick count")
+    if not np.isin(triggers, (0, 1)).all():
+        raise ValueError("trigger must be a bit")
 
     i_arr, q_arr = filtered_iq_batch(config, raw)
     i_t = preprocess_array(i_arr, config.c_i.raw, config.s_i)
     q_t = preprocess_array(q_arr, config.c_q.raw, config.s_q)
-    fbt_comb, fbt_reg = _trigger_path(config, np.asarray(triggers))
+    fbt_comb, fbt_reg = _trigger_path(config, triggers)
     fb_comb = lut_bits(config.lut1, i_t, q_t) & fbt_comb
     fb2_comb = lut_bits(config.lut2, i_t, q_t) & fbt_comb
     fb = np.zeros_like(fb_comb)

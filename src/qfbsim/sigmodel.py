@@ -8,6 +8,11 @@ into a full-scale amplitude, static I/Q offsets and additive white
 Gaussian noise.  The carrier sits at a quarter of the sampling rate, so
 four consecutive samples step the carrier phase by 90 degrees.
 
+The qubit's trajectory is an input here (a QubitTrajectory of
+piecewise-constant states); DeviceParams supplies the decay and
+excitation rates from which the experiment module's Monte Carlo draws
+the jumps.
+
 The global demodulation phase is chosen such that the ground/excited
 separation of the steady-state envelope lies entirely in the in-phase
 component recovered by the digital pipeline, with the excited state on
@@ -19,8 +24,7 @@ from __future__ import annotations
 import bisect
 import cmath
 import math
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,12 +36,6 @@ BOLTZMANN = 1.380649e-23     # J / K
 
 STATE_G = 0
 STATE_E = 1
-
-
-class Gate(Enum):
-    PI_HALF = "pi_half"
-    PI = "pi"
-    CONDITIONAL_PI = "conditional_pi"
 
 
 @dataclass(frozen=True)
@@ -107,10 +105,9 @@ class DeviceParams:
 
 @dataclass(frozen=True)
 class PulseSchedule:
-    """Square readout pulses and instantaneous gate events for one repetition."""
+    """Square readout pulses of one repetition window."""
 
     readout_pulses: tuple[tuple[float, float], ...]
-    gates: tuple[tuple[float, Gate], ...] = ()
     t_start: float = 0.0
     repetition_period: float = 1e-6
 
@@ -122,15 +119,8 @@ class PulseSchedule:
             if start < prev_end:
                 raise ConfigError("readout pulses must be ordered and non-overlapping")
             prev_end = start + duration
-        times = [t for t, _ in self.gates]
-        if times != sorted(times):
-            raise ConfigError("gate events must be time-ordered")
         if self.repetition_period <= 0:
             raise ConfigError("repetition_period must be positive")
-
-    @property
-    def t_end(self) -> float:
-        return self.t_start + self.repetition_period
 
     def pulse_on(self, t: float) -> bool:
         return any(s <= t < s + d for s, d in self.readout_pulses)
@@ -151,7 +141,6 @@ class QubitTrajectory:
     """
 
     segments: tuple[tuple[float, int], ...]
-    rng_seed: int = 0
 
     def __post_init__(self) -> None:
         if not self.segments:
@@ -175,84 +164,6 @@ def thermal_population(t_env: float, f_q: float) -> float:
         raise ValueError("t_env must be positive")
     x = math.exp(-PLANCK * f_q / (BOLTZMANN * t_env))
     return x / (1.0 + x)
-
-
-def temperature_from_population(p: float, f_q: float) -> float:
-    """Inverse of thermal_population by bisection."""
-    if not 0.0 < p < 0.5:
-        raise ValueError("population must be within (0, 0.5)")
-    lo, hi = 1e-6, 1e3
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if thermal_population(mid, f_q) < p:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _draw_initial(params: DeviceParams, initial, rng) -> int:
-    if initial in (STATE_G, "g"):
-        return STATE_G
-    if initial in (STATE_E, "e"):
-        return STATE_E
-    if initial == "thermal":
-        return STATE_E if rng.random() < params.p_therm else STATE_G
-    raise ValueError(f"unknown initial state {initial!r}")
-
-
-def sample_trajectory(params: DeviceParams, schedule: PulseSchedule, initial,
-                      rng, *, feedback_flag: bool = False,
-                      seed: int = 0) -> QubitTrajectory:
-    """Draw one stochastic trajectory under the gate schedule.
-
-    Jump waiting times are exact exponentials with state-dependent rates
-    (decay from e, thermal excitation from g), so there is no time-step
-    bias.  Gates act as instantaneous population maps: PI swaps the
-    state, PI_HALF re-samples it as e with probability one half
-    (projective readout of an equal superposition), and CONDITIONAL_PI
-    applies PI only when this repetition's feedback flag is set.
-    """
-    t = schedule.t_start
-    state = _draw_initial(params, initial, rng)
-    segments: list[tuple[float, int]] = [(t, state)]
-    rates = {STATE_E: params.decay_rate(), STATE_G: params.excitation_rate()}
-
-    def record(time: float, new_state: int) -> None:
-        # zero-length segments (gate exactly at an existing event time)
-        # collapse into a state replacement
-        if segments[-1][0] == time:
-            segments[-1] = (time, new_state)
-        else:
-            segments.append((time, new_state))
-
-    def advance(until: float) -> None:
-        nonlocal t, state
-        while True:
-            rate = rates[state]
-            dt = rng.exponential(1.0 / rate) if rate > 0 else math.inf
-            if t + dt >= until:
-                t = until
-                return
-            t += dt
-            state ^= 1
-            record(t, state)
-
-    for gate_time, gate in schedule.gates:
-        advance(min(gate_time, schedule.t_end))
-        if gate_time >= schedule.t_end:
-            break
-        if gate is Gate.PI:
-            state ^= 1
-        elif gate is Gate.PI_HALF:
-            state = STATE_E if rng.random() < 0.5 else STATE_G
-        elif gate is Gate.CONDITIONAL_PI:
-            if feedback_flag:
-                state ^= 1
-        if state != segments[-1][1]:
-            record(t, state)
-    advance(schedule.t_end)
-    return QubitTrajectory(tuple(segments), rng_seed=seed)
 
 
 def _propagate(alpha: complex, target: complex, rate: complex, dt: float) -> complex:
@@ -296,15 +207,6 @@ def envelope_at_times(params: DeviceParams, schedule: PulseSchedule,
     return out
 
 
-def cavity_envelope(params: DeviceParams, trajectory: QubitTrajectory,
-                    pulse: tuple[float, float], t: float) -> complex:
-    """Envelope at time t for a single readout pulse (zero before it)."""
-    schedule = PulseSchedule(readout_pulses=(pulse,),
-                             t_start=min(pulse[0], t, 0.0) - 1e-12,
-                             repetition_period=1.0)
-    return complex(envelope_at_times(params, schedule, trajectory, [t])[0])
-
-
 def carrier_tables(n: int, phase_offset: int) -> tuple[np.ndarray, np.ndarray]:
     """cos/sin of the quarter-rate carrier at sample indices 0..n-1."""
     idx = (np.arange(n) + phase_offset) & 3
@@ -340,15 +242,6 @@ class AdcStream:
     samples: list[FxpSample]
     triggers: list[int]
     saturated_count: int
-
-    def raw_array(self) -> np.ndarray:
-        return np.array([s.raw for s in self.samples], dtype=np.int64)
-
-    def dump_csv(self) -> str:
-        lines = ["t_ns,raw,tr"]
-        for n, (s, tr) in enumerate(zip(self.samples, self.triggers)):
-            lines.append(f"{10 * n},{s.raw},{tr}")
-        return "\n".join(lines) + "\n"
 
 
 def quantize_array(volts: np.ndarray) -> tuple[np.ndarray, int]:

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from qfbsim import fxp
-from qfbsim.fxp import ConfigError, FxpSample, add_sat, quantize, shift_scale
+from qfbsim.fxp import ConfigError, FxpSample, quantize, shift_raw
 
 
 def oracle_quantize_raw(volts: float, width: int, lsb: float) -> int:
@@ -73,24 +73,19 @@ def test_quantize_flagged_reports_saturation():
     assert not clipped
 
 
+def add_sat(x: int, y: int, width: int) -> int:
+    """Saturating adder as the filter accumulator builds it from saturate()."""
+    return fxp.saturate(x + y, width)[0]
+
+
 def test_add_sat_inverse_pair():
-    a = FxpSample(5, 14)
-    b = FxpSample(-5, 14)
-    assert add_sat(a, b, 14).raw == 0
+    assert add_sat(5, -5, 14) == 0
 
 
 def test_add_sat_width_boundary():
-    a = FxpSample(8191, 14)
-    b = FxpSample(1, 14)
-    assert add_sat(a, b, 14).raw == 8191  # saturates
-    assert add_sat(a, b, 15).raw == 8192  # width growth keeps it exact
-
-
-def test_add_sat_scale_mismatch():
-    a = FxpSample(1, 14, 2.0 ** -13)
-    b = FxpSample(1, 14, 2.0 ** -12)
-    with pytest.raises(ValueError):
-        add_sat(a, b, 15)
+    assert fxp.saturate(8191 + 1, 14) == (8191, True)  # saturates
+    assert fxp.saturate(8191 + 1, 15) == (8192, False)  # width growth keeps it exact
+    assert fxp.saturate(-8192 - 1, 14) == (-8192, True)
 
 
 def test_add_sat_commutative_and_monotone():
@@ -98,35 +93,32 @@ def test_add_sat_commutative_and_monotone():
     for _ in range(500):
         x = rng.randint(-8192, 8191)
         y = rng.randint(-8192, 8191)
-        a, b = FxpSample(x, 14), FxpSample(y, 14)
-        assert add_sat(a, b, 14).raw == add_sat(b, a, 14).raw
+        assert add_sat(x, y, 14) == add_sat(y, x, 14)
         # monotone in each argument even under saturation
         if y < 8191:
-            b1 = FxpSample(y + 1, 14)
-            assert add_sat(a, b1, 14).raw >= add_sat(a, b, 14).raw
+            assert add_sat(x, y + 1, 14) >= add_sat(x, y, 14)
 
 
 def test_add_sat_associative_without_saturation():
     rng = random.Random(303)
     for _ in range(500):
-        xs = [rng.randint(-1000, 1000) for _ in range(3)]
-        a, b, c = (FxpSample(x, 14) for x in xs)
+        a, b, c = (rng.randint(-1000, 1000) for _ in range(3))
         left = add_sat(add_sat(a, b, 14), c, 14)
         right = add_sat(a, add_sat(b, c, 14), 14)
-        assert left.raw == right.raw == sum(xs)
+        assert left == right == a + b + c
 
 
 def test_shift_scale_identity():
-    assert shift_scale(FxpSample(12, 14), 0).raw == 12
+    assert shift_raw(12, 0, 14) == (12, False)
 
 
 def test_shift_scale_exact_down():
-    assert shift_scale(FxpSample(12, 14), -2).raw == 3
+    assert shift_raw(12, -2, 14) == (3, False)
 
 
 def test_shift_scale_negative_floors():
     # arithmetic right shift floors toward -inf: floor(-5/2) = -3
-    assert shift_scale(FxpSample(-5, 14), -1).raw == math.floor(-5 / 2) == -3
+    assert shift_raw(-5, -1, 14)[0] == math.floor(-5 / 2) == -3
 
 
 def test_shift_scale_matches_floor_division_oracle():
@@ -135,20 +127,20 @@ def test_shift_scale_matches_floor_division_oracle():
     for _ in range(5000):
         raw = rng.randint(lo, hi)
         k = rng.randint(1, 7)
-        got = shift_scale(FxpSample(raw, 32), -k).raw
-        assert got == raw // (1 << k)
+        assert shift_raw(raw, -k, 32) == (raw // (1 << k), False)
 
 
 def test_shift_scale_saturates_up_shifts():
-    assert shift_scale(FxpSample(8191, 14), 1).raw == 8191
-    assert shift_scale(FxpSample(8191, 14), 1, width=15).raw == 16382
-    assert shift_scale(FxpSample(-8192, 14), 2, width=15).raw == -16384
+    assert shift_raw(8191, 1, 14) == (8191, True)
+    assert shift_raw(8191, 1, 15) == (16382, False)
+    assert shift_raw(-8192, 2, 15) == (-16384, True)
+    assert shift_raw(-8192, 2, 14) == (-8192, True)
 
 
 def test_shift_scale_exponent_range():
     for s in (-8, 8):
         with pytest.raises(ConfigError):
-            shift_scale(FxpSample(1, 14), s)
+            shift_raw(1, s, 14)
 
 
 def test_fxp_sample_validates():

@@ -110,4 +110,3 @@ def test_proc_delay_matches_pipeline_measurement():
     first_response = next(t.cycle for t in trace if t.i != 0)
     measured_cycles = first_response - impulse_at
     assert measured_cycles * CLOCK_PERIOD_NS == LatencyBudget().tau_proc
-    assert LatencyBudget().proc_cycles == 3

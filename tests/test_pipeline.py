@@ -1,13 +1,19 @@
 """Cycle-accurate pipeline tests: mixer, filter, discrimination, timing."""
 
+import copy
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfbsim import pipeline as pl
-from qfbsim.fxp import ADC_LSB_VOLTS, ConfigError, FxpSample, quantize
+from qfbsim.fxp import ADC_LSB_VOLTS, ConfigError, FxpSample, quantize, raw_bounds
+
+ADC_LO, ADC_HI = raw_bounds(14)
+FILTER_LO, FILTER_HI = raw_bounds(pl.FILTER_WIDTH)
 
 
 def adc(raw: int) -> FxpSample:
@@ -62,7 +68,7 @@ def direct_window_mean(xs: list[int], n: int, l: int) -> int:
 
 def test_moving_average_constant_input():
     br = pl.MovingAverageBranch(4)
-    outs = [pl.moving_average_step(br, FxpSample(120, 15)).raw for _ in range(10)]
+    outs = [br.step_raw(120) for _ in range(10)]
     assert outs[3:] == [120] * 7
 
 
@@ -107,21 +113,18 @@ def test_moving_average_rejects_bad_window():
 # ---------------------------------------------------------------------------
 
 def test_preprocess_identity():
-    v = FxpSample(37, 15)
-    assert pl.preprocess(v, FxpSample(0, 15), 0).raw == 37
+    assert pl.preprocess_raw(37, 0, 0) == (37, False)
 
 
 def test_preprocess_exact_cancellation():
-    v = FxpSample(20, 15)
-    c = FxpSample(20, 15)
     for s in (-3, 0, 3):
-        assert pl.preprocess(v, c, s).raw == 0
+        assert pl.preprocess_raw(20, 20, s) == (0, False)
 
 
 def test_preprocess_offset_and_scale():
-    got = pl.preprocess(FxpSample(100, 15), FxpSample(36, 15), 1)
-    assert got.raw == (100 - 36) * 2 == 128
-    assert got.width == 16
+    assert pl.preprocess_raw(100, 36, 1) == ((100 - 36) * 2, False)
+    # the 16-bit result holds a doubled 15-bit full-scale difference
+    assert pl.preprocess_raw(8191, -8192, 1) == (32766, False)
 
 
 def test_preprocess_saturation_flag():
@@ -167,7 +170,7 @@ def test_zero_stream_with_trigger_fires_fb_once():
     triggers = [1 if k == n_e else 0 for k in range(n)]
     trace = pl.run_stream(cfg, zero_stream(n), triggers)
     fb_cycles = [t.cycle for t in trace if t.fb]
-    assert fb_cycles == [n_e + pl.trigger_to_fb_cycles(cfg)]
+    assert fb_cycles == [n_e + pl.trigger_to_eval_cycles(cfg) + 1]
     for t in trace:
         assert not (t.fb and not t.fb_time)
 
@@ -252,9 +255,8 @@ def test_concatenation_resumes_from_saved_state():
 
     state = pl.PipelineState(cfg)
     head = pl.run_stream(cfg, a, tra, state=state)
-    snap = state.snapshot()
-    resumed = pl.PipelineState(cfg)
-    resumed.restore(snap)
+    resumed = copy.deepcopy(state)
+    pl.run_stream(cfg, [adc(0)] * 5, [1] * 5, state=state)  # must not leak
     tail = pl.run_stream(cfg, b, trb, state=resumed, start_cycle=70)
     assert head + tail == full
 
@@ -314,7 +316,7 @@ def test_full_stream_matches_float_demodulator_within_2lsb():
 
 
 # ---------------------------------------------------------------------------
-# Trace dump and readout events
+# Trace dump and readout timing
 # ---------------------------------------------------------------------------
 
 def test_trace_csv_columns_and_shape():
@@ -333,16 +335,18 @@ def test_readout_events_pair_evaluation_cycle_with_fb():
     n_e = 4
     n = 40
     triggers = [1 if k == n_e else 0 for k in range(n)]
-    # constant positive input: i settles positive, fb should fire
+    # a constant input demodulates to i_t = 0, whose sign bit 0 fires lut1
     samples = [adc(2000)] * n
     trace = pl.run_stream(cfg, samples, triggers)
-    events = pl.readout_events(trace)
-    assert len(events) == 1
-    ev = events[0]
+    # the discriminator acts during the evaluation cycle; the registered
+    # fb_time and fb rise together one tick later
     m_star = n_e + cfg.sync_depth + 2 + cfg.delay
-    assert ev["cycle"] == m_star
-    assert ev["i_t"] == trace[m_star].i_t
-    assert ev["fb"] == 1
+    assert pl.trigger_to_eval_cycles(cfg) == m_star - n_e
+    rises = [k for k in range(1, n) if trace[k].fb_time and not trace[k - 1].fb_time]
+    assert rises == [m_star + 1]
+    ev = trace[m_star]
+    assert pl.discriminate(pl.sign_bit(ev.i_t), pl.sign_bit(ev.q_t), cfg.lut1) == 1
+    assert (ev.fb, trace[m_star + 1].fb) == (0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +377,68 @@ def test_batch_matches_scalar_bit_exactly():
                 assert batch.fb[b, n] == t.fb
                 assert batch.fb2[b, n] == t.fb2
                 assert batch.fb_time[n] == t.fb_time
+
+
+BATCH_FIELDS = ("i", "q", "i_t", "q_t", "fb", "fb2")
+
+
+@st.composite
+def stream_cases(draw):
+    """A random configuration, sample streams and a trigger lane of
+    pulses packed near tick 0, long enough for the last evaluation."""
+    bits = st.tuples(*[st.integers(0, 1)] * 4)
+    cfg = pl.PipelineConfig(
+        window_len=draw(st.sampled_from([2, 4, 8, 16, 32])),
+        delay=draw(st.integers(0, pl.MAX_DELAY)),
+        sync_depth=draw(st.integers(1, 8)),
+        c_i=FxpSample(draw(st.integers(FILTER_LO, FILTER_HI)), pl.FILTER_WIDTH),
+        c_q=FxpSample(draw(st.integers(FILTER_LO, FILTER_HI)), pl.FILTER_WIDTH),
+        s_i=draw(st.integers(-7, 7)),
+        s_q=draw(st.integers(-7, 7)),
+        lut1=draw(bits),
+        lut2=draw(bits))
+    # (low ticks, high ticks) pairs: a gap of 0 puts the first pulse at
+    # tick 0 and merges a later one into its predecessor, a gap of 1
+    # makes back-to-back pulses
+    lane = []
+    for gap, high in draw(st.lists(st.tuples(st.integers(0, 5), st.integers(1, 4)),
+                                   max_size=5)):
+        lane += [0] * gap + [1] * high
+    ticks = len(lane) + pl.trigger_to_eval_cycles(cfg) + draw(st.integers(-3, 8))
+    lane = (lane + [0] * ticks)[:max(ticks, 0)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    reps = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        # full scale drives the preprocessor into saturation
+        raw = rng.choice([ADC_LO, ADC_HI], size=(reps, len(lane)))
+    else:
+        raw = rng.integers(ADC_LO, ADC_HI + 1, size=(reps, len(lane)))
+    return cfg, raw, lane
+
+
+@settings(max_examples=200, deadline=None)
+@given(stream_cases())
+def test_batch_matches_scalar_on_random_configs_and_trigger_lanes(case):
+    cfg, raw, lane = case
+    batch = pl.run_stream_batch(cfg, raw, np.array(lane, dtype=np.int64))
+    for b in range(raw.shape[0]):
+        trace = pl.run_stream(cfg, [adc(int(r)) for r in raw[b]], lane)
+        for name in BATCH_FIELDS:
+            np.testing.assert_array_equal(
+                getattr(batch, name)[b], [getattr(t, name) for t in trace],
+                err_msg=name)
+        np.testing.assert_array_equal(batch.fb_time, [t.fb_time for t in trace])
+
+
+@pytest.mark.parametrize("bad", [2, -1])
+def test_batch_rejects_non_bit_triggers(bad):
+    cfg = pl.PipelineConfig(delay=1)
+    lane = [0] * 16
+    lane[2] = bad
+    with pytest.raises(ValueError, match="trigger must be a bit"):
+        pl.run_stream(cfg, zero_stream(16), lane)
+    with pytest.raises(ValueError, match="trigger must be a bit"):
+        pl.run_stream_batch(cfg, np.zeros((1, 16), dtype=np.int64), lane)
 
 
 def test_config_validation():

@@ -6,24 +6,20 @@ import math
 import numpy as np
 import pytest
 
+from qfbsim import experiment as ex
 from qfbsim import fxp
 from qfbsim.fxp import ConfigError
 from qfbsim.sigmodel import (
     STATE_E,
     STATE_G,
-    AdcStream,
     DeviceParams,
-    Gate,
     PulseSchedule,
     QubitTrajectory,
     analog_waveform,
     carrier_tables,
-    cavity_envelope,
     envelope_at_times,
     quantize_array,
-    sample_trajectory,
     synthesize_adc_stream,
-    temperature_from_population,
     thermal_population,
     trigger_lane,
 )
@@ -55,98 +51,75 @@ def test_thermal_population_invalid():
         thermal_population(0.0, 6.148e9)
 
 
-def test_temperature_roundtrip():
-    for p in (0.01, 0.07, 0.25):
-        t = temperature_from_population(p, 6.148e9)
-        assert thermal_population(t, 6.148e9) == pytest.approx(p, rel=1e-6)
-
-
-def test_temperature_from_population_range():
-    with pytest.raises(ValueError):
-        temperature_from_population(0.5, 6.148e9)
-    with pytest.raises(ValueError):
-        temperature_from_population(0.0, 6.148e9)
-
-
 # ---------------------------------------------------------------------------
-# qubit trajectories
+# qubit trajectories, drawn by the Monte Carlo's jump sampler
+
+
+def final_states(params, initial, t_end, n, seed):
+    """Qubit states at t_end of n repetitions started at 0 in initial."""
+    rng = np.random.default_rng(seed)
+    state = np.full(n, initial, dtype=np.uint8)
+    cols = ex._sample_jump_columns(rng, state, 0.0, t_end, params.decay_rate(),
+                                   params.excitation_rate())
+    return ex._flip_at_jumps(state, cols), cols
 
 
 def test_excited_survival_probability():
     # P(no decay within 0.36 us) = exp(-0.36/1.4), binomial 3 sigma at n=1e5
     params = DeviceParams(t1=1.4 * US, p_therm=0.0)
-    sched = PulseSchedule(readout_pulses=((0.0, 0.1 * US),),
-                          repetition_period=0.36 * US)
-    rng = np.random.default_rng(11)
     n = 100_000
-    survived = 0
-    for _ in range(n):
-        traj = sample_trajectory(params, sched, "e", rng)
-        survived += traj.state_at(sched.t_end - NS) == STATE_E
+    state, _ = final_states(params, STATE_E, 0.36 * US, n, 11)
     expect = math.exp(-0.36 / 1.4)
     sigma = math.sqrt(expect * (1 - expect) / n)
-    assert abs(survived / n - expect) < 3 * sigma
+    assert abs(np.mean(state == STATE_E) - expect) < 3 * sigma
 
 
 def test_thermal_equilibrium_from_ground():
     # after 10 T1 the excited population reaches p_therm
     params = DeviceParams(t1=1.4 * US, p_therm=0.07)
-    sched = PulseSchedule(readout_pulses=(), repetition_period=14 * US)
-    rng = np.random.default_rng(12)
     n = 30_000
-    excited = 0
-    for _ in range(n):
-        traj = sample_trajectory(params, sched, "g", rng)
-        excited += traj.state_at(sched.t_end - NS) == STATE_E
+    state, _ = final_states(params, STATE_G, 14 * US, n, 12)
     sigma = math.sqrt(0.07 * 0.93 / n)
-    assert abs(excited / n - 0.07) < 3 * sigma
+    assert abs(np.mean(state == STATE_E) - 0.07) < 3 * sigma
 
 
 def test_trajectory_infinite_t1_is_constant():
     params = DeviceParams(t1=math.inf, p_therm=0.0)
-    sched = PulseSchedule(readout_pulses=(), repetition_period=100 * US)
-    rng = np.random.default_rng(0)
-    traj = sample_trajectory(params, sched, "e", rng)
-    assert traj.segments == ((0.0, STATE_E),)
+    state, cols = final_states(params, STATE_E, 100 * US, 1000, 0)
+    assert cols == []
+    assert (state == STATE_E).all()
+
+
+def noiseless_chunk(protocol, reps, seed, **device):
+    """First- and second-readout outputs of one Monte Carlo chunk, per
+    feedback setting (off, on), for a qubit that never jumps."""
+    dev = DeviceParams(t1=math.inf, amp_ss=0.6, offset_i=0.013, **device)
+    cfg = ex.ExperimentConfig(device=dev, scenario=ex.PI_HALF_INIT,
+                              repetitions=reps, master_seed=seed)
+    return ex._run_chunk(cfg, protocol, 0, 0, reps, (False, True))
 
 
 def test_gates_apply_population_maps():
-    params = DeviceParams(t1=math.inf, p_therm=0.0)
-    sched = PulseSchedule(readout_pulses=(),
-                          gates=((0.1 * US, Gate.PI), (0.2 * US, Gate.CONDITIONAL_PI)),
-                          repetition_period=0.3 * US)
-    rng = np.random.default_rng(1)
-    traj = sample_trajectory(params, sched, "g", rng, feedback_flag=False)
-    assert traj.state_at(0.15 * US) == STATE_E
-    assert traj.state_at(0.25 * US) == STATE_E
-    traj = sample_trajectory(params, sched, "g", rng, feedback_flag=True)
-    assert traj.state_at(0.15 * US) == STATE_E
-    assert traj.state_at(0.25 * US) == STATE_G
+    # the pi init gate excites every repetition; the conditional pi
+    # returns exactly those whose feedback bit fired to the ground state
+    off, on = noiseless_chunk(ex._Protocol("pi"), 64, 1)
+    assert off[2].all() and on[2].all()
+    assert (off[3] >= 0).all()
+    assert (on[3] < 0).all()
 
 
 def test_pi_half_gate_is_unbiased():
-    params = DeviceParams(t1=math.inf, p_therm=0.0)
-    sched = PulseSchedule(readout_pulses=(), gates=((0.0, Gate.PI_HALF),),
-                          repetition_period=0.1 * US)
-    rng = np.random.default_rng(2)
     n = 40_000
-    excited = sum(
-        sample_trajectory(params, sched, "g", rng).state_at(0.05 * US) == STATE_E
-        for _ in range(n)
-    )
-    assert abs(excited / n - 0.5) < 3 * math.sqrt(0.25 / n)
+    (arm, _) = noiseless_chunk(ex._Protocol("pi_half", double=False, conditional=False),
+                               n, 2)
+    assert abs(np.mean(arm[2]) - 0.5) < 3 * math.sqrt(0.25 / n)
 
 
 def test_thermal_initial_state_fraction():
-    params = DeviceParams(t1=math.inf, p_therm=0.07)
-    sched = PulseSchedule(readout_pulses=(), repetition_period=1 * NS)
-    rng = np.random.default_rng(7)
     n = 50_000
-    excited = sum(
-        sample_trajectory(params, sched, "thermal", rng).segments[0][1] == STATE_E
-        for _ in range(n)
-    )
-    assert abs(excited / n - 0.07) < 3 * math.sqrt(0.07 * 0.93 / n)
+    (arm, _) = noiseless_chunk(ex._Protocol("none", double=False, conditional=False),
+                               n, 7, p_therm=0.07)
+    assert abs(np.mean(arm[2]) - 0.07) < 3 * math.sqrt(0.07 * 0.93 / n)
 
 
 def test_trajectory_validation():
@@ -162,7 +135,7 @@ def test_schedule_validation():
     with pytest.raises(ConfigError):
         PulseSchedule(readout_pulses=((0.0, -1 * NS),))
     with pytest.raises(ConfigError):
-        PulseSchedule(readout_pulses=(), gates=((2 * US, Gate.PI), (1 * US, Gate.PI)))
+        PulseSchedule(readout_pulses=(), repetition_period=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -178,44 +151,47 @@ def test_steady_state_envelope_values():
     assert params.steady_alpha(STATE_E) == pytest.approx(a_g.conjugate())
 
 
+def single_pulse(pulse):
+    return PulseSchedule(readout_pulses=(pulse,), repetition_period=10 * US)
+
+
 def test_envelope_reaches_steady_state():
     params = DeviceParams()
     pulse = (0.0, 2.0 * US)
-    alpha = cavity_envelope(params, held(STATE_G), pulse, 1.5 * US)
-    assert alpha == pytest.approx(params.steady_alpha(STATE_G), abs=1e-9)
+    alpha = envelope_at_times(params, single_pulse(pulse), held(STATE_G), [1.5 * US])
+    assert alpha[0] == pytest.approx(params.steady_alpha(STATE_G), abs=1e-9)
 
 
 def test_envelope_matches_closed_form_rise():
     # alpha(t) = alpha_ss * (1 - exp(-lambda t)) while the state is held
     params = DeviceParams()
-    pulse = (0.0, 1.0 * US)
     lam = params.envelope_rate(STATE_E)
     a_ss = params.steady_alpha(STATE_E)
-    for t in (7 * NS, 43 * NS, 111 * NS, 390 * NS):
-        expect = a_ss * (1 - cmath.exp(-lam * t))
-        assert cavity_envelope(params, held(STATE_E), pulse, t) == pytest.approx(expect)
+    times = np.array([7, 43, 111, 390]) * NS
+    alpha = envelope_at_times(params, single_pulse((0.0, 1.0 * US)), held(STATE_E), times)
+    for t, a in zip(times, alpha):
+        assert a == pytest.approx(a_ss * (1 - cmath.exp(-lam * t)))
 
 
 def test_envelope_zero_before_pulse_and_decays_after():
     params = DeviceParams()
     pulse = (100 * NS, 360 * NS)
-    traj = held(STATE_G)
-    assert cavity_envelope(params, traj, pulse, 50 * NS) == 0
-    late = cavity_envelope(params, traj, pulse, pulse[0] + pulse[1] + 2 * US)
+    early, late = envelope_at_times(params, single_pulse(pulse), held(STATE_G),
+                                    [50 * NS, pulse[0] + pulse[1] + 2 * US])
+    assert early == 0
     assert abs(late) < 1e-7
 
 
 def test_envelope_continuous_across_jump():
     params = DeviceParams()
-    pulse = (0.0, 3.0 * US)
     t_jump = 130 * NS
     traj = QubitTrajectory(((0.0, STATE_E), (t_jump, STATE_G)))
     eps = 1e-15
-    before = cavity_envelope(params, traj, pulse, t_jump - eps)
-    after = cavity_envelope(params, traj, pulse, t_jump + eps)
+    before, after, far = envelope_at_times(
+        params, single_pulse((0.0, 3.0 * US)), traj,
+        [t_jump - eps, t_jump + eps, t_jump + 1.0 * US])
     assert after == pytest.approx(before, abs=1e-6)
     # and it subsequently relaxes toward the ground-state target
-    far = cavity_envelope(params, traj, pulse, t_jump + 1.0 * US)
     assert far == pytest.approx(params.steady_alpha(STATE_G), abs=1e-8)
 
 
@@ -342,19 +318,8 @@ def test_stream_noise_requires_rng_and_is_deterministic():
                               np.random.default_rng(42))
     b = synthesize_adc_stream(params, sched, held(STATE_G),
                               np.random.default_rng(42))
-    assert a.raw_array().tolist() == b.raw_array().tolist()
+    assert a.samples == b.samples
     assert a.triggers == b.triggers
-
-
-def test_stream_csv_dump():
-    params = DeviceParams()
-    sched = PulseSchedule(readout_pulses=((0.0, 40 * NS),),
-                          repetition_period=60 * NS)
-    stream = synthesize_adc_stream(params, sched, held(STATE_G))
-    lines = stream.dump_csv().strip().split("\n")
-    assert lines[0] == "t_ns,raw,tr"
-    assert len(lines) == 7
-    assert lines[1].split(",")[2] == "1"
 
 
 def test_trigger_lane_outside_window_ignored():
