@@ -24,7 +24,7 @@ from .experiment import (
     run_feedback_comparison,
 )
 from .fxp import ADC_LSB_VOLTS, ADC_WIDTH, ConfigError, FxpSample, quantize
-from .histo import HistogramRam, Mode
+from .histo import HistogramRam
 from .latency import LatencyBudget, tau_eltot, total_feedback_latency
 from .pipeline import PipelineConfig, run_stream, run_stream_batch
 from .sigmodel import (
@@ -49,7 +49,6 @@ __all__ = [
     "FxpSample",
     "HistogramRam",
     "LatencyBudget",
-    "Mode",
     "PipelineConfig",
     "PulseSchedule",
     "QubitTrajectory",

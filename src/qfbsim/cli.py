@@ -22,6 +22,7 @@ from .experiment import (
     CalibrationError,
     ExperimentConfig,
     calibrate_noise,
+    held_state_readout,
     optimize_threshold,
     overlap_probability,
     readout_fidelity,
@@ -38,13 +39,7 @@ from .latency import (
     trigger_to_fb_delay,
 )
 from .pipeline import dump_trace, run_stream
-from .sigmodel import (
-    STATE_E,
-    STATE_G,
-    PulseSchedule,
-    QubitTrajectory,
-    synthesize_adc_stream,
-)
+from .sigmodel import STATE_E, STATE_G, synthesize_adc_stream
 
 SEED_ENV = "QFB_SEED"
 
@@ -223,12 +218,8 @@ def cmd_simulate_pipeline(args) -> int:
             raise ConfigError(f"--ticks must exceed {skew + 2}")
         device = replace(cfg.device, noise_sigma=0.0, t1=math.inf,
                          p_therm=0.0)
-        n_src = args.ticks - skew
-        schedule = PulseSchedule(readout_pulses=((0.0, 160e-9),),
-                                 t_start=-80e-9,
-                                 repetition_period=n_src * 1e-8)
-        state = STATE_E if args.state == "e" else STATE_G
-        trajectory = QubitTrajectory(segments=((-80e-9, state),))
+        schedule, trajectory = held_state_readout(
+            STATE_E if args.state == "e" else STATE_G, args.ticks - skew)
         stream = synthesize_adc_stream(device, schedule, trajectory,
                                        phase_offset=skew)
         samples = [FxpSample(0, ADC_WIDTH)] * skew + stream.samples

@@ -46,7 +46,7 @@ import numpy as np
 
 from . import sigmodel
 from .fxp import ADC_LSB_VOLTS, ConfigError, FxpSample, quantize
-from .histo import HistogramRam, Mode, bin7_raw_array
+from .histo import HistogramRam, correlation_addresses
 from .latency import LatencyBudget, tau_eltot, total_feedback_latency
 from .pipeline import (
     FILTER_WIDTH,
@@ -177,7 +177,6 @@ class _Protocol:
 
     init_gate: str              # "none" | "pi" | "pi_half"
     double: bool = True         # second readout pulse present
-    conditional: bool = True    # conditional pi wired to the feedback bit
 
 
 @dataclass
@@ -423,7 +422,7 @@ def _run_chunk(cfg: ExperimentConfig, protocol: _Protocol, stream_id: int,
         rng.bit_generator.state = rng_after_a
         filler.alpha = alpha_after_a.copy()
         arm_state = state
-        if protocol.conditional and enabled:
+        if enabled:
             arm_state = np.where(fb1.astype(bool), state ^ 1, state)
         for a, b, on in segments_b:
             cols = _sample_jump_columns(rng, arm_state, a, b, gamma_down, gamma_up)
@@ -497,6 +496,18 @@ def _propagate_excited(pe: float, dt_s: float, device: DeviceParams) -> float:
     return p_eq + (pe - p_eq) * math.exp(-g_tot * dt_s)
 
 
+def held_state_readout(state: int, n_source: int
+                       ) -> tuple[sigmodel.PulseSchedule, sigmodel.QubitTrajectory]:
+    """Schedule and trajectory of the first readout pulse alone, with the
+    qubit held in state, on n_source samples of the repetition grid."""
+    t_start = GRID_START_NS * NS
+    sched = sigmodel.PulseSchedule(
+        readout_pulses=((M1_START_NS * NS, PULSE_NS * NS),),
+        t_start=t_start,
+        repetition_period=n_source * TICK_NS * NS)
+    return sched, sigmodel.QubitTrajectory(((t_start, state),))
+
+
 def noiseless_filtered_means(cfg: ExperimentConfig) -> tuple[float, float]:
     """Filtered in-phase means (volts) for held ground/excited qubits.
 
@@ -504,14 +515,10 @@ def noiseless_filtered_means(cfg: ExperimentConfig) -> tuple[float, float]:
     demodulation transient across the integration window is included.
     """
     dev = replace(cfg.device, noise_sigma=0.0)
-    sched = sigmodel.PulseSchedule(
-        readout_pulses=((M1_START_NS * NS, PULSE_NS * NS),),
-        t_start=GRID_START_NS * NS,
-        repetition_period=N_SOURCE * TICK_NS * NS)
     m1 = cfg.eval_tick(TRIG1_TICK)
     means = []
     for state in (STATE_G, STATE_E):
-        traj = sigmodel.QubitTrajectory(((GRID_START_NS * NS, state),))
+        sched, traj = held_state_readout(state, N_SOURCE)
         volts = sigmodel.analog_waveform(dev, sched, traj,
                                          phase_offset=CARRIER_PHASE_OFFSET)
         raw, _ = quantize_array(volts)
@@ -695,14 +702,7 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
 
 def _protocol_for(cfg: ExperimentConfig) -> _Protocol:
     gate = "pi_half" if cfg.scenario == PI_HALF_INIT else "none"
-    return _Protocol(init_gate=gate, double=True, conditional=True)
-
-
-def _correlation_addresses(res: _McResult, seg: int) -> np.ndarray:
-    b1 = bin7_raw_array(res.it1)
-    b2 = bin7_raw_array(res.it2)
-    q5 = bin7_raw_array(res.qt2) >> 2
-    return (((b2.astype(np.int64) << 5 | q5) << 7 | b1) << 2) | seg
+    return _Protocol(init_gate=gate, double=True)
 
 
 def _assemble_report(cfg: ExperimentConfig, res: _McResult,
@@ -741,8 +741,8 @@ def _assemble_report(cfg: ExperimentConfig, res: _McResult,
 def run_experiment(cfg: ExperimentConfig, *, jobs: int = 1) -> ExperimentReport:
     """Simulate the full two-measurement feedback protocol."""
     res = _run_mc(cfg, _protocol_for(cfg), stream_id=0, jobs=jobs)
-    ram = HistogramRam(Mode.CORRELATION, segment_count=1)
-    ram.update_addresses(_correlation_addresses(res, seg=0))
+    ram = HistogramRam(segment_count=1)
+    ram.update_addresses(correlation_addresses(res.it1, res.it2, res.qt2, seg=0))
     return _assemble_report(cfg, res, ram)
 
 
@@ -764,12 +764,13 @@ def run_feedback_comparison(cfg: ExperimentConfig, *,
     protocol = _protocol_for(cfg)
     arms = (False, True)
     per_arm = _run_chunks(cfg, protocol, 0, jobs, arms)
-    ram = HistogramRam(Mode.CORRELATION, segment_count=2)
+    ram = HistogramRam(segment_count=2)
     reports = []
     for seg, (enabled, parts) in enumerate(zip(arms, per_arm)):
         sub = replace(cfg, feedback_enabled=enabled)
         res = _run_mc(sub, protocol, parts=parts)
-        ram.update_addresses(_correlation_addresses(res, seg=seg))
+        ram.update_addresses(correlation_addresses(res.it1, res.it2, res.qt2,
+                                                   seg=seg))
         reports.append(_assemble_report(sub, res, ram))
     return FeedbackComparison(off=reports[0], on=reports[1], histogram=ram)
 
@@ -797,10 +798,8 @@ def _calibration_ensembles(cfg: ExperimentConfig,
                            jobs: int) -> tuple[_McResult, _McResult]:
     """The single-readout ensembles both calibrations read: no pulse
     (stream id 1) and a pi pulse at the first pulse's start (stream id 2)."""
-    res_g = _run_mc(cfg, _Protocol("none", double=False, conditional=False),
-                    stream_id=1, jobs=jobs)
-    res_e = _run_mc(cfg, _Protocol("pi", double=False, conditional=False),
-                    stream_id=2, jobs=jobs)
+    res_g = _run_mc(cfg, _Protocol("none", double=False), stream_id=1, jobs=jobs)
+    res_e = _run_mc(cfg, _Protocol("pi", double=False), stream_id=2, jobs=jobs)
     return res_g, res_e
 
 

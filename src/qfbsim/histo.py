@@ -1,22 +1,21 @@
-"""Emulation of the histogram module and its 2^21-word count memory.
+"""Emulation of the histogram module in correlation mode.
 
-The hardware stores 16-bit saturating counters in a 4 MB RAM.  Three
-address layouts are supported: a 14-bit (I, Q) plane, a 21-bit
-correlation layout packing two consecutive readouts, and a 20-bit
-time-resolved layout.  A 64-bit host-side shadow mirrors every update so
-exact statistics survive counter saturation; the RAM words are what the
+The hardware stores 16-bit saturating counters in a 2^21-word (4 MB)
+RAM.  In correlation mode each repetition counts one word whose 21-bit
+address packs its two readouts: the 7-bit bin of the second in-phase
+value, the second quadrature's bin truncated to 5 bits, the 7-bit bin of
+the first in-phase value and a 2-bit segment tagging the experimental
+scenario (CORR_LAYOUT).  This module is the only place that knows that
+layout.  A 64-bit host-side shadow mirrors every update so exact
+statistics survive counter saturation; the RAM words are what the
 hardware would transfer, the shadow is what analysis uses.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
-
-from .fxp import FxpSample
 
 RAM_WORDS = 1 << 21
 WORD_MAX = 0xFFFF
@@ -24,160 +23,78 @@ WORD_MAX = 0xFFFF
 DUMP_MAGIC = b"QFBHISTO"
 DUMP_VERSION = 1
 DUMP_HEADER_BYTES = 64
+# the hardware's code for correlation mode (2D is 1, time-resolved 3)
+DUMP_MODE_CORRELATION = 2
 
 # Field widths of the correlation layout, most significant first:
 # (i2: 7 bits, q: 5 bits, i1: 7 bits, seg: 2 bits).
 CORR_LAYOUT = "i2:7|q:5|i1:7|seg:2"
-# Time-resolved layout (20 of the 21 address bits):
-# (seg: 2 bits, time: 4 bits, q: 7 bits, i: 7 bits).
-TIME_LAYOUT = "seg:2|time:4|q:7|i:7"
 
 
-class Mode(Enum):
-    TWO_D = 1
-    CORRELATION = 2
-    TIME_RESOLVED = 3
-
-
-class SequencingError(RuntimeError):
-    """Events arrived in an order the hardware state machine cannot accept."""
-
-
-def bin7(v: FxpSample) -> int:
-    """Map a preprocessed sample onto one of 128 bins.
+def bin7_raw_array(raw: np.ndarray, width: int = 16) -> np.ndarray:
+    """Map preprocessed values onto 128 bins.
 
     Takes the top 7 bits of the two's-complement value and inverts the
     MSB (offset binary): a monotone truncation of the full scale onto
     0..127 with zero landing on bin 64.
     """
-    return bin7_raw(v.raw, v.width)
-
-
-def bin7_raw(raw: int, width: int = 16) -> int:
     return (raw >> (width - 7)) + 64
 
 
-def bin7_raw_array(raw: np.ndarray, width: int = 16) -> np.ndarray:
-    return (raw >> (width - 7)) + 64
+def _check_field(name: str, value, bits: int) -> None:
+    value = np.asarray(value)
+    bad = (value < 0) | (value >= 1 << bits)
+    if bad.any():
+        raise ValueError(f"{name}={value[bad].flat[0]} does not fit in {bits} bits")
 
 
-def q5_from_bin(q_bin: int) -> int:
-    """Reduce a 7-bit bin to 5 bits by truncation (top bits kept)."""
-    return q_bin >> 2
+def pack_correlation_address(i2, q, i1, seg):
+    """Bijective packing of (i2, q, i1, seg) into 21-bit addresses.
 
-
-def pack_correlation_address(i2: int, q: int, i1: int, seg: int) -> int:
-    """Bijective packing of (i2, q, i1, seg) into a 21-bit address."""
+    Takes integers or integer arrays (broadcast against each other).
+    """
     _check_field("i2", i2, 7)
     _check_field("q", q, 5)
     _check_field("i1", i1, 7)
     _check_field("seg", seg, 2)
-    return (((i2 << 5 | q) << 7) | i1) << 2 | seg
+    return (((i2 << 5 | q) << 7 | i1) << 2) | seg
 
 
-def unpack_correlation_address(addr: int) -> tuple[int, int, int, int]:
-    if not 0 <= addr < RAM_WORDS:
-        raise ValueError(f"address {addr} outside 21-bit space")
-    seg = addr & 3
-    i1 = (addr >> 2) & 0x7F
-    q = (addr >> 9) & 0x1F
-    i2 = (addr >> 14) & 0x7F
-    return i2, q, i1, seg
+def unpack_correlation_address(addr):
+    """(i2, q, i1, seg) of an address or an array of addresses."""
+    _check_field("address", addr, 21)
+    return (addr >> 14) & 0x7F, (addr >> 9) & 0x1F, (addr >> 2) & 0x7F, addr & 3
 
 
-def pack_time_resolved_address(i_bin: int, q_bin: int, time: int, seg: int) -> int:
-    _check_field("i", i_bin, 7)
-    _check_field("q", q_bin, 7)
-    _check_field("seg", seg, 2)
-    if not 0 <= time < 16:
-        raise SequencingError(f"time slot {time} outside 0..15")
-    return ((seg << 4 | time) << 7 | q_bin) << 7 | i_bin
+def correlation_addresses(it1: np.ndarray, it2: np.ndarray, qt2: np.ndarray,
+                          seg) -> np.ndarray:
+    """Addresses of repetitions with preprocessed readouts (it1, it2, qt2).
 
-
-def _check_field(name: str, value: int, bits: int) -> None:
-    if not 0 <= value < (1 << bits):
-        raise ValueError(f"{name}={value} does not fit in {bits} bits")
-
-
-@dataclass
-class CorrelationState:
-    """Hardware-side buffer for correlation mode.
-
-    The first fb_time event of a repetition pair stores the I bin; the
-    second combines it with the fresh (I, Q) into one count.  The
-    segment counter advances once per completed repetition, tagging
-    alternating experimental scenarios.
+    All three values are binned to 7 bits; the second quadrature keeps
+    only the top 5 bits of its bin.
     """
-
-    segment_count: int = 1
-    buffered_i1: int = 0
-    seg: int = 0
-    expecting_second: bool = False
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.segment_count <= 4:
-            raise ValueError("segment_count must be within 1..4")
+    return pack_correlation_address(bin7_raw_array(it2),
+                                    bin7_raw_array(qt2) >> 2,
+                                    bin7_raw_array(it1), seg)
 
 
 class HistogramRam:
     """2^21 saturating 16-bit counters plus an exact 64-bit shadow."""
 
-    def __init__(self, mode: Mode, segment_count: int = 1) -> None:
-        self.mode = mode
+    def __init__(self, segment_count: int = 1) -> None:
+        if not 1 <= segment_count <= 4:
+            raise ValueError("segment_count must be within 1..4")
         self.segment_count = segment_count
         self.words = np.zeros(RAM_WORDS, dtype=np.uint16)
         self.shadow = np.zeros(RAM_WORDS, dtype=np.int64)
 
-    # -- low-level update paths ---------------------------------------------
-
-    def _bump(self, addr: int) -> None:
-        self.shadow[addr] += 1
-        if self.words[addr] != WORD_MAX:
-            self.words[addr] += 1
-
     def update_addresses(self, addrs: np.ndarray) -> None:
-        """Batch update: equivalent to calling _bump for every address."""
+        """Count one event at every address; words saturate at WORD_MAX."""
         counts = np.bincount(np.asarray(addrs, dtype=np.int64), minlength=RAM_WORDS)
         self.shadow += counts
         summed = self.words.astype(np.int64) + counts
         np.minimum(summed, WORD_MAX, out=summed)
         self.words = summed.astype(np.uint16)
-
-    # -- mode-specific updates ----------------------------------------------
-
-    def update_2d(self, i_bin: int, q_bin: int) -> None:
-        if self.mode is not Mode.TWO_D:
-            raise SequencingError("RAM is not in 2D mode")
-        _check_field("i", i_bin, 7)
-        _check_field("q", q_bin, 7)
-        self._bump(q_bin << 7 | i_bin)
-
-    def update_correlation(self, state: CorrelationState, i_bin: int,
-                           q_bin5: int, fb_time: int) -> None:
-        """Process one fb_time event (no-op when the marker is 0)."""
-        if self.mode is not Mode.CORRELATION:
-            raise SequencingError("RAM is not in correlation mode")
-        if not fb_time:
-            return
-        if not state.expecting_second:
-            _check_field("i1", i_bin, 7)
-            state.buffered_i1 = i_bin
-            state.expecting_second = True
-        else:
-            addr = pack_correlation_address(i_bin, q_bin5, state.buffered_i1, state.seg)
-            self._bump(addr)
-            state.expecting_second = False
-            state.seg = (state.seg + 1) % state.segment_count
-
-    def end_repetition(self, state: CorrelationState) -> None:
-        """Repetition boundary check: events must have come in pairs."""
-        if state.expecting_second:
-            raise SequencingError("repetition ended with an unpaired fb_time event")
-
-    def update_time_resolved(self, i_bin: int, q_bin: int, time: int, seg: int) -> None:
-        if self.mode is not Mode.TIME_RESOLVED:
-            raise SequencingError("RAM is not in time-resolved mode")
-        self._bump(pack_time_resolved_address(i_bin, q_bin, time, seg))
 
     # -- analysis -------------------------------------------------------------
 
@@ -186,8 +103,6 @@ class HistogramRam:
 
     def correlation_counts(self) -> np.ndarray:
         """Shadow counts reshaped to (i2, q, i1, seg)."""
-        if self.mode is not Mode.CORRELATION:
-            raise SequencingError("RAM is not in correlation mode")
         return self.shadow.reshape(128, 32, 128, 4)
 
     def joint_i1_i2(self, seg: int | None = None) -> np.ndarray:
@@ -202,60 +117,15 @@ class HistogramRam:
     def marginal_i2(self, seg: int | None = None) -> np.ndarray:
         return self.joint_i1_i2(seg).sum(axis=0)
 
-    def quadrant_probabilities(self, threshold_bin: int,
-                               seg: int | None = None) -> dict[str, float]:
-        """Fractions of counts in the four (I1, I2) quadrants.
-
-        A readout classifies as E when its bin is at or above the
-        threshold bin; the quadrant keys are (first readout, second
-        readout), e.g. "ge" = first G, second E.
-        """
-        _check_field("threshold_bin", threshold_bin, 8)
-        joint = self.joint_i1_i2(seg)
-        total = joint.sum()
-        if total == 0:
-            raise ValueError("histogram is empty")
-        t = threshold_bin
-        return {
-            "gg": float(joint[:t, :t].sum() / total),
-            "ge": float(joint[:t, t:].sum() / total),
-            "eg": float(joint[t:, :t].sum() / total),
-            "ee": float(joint[t:, t:].sum() / total),
-        }
-
-    # -- merging and serialization --------------------------------------------
-
-    def merge(self, other: "HistogramRam") -> None:
-        """Element-wise shadow addition; RAM words recomputed with saturation."""
-        if other.mode is not self.mode:
-            raise ValueError("cannot merge histograms of different modes")
-        self.shadow += other.shadow
-        clipped = np.minimum(self.shadow, WORD_MAX)
-        self.words = clipped.astype(np.uint16)
+    # -- serialization --------------------------------------------------------
 
     def dump_bytes(self) -> bytes:
         """Binary dump: 64-byte header followed by 2^21 little-endian words."""
-        layout = {
-            Mode.TWO_D: b"q:7|i:7",
-            Mode.CORRELATION: CORR_LAYOUT.encode(),
-            Mode.TIME_RESOLVED: TIME_LAYOUT.encode(),
-        }[self.mode]
+        layout = CORR_LAYOUT.encode()
         header = struct.pack(
-            "<8sHHHH", DUMP_MAGIC, DUMP_VERSION, self.mode.value,
+            "<8sHHHH", DUMP_MAGIC, DUMP_VERSION, DUMP_MODE_CORRELATION,
             self.segment_count, len(layout),
         )
         header += layout
         header += b"\x00" * (DUMP_HEADER_BYTES - len(header))
         return header + self.words.astype("<u2").tobytes()
-
-    @classmethod
-    def load_bytes(cls, blob: bytes) -> "HistogramRam":
-        if len(blob) != DUMP_HEADER_BYTES + 2 * RAM_WORDS:
-            raise ValueError("dump has the wrong size")
-        magic, version, mode_value, segs, _ = struct.unpack_from("<8sHHHH", blob)
-        if magic != DUMP_MAGIC or version != DUMP_VERSION:
-            raise ValueError("not a histogram dump")
-        ram = cls(Mode(mode_value), segment_count=segs)
-        ram.words = np.frombuffer(blob[DUMP_HEADER_BYTES:], dtype="<u2").copy()
-        ram.shadow = ram.words.astype(np.int64)
-        return ram

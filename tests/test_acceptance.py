@@ -20,7 +20,6 @@ from qfbsim.histo import (
     RAM_WORDS,
     WORD_MAX,
     HistogramRam,
-    Mode,
     pack_correlation_address,
     unpack_correlation_address,
 )
@@ -223,7 +222,7 @@ def test_criterion_09_readout_fidelity(pi_half_cfg):
 
 def test_criterion_10_histogram_integrity():
     rng = np.random.default_rng(7)
-    ram = HistogramRam(Mode.CORRELATION, segment_count=1)
+    ram = HistogramRam(segment_count=1)
     total = 10_000_000
     for _ in range(100):
         ram.update_addresses(rng.integers(0, RAM_WORDS, size=total // 100))
@@ -235,14 +234,11 @@ def test_criterion_10_histogram_integrity():
     q = rng.integers(0, 32, size=100_000)
     i1 = rng.integers(0, 128, size=100_000)
     seg = rng.integers(0, 4, size=100_000)
-    for k in range(100_000):
-        addr = pack_correlation_address(int(i2[k]), int(q[k]), int(i1[k]),
-                                        int(seg[k]))
-        assert unpack_correlation_address(addr) == (int(i2[k]), int(q[k]),
-                                                    int(i1[k]), int(seg[k]))
+    addresses = pack_correlation_address(i2, q, i1, seg)
+    for got, want in zip(unpack_correlation_address(addresses), (i2, q, i1, seg)):
+        assert np.array_equal(got, want)
 
-    ram2 = HistogramRam(Mode.CORRELATION, segment_count=4)
-    addresses = (((i2 << 5 | q) << 7 | i1) << 2) | seg
+    ram2 = HistogramRam(segment_count=4)
     ram2.update_addresses(addresses)
     for segment in range(4):
         mask = seg == segment

@@ -206,7 +206,7 @@ def test_noiseless_outputs_match_reference_synthesis():
     # the two levels predicted by the standalone waveform model
     dev = bench_device(t1=math.inf, p_therm=0.0, noise_sigma=0.0)
     cfg = make_config(device=dev, reps=512)
-    res = _run_mc(cfg, _Protocol("pi_half", double=True, conditional=True))
+    res = _run_mc(cfg, _Protocol("pi_half", double=True))
     mu_g, mu_e = noiseless_filtered_means(cfg)
     lvl_g = (round(mu_g / ADC_LSB_VOLTS) - 131) << 3
     lvl_e = (round(mu_e / ADC_LSB_VOLTS) - 131) << 3
@@ -220,9 +220,13 @@ def test_report_identities_and_histogram_consistency():
     assert rep.p_e1 == rep.quadrants["eg"] + rep.quadrants["ee"]
     assert rep.p_e2 == rep.quadrants["ge"] + rep.quadrants["ee"]
     assert sum(rep.quadrants.values()) == pytest.approx(1.0, abs=1e-12)
-    # bin 64 is the sign boundary of the scaled output, so the histogram
-    # quadrants reproduce the report exactly
-    assert rep.histogram.quadrant_probabilities(64) == rep.quadrants
+    # bin 64 is the sign boundary of the scaled output, so the blocks of
+    # the joint (i1, i2) histogram split there reproduce the report exactly
+    joint = rep.histogram.joint_i1_i2()
+    blocks = {"gg": joint[:64, :64], "ge": joint[:64, 64:],
+              "eg": joint[64:, :64], "ee": joint[64:, 64:]}
+    assert {k: int(b.sum()) / rep.repetitions for k, b in blocks.items()} \
+        == rep.quadrants
     assert int(rep.histogram.marginal_i1().sum()) == rep.repetitions
 
 

@@ -4,8 +4,9 @@ The chunk evaluates the pipeline only at the two readout ticks, from the
 2 l samples inside the integration windows, skips the envelope before
 the first pulse and after the second window, and runs its first phase
 once for all feedback settings.  These tests hold it to the full-stream
-batch pipeline, which is itself held to the scalar machine, and a
-feedback comparison to two separate runs.
+batch pipeline, which is itself held to the scalar machine, its batch
+envelope to the scalar envelope of each repetition, and a feedback
+comparison to two separate runs.
 """
 
 import math
@@ -27,7 +28,16 @@ from qfbsim.pipeline import (
     run_stream_batch,
     scaled_iq_at,
 )
-from qfbsim.sigmodel import DeviceParams, quantize_array, thermal_population
+from qfbsim.sigmodel import (
+    STATE_E,
+    STATE_G,
+    DeviceParams,
+    PulseSchedule,
+    QubitTrajectory,
+    envelope_at_times,
+    quantize_array,
+    thermal_population,
+)
 
 ADC_LO, ADC_HI = raw_bounds(14)
 FILTER_LO, FILTER_HI = raw_bounds(FILTER_WIDTH)
@@ -123,6 +133,46 @@ def _full_segments(cfg):
     return first, second
 
 
+@pytest.mark.parametrize("p_therm", [0.0, 0.3])
+@pytest.mark.parametrize("initial", [STATE_G, STATE_E])
+def test_envelope_filler_matches_scalar_envelope(initial, p_therm):
+    """Every grid column of the batch envelope, across the whole segment
+    table, equals the scalar envelope of that repetition's trajectory."""
+    dev = _device(t1=200e-9, p_therm=p_therm)
+    cfg = ex.ExperimentConfig(device=dev, scenario=ex.PI_HALF_INIT)
+    reps = 300
+    rng = np.random.default_rng(17)
+    state = np.full(reps, initial, dtype=np.uint8)
+    t0 = ex.GRID_START_NS * ex.NS
+    flips = [[(t0, int(s))] for s in state]
+    jumps = 0
+    filler = ex._EnvelopeFiller(dev, reps, np.arange(ex.N_SOURCE))
+    first, second = _full_segments(cfg)
+    for k, (a, b, on) in enumerate(first + second):
+        if k in (1, len(first)):
+            # a gate at the segment start: init gate, conditional pi
+            gate = rng.random(reps) < 0.5
+            state = np.where(gate, state ^ 1, state)
+            for r in np.flatnonzero(gate):
+                flips[r].append((a, int(state[r])))
+        cols = ex._sample_jump_columns(rng, state, a, b, dev.decay_rate(),
+                                       dev.excitation_rate())
+        for times in cols:
+            for r in np.flatnonzero(np.isfinite(times)):
+                flips[r].append((times[r], flips[r][-1][1] ^ 1))
+                jumps += 1
+        state = filler.run_segment(state, a, b, on, cols)
+    assert jumps > reps / 2
+    sched = PulseSchedule(
+        readout_pulses=((ex.M1_START_NS * ex.NS, ex.PULSE_NS * ex.NS),
+                        (ex.M2_START_NS * ex.NS, ex.PULSE_NS * ex.NS)),
+        t_start=t0, repetition_period=ex.N_SOURCE * ex.TICK_NS * ex.NS)
+    for r in range(reps):
+        want = envelope_at_times(dev, sched, QubitTrajectory(tuple(flips[r])),
+                                 ex._grid_times_s())
+        np.testing.assert_allclose(filler.out[r], want, rtol=0, atol=1e-12)
+
+
 def _reference_chunk(cfg, protocol, stream_id, chunk_idx, reps):
     """The chunk as the whole window would compute it: every segment of
     the envelope propagated, every sample synthesized, every tick of the
@@ -164,7 +214,7 @@ def _reference_chunk(cfg, protocol, stream_id, chunk_idx, reps):
     m1 = cfg.eval_tick(ex.TRIG1_TICK)
     fb1 = pipeline(quantize_array(volts())[0], False).fb[:, m1 + 1]
 
-    if protocol.conditional and cfg.feedback_enabled:
+    if protocol.double and cfg.feedback_enabled:
         state = np.where(fb1.astype(bool), state ^ 1, state)
     segments(b_segs if protocol.double
              else [(b_segs[0][0], b_segs[-1][1], False)], state)
@@ -189,10 +239,10 @@ DOUBLE = "double"
 CASES = [
     (ex.PI_HALF_INIT, {}, DOUBLE),
     (ex.THERMAL_INIT, {}, DOUBLE),
-    (ex.PI_HALF_INIT, {}, ex._Protocol("none", double=False, conditional=False)),
-    (ex.PI_HALF_INIT, {}, ex._Protocol("pi", double=False, conditional=False)),
-    (ex.THERMAL_INIT, {}, ex._Protocol("none", double=False, conditional=False)),
-    (ex.THERMAL_INIT, {}, ex._Protocol("pi", double=False, conditional=False)),
+    (ex.PI_HALF_INIT, {}, ex._Protocol("none", double=False)),
+    (ex.PI_HALF_INIT, {}, ex._Protocol("pi", double=False)),
+    (ex.THERMAL_INIT, {}, ex._Protocol("none", double=False)),
+    (ex.THERMAL_INIT, {}, ex._Protocol("pi", double=False)),
     (ex.PI_HALF_INIT, {"noise_sigma": 0.0}, DOUBLE),
     (ex.THERMAL_INIT, {"t1": math.inf}, DOUBLE),
     (ex.PI_HALF_INIT, {"noise_sigma": 0.4}, DOUBLE),   # ADC clipping

@@ -1,13 +1,29 @@
-"""Histogram RAM tests: binning, address packing, counting, serialization."""
+"""Histogram RAM tests: binning, address layout, counting, serialization."""
+
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfbsim import histo
-from qfbsim.fxp import FxpSample
-from qfbsim.histo import (CorrelationState, HistogramRam, Mode, SequencingError,
-                          bin7, bin7_raw, pack_correlation_address,
-                          unpack_correlation_address)
+from qfbsim.histo import (HistogramRam, bin7_raw_array, correlation_addresses,
+                          pack_correlation_address, unpack_correlation_address)
+
+FIELDS = (("i2", 7), ("q", 5), ("i1", 7), ("seg", 2))
+
+
+def _bin(v):
+    """Reference 7-bit offset-binary bin of a 16-bit value."""
+    return (np.asarray(v, dtype=np.int64) + 32768) // 512
+
+
+def _addresses(i2, q, i1, seg):
+    """One repetition per address, binned straight into a correlation RAM."""
+    ram = HistogramRam(segment_count=4)
+    ram.update_addresses(pack_correlation_address(i2, q, i1, seg))
+    return ram
 
 
 # ---------------------------------------------------------------------------
@@ -15,32 +31,30 @@ from qfbsim.histo import (CorrelationState, HistogramRam, Mode, SequencingError,
 # ---------------------------------------------------------------------------
 
 def test_bin7_boundaries():
-    assert bin7(FxpSample(-32768, 16)) == 0
-    assert bin7(FxpSample(0, 16)) == 64
-    assert bin7(FxpSample(32767, 16)) == 127
-    assert bin7(FxpSample(-1, 16)) == 63
+    bins = bin7_raw_array(np.array([-32768, 0, 32767, -1]))
+    assert bins.tolist() == [0, 64, 127, 63]
 
 
 def test_bin7_monotone_exhaustive():
     raws = np.arange(-32768, 32768, dtype=np.int64)
-    bins = histo.bin7_raw_array(raws, 16)
+    bins = bin7_raw_array(raws, 16)
     assert bins.min() == 0 and bins.max() == 127
     assert np.all(np.diff(bins) >= 0)
-    # scalar path agrees with the vectorized one on a sample
-    for raw in range(-32768, 32768, 997):
-        assert bin7_raw(raw, 16) == bins[raw + 32768]
+    np.testing.assert_array_equal(bins, _bin(raws))
 
 
 def test_bin7_threshold_matches_sign():
     # bin >= 64 exactly when the value is non-negative
-    for raw in (-32768, -512, -1, 0, 1, 511, 32767):
-        assert (bin7_raw(raw, 16) >= 64) == (raw >= 0)
+    raws = np.array([-32768, -512, -1, 0, 1, 511, 32767])
+    np.testing.assert_array_equal(bin7_raw_array(raws) >= 64, raws >= 0)
 
 
 def test_q5_truncation():
-    assert histo.q5_from_bin(0) == 0
-    assert histo.q5_from_bin(127) == 31
-    assert histo.q5_from_bin(64) == 16
+    # the second quadrature keeps the top 5 bits of its 7-bit bin
+    qt2 = np.array([-32768, 32767, 0, -1])
+    addrs = correlation_addresses(np.zeros(4, np.int64), np.zeros(4, np.int64),
+                                  qt2, 0)
+    assert unpack_correlation_address(addrs)[1].tolist() == [0, 31, 16, 15]
 
 
 # ---------------------------------------------------------------------------
@@ -52,24 +66,18 @@ def test_pack_corners():
     assert pack_correlation_address(127, 31, 127, 3) == (1 << 21) - 1
     assert pack_correlation_address(127, 31, 127, 3) == \
         ((127 * 2 ** 5 + 31) * 2 ** 7 + 127) * 2 ** 2 + 3
+    assert unpack_correlation_address((1 << 21) - 1) == (127, 31, 127, 3)
 
 
 def test_pack_unpack_roundtrip_random():
     rng = np.random.default_rng(88)
-    i2 = rng.integers(0, 128, 100000)
-    q = rng.integers(0, 32, 100000)
-    i1 = rng.integers(0, 128, 100000)
-    seg = rng.integers(0, 4, 100000)
-    addrs = ((i2 * 32 + q) * 128 + i1) * 4 + seg
+    fields = [rng.integers(0, 1 << bits, 100000) for _, bits in FIELDS]
+    addrs = pack_correlation_address(*fields)
     assert addrs.max() < histo.RAM_WORDS
-    # spot-check the scalar pack/unpack against the vectorized formula
-    for k in range(0, 100000, 1013):
-        a = pack_correlation_address(int(i2[k]), int(q[k]), int(i1[k]), int(seg[k]))
-        assert a == addrs[k]
-        assert unpack_correlation_address(a) == \
-            (int(i2[k]), int(q[k]), int(i1[k]), int(seg[k]))
-    # bijectivity: distinct tuples give distinct addresses
-    assert len(np.unique(addrs)) == len(np.unique(addrs * 1))
+    np.testing.assert_array_equal(addrs, np.ravel_multi_index(
+        fields, [1 << bits for _, bits in FIELDS]))
+    for got, want in zip(unpack_correlation_address(addrs), fields):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_pack_field_range_checks():
@@ -78,252 +86,207 @@ def test_pack_field_range_checks():
     with pytest.raises(ValueError):
         pack_correlation_address(0, 32, 0, 0)
     with pytest.raises(ValueError):
+        pack_correlation_address(0, 0, np.array([0, -1]), 0)
+    with pytest.raises(ValueError):
         unpack_correlation_address(1 << 21)
+    with pytest.raises(ValueError):
+        unpack_correlation_address(np.array([0, 1 << 21]))
+
+
+full_scale = st.integers(-32768, 32767)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(full_scale, full_scale, full_scale, st.integers(0, 3)),
+                min_size=1, max_size=64))
+def test_every_repetition_lands_on_its_bins(reps):
+    it1, it2, qt2, seg = (np.array(col, dtype=np.int64) for col in zip(*reps))
+    addrs = correlation_addresses(it1, it2, qt2, seg)
+    fields = (_bin(it2), _bin(qt2) >> 2, _bin(it1), seg)
+    for got, want in zip(unpack_correlation_address(addrs), fields):
+        np.testing.assert_array_equal(got, want)
+    ram = HistogramRam(segment_count=4)
+    ram.update_addresses(addrs)
+    counts = ram.correlation_counts()
+    tuples = list(zip(*(f.tolist() for f in fields)))
+    for t in tuples:
+        assert counts[t] == tuples.count(t)
+
+
+out_of_range = dict(pos=st.integers(0, 7), offset=st.integers(0, 1 << 20),
+                    below=st.booleans())
+
+
+@settings(max_examples=100, deadline=None)
+@given(field=st.sampled_from(range(len(FIELDS))), **out_of_range)
+def test_pack_rejects_out_of_range_fields_in_array_form(field, pos, offset, below):
+    name, bits = FIELDS[field]
+    args = [np.zeros(8, np.int64) for _ in FIELDS]
+    args[field][pos] = -1 - offset if below else (1 << bits) + offset
+    with pytest.raises(ValueError, match=f"^{name}="):
+        pack_correlation_address(*args)
+
+
+@settings(max_examples=50, deadline=None)
+@given(**out_of_range)
+def test_unpack_rejects_out_of_range_addresses_in_array_form(pos, offset, below):
+    addrs = np.zeros(8, np.int64)
+    addrs[pos] = -1 - offset if below else histo.RAM_WORDS + offset
+    with pytest.raises(ValueError, match="^address="):
+        unpack_correlation_address(addrs)
+
+
+def test_segment_count_must_fit_the_segment_field():
+    for count in (1, 4):
+        assert HistogramRam(segment_count=count).segment_count == count
+    for count in (0, 5):
+        with pytest.raises(ValueError):
+            HistogramRam(segment_count=count)
 
 
 # ---------------------------------------------------------------------------
-# 2D mode
+# Counting
 # ---------------------------------------------------------------------------
 
 def test_update_2d_single():
-    ram = HistogramRam(Mode.TWO_D)
-    ram.update_2d(0, 0)
+    ram = HistogramRam()
+    ram.update_addresses(np.array([0]))
     assert ram.words[0] == 1
     assert ram.shadow[0] == 1
+    assert ram.shadow.sum() == 1
 
 
 def test_update_2d_saturates_at_word_max():
-    ram = HistogramRam(Mode.TWO_D)
-    addr = 5 << 7 | 9
-    addrs = np.full(65536, addr)
-    ram.update_addresses(addrs)
+    ram = HistogramRam()
+    addr = pack_correlation_address(5, 3, 9, 0)
+    ram.update_addresses(np.full(65536, addr))
     assert ram.words[addr] == 65535
     assert ram.shadow[addr] == 65536
-    assert addr in ram.saturated_addresses()
+    assert ram.saturated_addresses().tolist() == [addr]
 
 
 def test_update_2d_conservation():
     rng = np.random.default_rng(3)
-    ram = HistogramRam(Mode.TWO_D)
+    ram = HistogramRam()
     n = 200000
-    addrs = rng.integers(0, 1 << 14, n)
-    ram.update_addresses(addrs)
+    ram.update_addresses(rng.integers(0, histo.RAM_WORDS, n))
     assert ram.shadow.sum() == n
+    np.testing.assert_array_equal(ram.words, ram.shadow)
 
 
-def test_update_2d_mode_check():
-    ram = HistogramRam(Mode.CORRELATION)
-    with pytest.raises(SequencingError):
-        ram.update_2d(0, 0)
+def test_merge_equals_single_pass_including_saturation():
+    # two batches into one RAM (as a feedback comparison writes its two
+    # segments) saturate exactly like one pass over both
+    rng = np.random.default_rng(7)
+    two = HistogramRam()
+    one = HistogramRam()
+    n = 160000
+    addrs1 = rng.integers(0, 4, n)  # few addresses: force saturation
+    addrs2 = rng.integers(0, 4, n)
+    two.update_addresses(addrs1)
+    two.update_addresses(addrs2)
+    one.update_addresses(np.concatenate([addrs1, addrs2]))
+    np.testing.assert_array_equal(two.shadow, one.shadow)
+    np.testing.assert_array_equal(two.words, one.words)
+    assert two.words[:4].max() == histo.WORD_MAX
 
 
 # ---------------------------------------------------------------------------
-# Correlation mode
+# Correlation counts
 # ---------------------------------------------------------------------------
 
 def test_correlation_pair_counts_one_word():
-    ram = HistogramRam(Mode.CORRELATION)
-    st = CorrelationState(segment_count=1)
-    ram.update_correlation(st, i_bin=10, q_bin5=0, fb_time=1)
-    assert st.expecting_second and st.buffered_i1 == 10
-    ram.update_correlation(st, i_bin=20, q_bin5=0, fb_time=1)
-    ram.end_repetition(st)
-    addr = pack_correlation_address(20, 0, 10, 0)
+    ram = HistogramRam()
+    ram.update_addresses(correlation_addresses(
+        np.array([-27648]), np.array([-22528]), np.array([0]), 0))
+    addr = pack_correlation_address(20, 16, 10, 0)
     assert ram.shadow[addr] == 1
     assert ram.shadow.sum() == 1
 
 
-def test_correlation_ignores_idle_cycles():
-    ram = HistogramRam(Mode.CORRELATION)
-    st = CorrelationState()
-    for _ in range(10):
-        ram.update_correlation(st, 1, 1, fb_time=0)
-    assert ram.shadow.sum() == 0 and not st.expecting_second
-
-
 def test_correlation_segment_alternation():
-    ram = HistogramRam(Mode.CORRELATION)
-    st = CorrelationState(segment_count=2)
-    seen = []
-    for _ in range(4):
-        seen.append(st.seg)
-        ram.update_correlation(st, 3, 0, 1)
-        ram.update_correlation(st, 4, 0, 1)
-        ram.end_repetition(st)
-    assert seen == [0, 1, 0, 1]
-
-
-def test_correlation_unpaired_event_is_sequencing_error():
-    ram = HistogramRam(Mode.CORRELATION)
-    st = CorrelationState()
-    ram.update_correlation(st, 1, 0, 1)
-    with pytest.raises(SequencingError):
-        ram.end_repetition(st)
+    # repetitions tagged 0, 1, 0, 1 count in alternating segments
+    n = 8
+    seg = np.arange(n) % 2
+    i1 = np.arange(n) * 10
+    ram = _addresses(np.zeros(n, np.int64), 0, i1, seg)
+    counts = ram.correlation_counts()
+    for k in range(n):
+        assert counts[0, 0, i1[k], seg[k]] == 1
+    for s in (0, 1):
+        np.testing.assert_array_equal(ram.marginal_i1(s),
+                                      np.bincount(i1[s::2], minlength=128))
 
 
 def test_correlation_marginal_matches_event_log():
     rng = np.random.default_rng(4)
-    ram = HistogramRam(Mode.CORRELATION, segment_count=2)
-    st = CorrelationState(segment_count=2)
     n = 500
     i1s = rng.integers(0, 128, n)
     i2s = rng.integers(0, 128, n)
     qs = rng.integers(0, 32, n)
-    for i1, i2, q in zip(i1s, i2s, qs):
-        ram.update_correlation(st, int(i1), 0, 1)
-        ram.update_correlation(st, int(i2), int(q), 1)
-        ram.end_repetition(st)
-    # marginal over (q, i1, seg) reproduces the 1D histogram of the
-    # second readout, recomputed independently from the event log
-    expected = np.bincount(i2s, minlength=128)
-    assert np.array_equal(ram.marginal_i2(), expected)
-    assert np.array_equal(ram.marginal_i1(), np.bincount(i1s, minlength=128))
+    segs = rng.integers(0, 2, n)
+    ram = _addresses(i2s, qs, i1s, segs)
+    # marginals over the other fields reproduce the 1D histograms of
+    # each readout, recomputed independently from the repetitions
+    np.testing.assert_array_equal(ram.marginal_i2(), np.bincount(i2s, minlength=128))
+    np.testing.assert_array_equal(ram.marginal_i1(), np.bincount(i1s, minlength=128))
+    for s in (0, 1):
+        np.testing.assert_array_equal(ram.marginal_i1(s),
+                                      np.bincount(i1s[segs == s], minlength=128))
 
 
 # ---------------------------------------------------------------------------
-# Time-resolved mode
+# Quadrants: blocks of the joint (i1, i2) histogram split at bin 64
 # ---------------------------------------------------------------------------
 
-def test_time_resolved_single_event():
-    ram = HistogramRam(Mode.TIME_RESOLVED)
-    ram.update_time_resolved(7, 9, time=0, seg=0)
-    assert ram.shadow.sum() == 1
-    addr = histo.pack_time_resolved_address(7, 9, 0, 0)
-    assert ram.shadow[addr] == 1
+def _quadrants(joint):
+    return {"gg": int(joint[:64, :64].sum()), "ge": int(joint[:64, 64:].sum()),
+            "eg": int(joint[64:, :64].sum()), "ee": int(joint[64:, 64:].sum())}
 
-
-def test_time_resolved_sixteen_slots_per_repetition():
-    ram = HistogramRam(Mode.TIME_RESOLVED)
-    for t in range(16):
-        ram.update_time_resolved(t, 2 * t % 128, time=t, seg=1)
-    assert ram.shadow.sum() == 16
-
-
-def test_time_resolved_rejects_late_slots():
-    ram = HistogramRam(Mode.TIME_RESOLVED)
-    with pytest.raises(SequencingError):
-        ram.update_time_resolved(0, 0, time=16, seg=0)
-
-
-def test_time_resolved_per_time_marginals():
-    rng = np.random.default_rng(5)
-    ram = HistogramRam(Mode.TIME_RESOLVED)
-    events = []
-    for _ in range(300):
-        i, q, t, s = (int(rng.integers(0, 128)), int(rng.integers(0, 128)),
-                      int(rng.integers(0, 16)), int(rng.integers(0, 2)))
-        ram.update_time_resolved(i, q, t, s)
-        events.append((i, q, t, s))
-    # the 20-bit time-resolved layout occupies the lower half of the RAM
-    grid = ram.shadow[:1 << 20].reshape(4, 16, 128, 128)  # (seg, time, q, i)
-    assert ram.shadow[1 << 20:].sum() == 0
-    for t in range(16):
-        for s in range(2):
-            want = np.zeros(128, dtype=np.int64)
-            for (i, q, et, es) in events:
-                if et == t and es == s:
-                    want[i] += 1
-            assert np.array_equal(grid[s, t].sum(axis=0), want)
-
-
-# ---------------------------------------------------------------------------
-# Quadrants
-# ---------------------------------------------------------------------------
 
 def test_quadrants_single_quadrant():
-    ram = HistogramRam(Mode.CORRELATION)
-    st = CorrelationState()
-    for _ in range(5):
-        ram.update_correlation(st, 10, 0, 1)   # first readout bin 10 (G)
-        ram.update_correlation(st, 100, 0, 1)  # second readout bin 100 (E)
-        ram.end_repetition(st)
-    q = ram.quadrant_probabilities(64)
-    assert q == {"gg": 0.0, "ge": 1.0, "eg": 0.0, "ee": 0.0}
-
-
-def test_quadrants_degenerate_threshold():
-    ram = HistogramRam(Mode.CORRELATION)
-    st = CorrelationState()
-    ram.update_correlation(st, 1, 0, 1)
-    ram.update_correlation(st, 2, 0, 1)
-    assert ram.quadrant_probabilities(0)["ee"] == 1.0
-
-
-def test_quadrants_empty_histogram_errors():
-    ram = HistogramRam(Mode.CORRELATION)
-    with pytest.raises(ValueError):
-        ram.quadrant_probabilities(64)
+    # first readout bin 10 (G), second readout bin 100 (E)
+    ram = _addresses(np.full(5, 100), 0, np.full(5, 10), 0)
+    assert _quadrants(ram.joint_i1_i2()) == {"gg": 0, "ge": 5, "eg": 0, "ee": 0}
 
 
 def test_quadrants_sum_to_one():
     rng = np.random.default_rng(6)
-    ram = HistogramRam(Mode.CORRELATION)
-    st = CorrelationState()
-    for _ in range(400):
-        ram.update_correlation(st, int(rng.integers(0, 128)), 0, 1)
-        ram.update_correlation(st, int(rng.integers(0, 128)),
-                               int(rng.integers(0, 32)), 1)
-    q = ram.quadrant_probabilities(64)
-    assert abs(sum(q.values()) - 1.0) < 1e-12
+    ram = _addresses(rng.integers(0, 128, 400), rng.integers(0, 32, 400),
+                     rng.integers(0, 128, 400), 0)
+    assert sum(_quadrants(ram.joint_i1_i2()).values()) == 400
 
 
 def test_quadrants_per_segment():
-    ram = HistogramRam(Mode.CORRELATION, segment_count=2)
-    st = CorrelationState(segment_count=2)
     # seg 0 repetition: (G, G); seg 1 repetition: (E, E)
-    ram.update_correlation(st, 10, 0, 1)
-    ram.update_correlation(st, 10, 0, 1)
-    ram.update_correlation(st, 100, 0, 1)
-    ram.update_correlation(st, 100, 0, 1)
-    assert ram.quadrant_probabilities(64, seg=0)["gg"] == 1.0
-    assert ram.quadrant_probabilities(64, seg=1)["ee"] == 1.0
+    ram = _addresses(np.array([10, 100]), 0, np.array([10, 100]), np.array([0, 1]))
+    assert _quadrants(ram.joint_i1_i2(0)) == {"gg": 1, "ge": 0, "eg": 0, "ee": 0}
+    assert _quadrants(ram.joint_i1_i2(1)) == {"gg": 0, "ge": 0, "eg": 0, "ee": 1}
 
 
 # ---------------------------------------------------------------------------
-# Merge and dumps
+# Dumps
 # ---------------------------------------------------------------------------
-
-def test_merge_equals_single_pass_including_saturation():
-    rng = np.random.default_rng(7)
-    a = HistogramRam(Mode.TWO_D)
-    b = HistogramRam(Mode.TWO_D)
-    combined = HistogramRam(Mode.TWO_D)
-    n = 160000
-    addrs1 = rng.integers(0, 4, n)  # few addresses: force saturation
-    addrs2 = rng.integers(0, 4, n)
-    a.update_addresses(addrs1)
-    b.update_addresses(addrs2)
-    combined.update_addresses(np.concatenate([addrs1, addrs2]))
-    a.merge(b)
-    assert np.array_equal(a.shadow, combined.shadow)
-    assert np.array_equal(a.words, combined.words)
-    assert a.words[:4].max() == histo.WORD_MAX
-
-
-def test_merge_mode_mismatch():
-    with pytest.raises(ValueError):
-        HistogramRam(Mode.TWO_D).merge(HistogramRam(Mode.CORRELATION))
-
 
 def test_dump_roundtrip_and_header():
-    ram = HistogramRam(Mode.CORRELATION, segment_count=2)
-    st = CorrelationState(segment_count=2)
-    ram.update_correlation(st, 64, 16, 1)
-    ram.update_correlation(st, 70, 16, 1)
+    ram = HistogramRam(segment_count=2)
+    ram.update_addresses(pack_correlation_address(70, 16, 64, np.array([0, 1])))
     blob = ram.dump_bytes()
     assert len(blob) == histo.DUMP_HEADER_BYTES + 2 * histo.RAM_WORDS
-    assert blob.startswith(histo.DUMP_MAGIC)
-    back = HistogramRam.load_bytes(blob)
-    assert back.mode is Mode.CORRELATION
-    assert back.segment_count == 2
-    assert np.array_equal(back.words, ram.words)
+    magic, version, mode, segs, n = struct.unpack_from("<8sHHHH", blob)
+    assert (magic, version, mode, segs) == (histo.DUMP_MAGIC, 1, 2, 2)
+    layout = blob[16:16 + n]
+    assert layout == histo.CORR_LAYOUT.encode()
+    assert not any(blob[16 + n:histo.DUMP_HEADER_BYTES])
+    words = np.frombuffer(blob[histo.DUMP_HEADER_BYTES:], dtype="<u2")
+    np.testing.assert_array_equal(words, ram.words)
 
 
 def test_dump_deterministic():
     def build() -> bytes:
-        ram = HistogramRam(Mode.TWO_D)
+        ram = HistogramRam(segment_count=2)
         rng = np.random.default_rng(123)
-        ram.update_addresses(rng.integers(0, 1 << 14, 5000))
+        ram.update_addresses(rng.integers(0, histo.RAM_WORDS, 5000))
         return ram.dump_bytes()
 
     assert build() == build()

@@ -110,14 +110,13 @@ def test_gates_apply_population_maps():
 
 def test_pi_half_gate_is_unbiased():
     n = 40_000
-    (arm, _) = noiseless_chunk(ex._Protocol("pi_half", double=False, conditional=False),
-                               n, 2)
+    (arm, _) = noiseless_chunk(ex._Protocol("pi_half", double=False), n, 2)
     assert abs(np.mean(arm[2]) - 0.5) < 3 * math.sqrt(0.25 / n)
 
 
 def test_thermal_initial_state_fraction():
     n = 50_000
-    (arm, _) = noiseless_chunk(ex._Protocol("none", double=False, conditional=False),
+    (arm, _) = noiseless_chunk(ex._Protocol("none", double=False),
                                n, 7, p_therm=0.07)
     assert abs(np.mean(arm[2]) - 0.07) < 3 * math.sqrt(0.07 * 0.93 / n)
 
