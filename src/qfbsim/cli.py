@@ -33,12 +33,11 @@ from .fxp import ADC_WIDTH, ConfigError, FxpSample
 from .latency import (
     LatencyBudget,
     budget_report,
+    budget_summary,
     integration_delay_setting,
-    tau_eltot,
-    total_feedback_latency,
     trigger_to_fb_delay,
 )
-from .pipeline import dump_trace, run_stream
+from .pipeline import SYNC_DEPTH, PipelineConfig, dump_trace, run_stream
 from .sigmodel import STATE_E, STATE_G, synthesize_adc_stream
 
 SEED_ENV = "QFB_SEED"
@@ -89,7 +88,7 @@ def _build_parser() -> _Parser:
     run.add_argument("--jobs", type=_worker_count, default=os.cpu_count() or 1)
 
     lat = sub.add_parser("latency-report", help="print the latency budget")
-    lat.add_argument("--delay-cycles", type=int, default=10)
+    lat.add_argument("--delay-cycles", type=int, default=PipelineConfig().delay)
     lat.add_argument("--json", action="store_true")
 
     cal = sub.add_parser("calibrate-noise",
@@ -145,12 +144,12 @@ def _joint_csv(joint) -> str:
 
 
 def _write_marginals(out_dir: Path, ram, seg, suffix: str) -> None:
+    joint = ram.joint_i1_i2(seg)
     _write_text(out_dir / f"marginal_i1{suffix}.csv",
-                _counts_csv(ram.marginal_i1(seg), "i1_bin,count"))
+                _counts_csv(joint.sum(axis=1), "i1_bin,count"))
     _write_text(out_dir / f"marginal_i2{suffix}.csv",
-                _counts_csv(ram.marginal_i2(seg), "i2_bin,count"))
-    _write_text(out_dir / f"joint_i1_i2{suffix}.csv",
-                _joint_csv(ram.joint_i1_i2(seg)))
+                _counts_csv(joint.sum(axis=0), "i2_bin,count"))
+    _write_text(out_dir / f"joint_i1_i2{suffix}.csv", _joint_csv(joint))
 
 
 def _summary_line(rep) -> str:
@@ -212,18 +211,17 @@ def cmd_simulate_pipeline(args) -> int:
         samples, triggers = _parse_adc_csv(args.input)
     else:
         # noiseless single readout with the state held; the ADC data lane
-        # runs 6 cycles behind the trigger lane, as in hardware
-        skew = cfg.pipeline.sync_depth
-        if args.ticks <= skew + 2:
-            raise ConfigError(f"--ticks must exceed {skew + 2}")
+        # runs SYNC_DEPTH cycles behind the trigger lane, as in hardware
+        if args.ticks <= SYNC_DEPTH + 2:
+            raise ConfigError(f"--ticks must exceed {SYNC_DEPTH + 2}")
         device = replace(cfg.device, noise_sigma=0.0, t1=math.inf,
                          p_therm=0.0)
         schedule, trajectory = held_state_readout(
-            STATE_E if args.state == "e" else STATE_G, args.ticks - skew)
+            STATE_E if args.state == "e" else STATE_G, args.ticks - SYNC_DEPTH)
         stream = synthesize_adc_stream(device, schedule, trajectory,
-                                       phase_offset=skew)
-        samples = [FxpSample(0, ADC_WIDTH)] * skew + stream.samples
-        triggers = stream.triggers + [0] * skew
+                                       phase_offset=SYNC_DEPTH)
+        samples = [FxpSample(0, ADC_WIDTH)] * SYNC_DEPTH + stream.samples
+        triggers = stream.triggers + [0] * SYNC_DEPTH
     trace = run_stream(cfg.pipeline, samples, triggers)
     text = dump_trace(trace)
     if args.out:
@@ -235,20 +233,18 @@ def cmd_simulate_pipeline(args) -> int:
 
 def cmd_latency_report(args) -> int:
     budget = LatencyBudget()
+    pipe = PipelineConfig(delay=args.delay_cycles)
+    trigger_to_fb = trigger_to_fb_delay(pipe, budget)
     if args.json:
-        eltot = tau_eltot(budget)
-        fb = total_feedback_latency(budget)
         doc = {
-            "components_ns": budget.components(),
-            "uncertainties_ns": budget.uncertainties(),
-            "tau_eltot_ns": [eltot[0], eltot[1]],
-            "tau_fb_ns": [fb[0], fb[1]],
-            "trigger_to_fb_ns": trigger_to_fb_delay(args.delay_cycles, budget),
+            **budget_summary(budget),
+            "trigger_to_fb_ns": trigger_to_fb,
             "integration_delay_cycles": integration_delay_setting(budget.tau_ro),
         }
         print(json.dumps(doc, indent=2))
     else:
-        print(budget_report(budget))
+        print(budget_report(budget)
+              + f"trigger to fb at d = {pipe.delay}: {trigger_to_fb:.1f} ns")
     return 0
 
 

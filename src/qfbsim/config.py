@@ -52,8 +52,6 @@ SCHEMA = {
     "device.f_r": _Field(FREQUENCY_UNITS),
     "device.kappa": _Field(FREQUENCY_UNITS),      # linewidth kappa / 2 pi
     "device.chi": _Field(FREQUENCY_UNITS),        # dispersive shift chi / 2 pi
-    "device.f_if": _Field(FREQUENCY_UNITS),
-    "device.f_s": _Field(FREQUENCY_UNITS),
     "device.t1": _Field(TIME_UNITS),
     "device.temperature": _Field(TEMPERATURE_UNITS),
     "device.amp_ss": _Field(VOLTAGE_UNITS),
@@ -152,7 +150,7 @@ def _build(values: dict) -> tuple[ExperimentConfig, float | None]:
                       " are mutually exclusive")
 
     dev_kwargs = {}
-    for key in ("f_q", "f_r", "kappa", "chi", "f_if", "f_s", "t1",
+    for key in ("f_q", "f_r", "kappa", "chi", "t1",
                 "amp_ss", "noise_sigma", "offset_i", "offset_q"):
         if f"device.{key}" in values:
             dev_kwargs[key] = values[f"device.{key}"]
@@ -183,15 +181,13 @@ def _build(values: dict) -> tuple[ExperimentConfig, float | None]:
             exp_kwargs["repetitions"] = values["experiment.repetitions"]
         if "experiment.master_seed" in values:
             exp_kwargs["master_seed"] = values["experiment.master_seed"]
-        pipe_keys = ("pipeline.window_len", "pipeline.delay", "pipeline.scale_shift")
-        if any(k in values for k in pipe_keys):
+        pipe_kwargs = {key.removeprefix("pipeline."): value
+                       for key, value in values.items()
+                       if key.startswith("pipeline.")}
+        if pipe_kwargs:
             try:
                 exp_kwargs["pipeline"] = build_pipeline_config(
-                    device, exp_kwargs["threshold_volts"],
-                    window_len=values.get("pipeline.window_len", 4),
-                    delay=values.get("pipeline.delay", 10),
-                    scale_shift=values.get("pipeline.scale_shift", 3),
-                )
+                    device, exp_kwargs["threshold_volts"], **pipe_kwargs)
             except (ConfigError, ValueError) as exc:
                 errors.append(str(exc))
         if not errors:

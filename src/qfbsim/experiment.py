@@ -1,6 +1,7 @@
 """Closed-loop qubit-initialization experiment on top of the DSP model.
 
-One repetition spans a 660 ns window sampled on the 10 ns ADC grid:
+One repetition spans a 660 ns window sampled once per pipeline clock
+(pipeline.CLOCK_PERIOD_NS):
 
     t < 0        idle, qubit in its initial state
     t = 0        optional init gate, first readout pulse M1 starts (160 ns)
@@ -10,10 +11,10 @@ One repetition spans a 660 ns window sampled on the 10 ns ADC grid:
                  bit fired and feedback is enabled
     t = 360 ns   second readout pulse M2, second integration window
 
-The ADC stream reaching the pipeline lags the trigger lane by a fixed
-six-sample transport skew; the pipeline's trigger synchronizer depth
-matches it, which is what lines the integration window up with the
-readout pulse.
+The ADC stream reaching the pipeline lags the trigger lane by the ADC
+link's transport skew of pipeline.SYNC_DEPTH samples, the depth of the
+trigger synchronizer that matches it; that is what lines the
+integration window up with the readout pulse.
 
 run_experiment drives a vectorized Monte Carlo of the full loop (exact
 exponential jump times from _sample_jump_columns, the package's one jump
@@ -47,9 +48,11 @@ import numpy as np
 from . import sigmodel
 from .fxp import ADC_LSB_VOLTS, ConfigError, FxpSample, quantize
 from .histo import HistogramRam, correlation_addresses
-from .latency import LatencyBudget, tau_eltot, total_feedback_latency
+from .latency import LatencyBudget, budget_summary, tau_eltot
 from .pipeline import (
+    CLOCK_PERIOD_NS,
     FILTER_WIDTH,
+    SYNC_DEPTH,
     PipelineConfig,
     filter_window,
     lut_bits,
@@ -60,17 +63,14 @@ from .pipeline import (
 from .sigmodel import STATE_E, STATE_G, DeviceParams, carrier_tables, quantize_array
 
 NS = 1e-9
-TICK_NS = 10
-ADC_SKEW_TICKS = 6          # ADC samples in flight ahead of the trigger lane
-CARRIER_PHASE_OFFSET = ADC_SKEW_TICKS
 GRID_START_NS = -80
 N_SOURCE = 66               # samples per repetition window
-N_TICKS = N_SOURCE + ADC_SKEW_TICKS
+N_TICKS = N_SOURCE + SYNC_DEPTH
 PULSE_NS = 160
 M1_START_NS = 0
 M2_START_NS = 360
-TRIG1_TICK = (M1_START_NS - GRID_START_NS) // TICK_NS
-TRIG2_TICK = (M2_START_NS - GRID_START_NS) // TICK_NS
+TRIG1_TICK = (M1_START_NS - GRID_START_NS) // CLOCK_PERIOD_NS
+TRIG2_TICK = (M2_START_NS - GRID_START_NS) // CLOCK_PERIOD_NS
 CHUNK_REPS = 4096
 
 PI_HALF_INIT = "pi_half_init"
@@ -95,7 +95,8 @@ def threshold_sample(threshold_volts: float) -> FxpSample:
 
 
 def build_pipeline_config(device: DeviceParams, threshold_volts: float,
-                          *, delay: int = 10, window_len: int = 4,
+                          *, delay: int = PipelineConfig.delay,
+                          window_len: int = PipelineConfig.window_len,
                           scale_shift: int = 3) -> PipelineConfig:
     """Pipeline setup matching the experiment's demodulation frame.
 
@@ -108,8 +109,7 @@ def build_pipeline_config(device: DeviceParams, threshold_volts: float,
     c_q = quantize(q_mean, FILTER_WIDTH)
     return PipelineConfig(window_len=window_len, delay=delay, c_i=c_i, c_q=c_q,
                           s_i=scale_shift, s_q=scale_shift,
-                          lut1=FEEDBACK_LUT, lut2=COMPLEMENT_LUT,
-                          sync_depth=ADC_SKEW_TICKS)
+                          lut1=FEEDBACK_LUT, lut2=COMPLEMENT_LUT)
 
 
 @dataclass(frozen=True)
@@ -134,12 +134,8 @@ class ExperimentConfig:
         pipe = self.pipeline
         if pipe.c_i.raw != threshold_sample(self.threshold_volts).raw:
             raise ConfigError("pipeline in-phase offset does not match threshold_volts")
-        if pipe.sync_depth != ADC_SKEW_TICKS:
-            raise ConfigError(
-                f"trigger synchronizer depth must equal the ADC transport "
-                f"skew of {ADC_SKEW_TICKS} samples")
-        if pipe.delay * TICK_NS > PULSE_NS:
-            raise ConfigError("integration end (delay * 10 ns) falls beyond the pulse")
+        if self.tau_ro_ns > PULSE_NS:
+            raise ConfigError(f"integration end ({self.tau_ro_ns} ns) falls beyond the pulse")
         if pipe.delay < pipe.window_len:
             raise ConfigError("integration window starts before the pulse")
         if not M1_START_NS + PULSE_NS <= self.t_pi_ns < M2_START_NS:
@@ -151,12 +147,12 @@ class ExperimentConfig:
     @property
     def tau_ro_ns(self) -> int:
         """Readout duration: pulse start to integration-window end."""
-        return self.pipeline.delay * TICK_NS
+        return self.pipeline.delay * CLOCK_PERIOD_NS
 
     @property
     def window_center_ns(self) -> float:
         """Integration-window center, relative to the pulse start."""
-        return self.tau_ro_ns - self.pipeline.window_len * TICK_NS / 2.0
+        return self.tau_ro_ns - self.pipeline.window_len * CLOCK_PERIOD_NS / 2.0
 
     @property
     def t_pi_ns(self) -> float:
@@ -195,7 +191,7 @@ class _McResult:
 
 
 def _grid_times_s() -> np.ndarray:
-    return (GRID_START_NS + TICK_NS * np.arange(N_SOURCE)) * NS
+    return (GRID_START_NS + CLOCK_PERIOD_NS * np.arange(N_SOURCE)) * NS
 
 
 def _sample_jump_columns(rng, state: np.ndarray, a: float, b: float,
@@ -296,7 +292,7 @@ def _phase_b_segments(cfg: ExperimentConfig):
     """From the conditional pi to the end of the second integration
     window: no result reads the rest of the repetition."""
     t_pi = cfg.t_pi_ns * NS
-    w2_end = (GRID_START_NS + TICK_NS * _window_cols(cfg, TRIG2_TICK).stop) * NS
+    w2_end = (GRID_START_NS + CLOCK_PERIOD_NS * _window_cols(cfg, TRIG2_TICK).stop) * NS
     return [(t_pi, M2_START_NS * NS, False),
             (M2_START_NS * NS, w2_end, True)]
 
@@ -311,7 +307,7 @@ def _flip_at_jumps(state: np.ndarray, cols) -> np.ndarray:
 def _waveform_volts(device: DeviceParams, alpha: np.ndarray,
                     cols: slice) -> np.ndarray:
     """ADC voltages of the grid columns cols from their envelope values."""
-    cos, sin = carrier_tables(N_SOURCE, CARRIER_PHASE_OFFSET)
+    cos, sin = carrier_tables(N_SOURCE, SYNC_DEPTH)
     b = device.demod_gain() * alpha + complex(device.offset_i, device.offset_q)
     return 2.0 * (b.real * cos[cols] - b.imag * sin[cols])
 
@@ -325,17 +321,17 @@ def _trigger_lane(double: bool, ticks: int) -> np.ndarray:
 
 
 def _to_pipeline_stream(raw: np.ndarray, ticks: int) -> np.ndarray:
-    """Apply the ADC transport skew: tick n carries source sample n-6."""
+    """Apply the ADC transport skew: tick n carries source sample n - SYNC_DEPTH."""
     reps = raw.shape[0]
     stream = np.zeros((reps, ticks), dtype=np.int64)
-    stream[:, ADC_SKEW_TICKS:ADC_SKEW_TICKS + raw.shape[1]] = raw
+    stream[:, SYNC_DEPTH:SYNC_DEPTH + raw.shape[1]] = raw
     return stream
 
 
 def _window_cols(cfg: ExperimentConfig, trigger_tick: int) -> slice:
     """Source-grid columns in the filter window of a readout's eval tick."""
     ticks = filter_window(cfg.pipeline, cfg.eval_tick(trigger_tick))
-    return slice(ticks.start - ADC_SKEW_TICKS, ticks.stop - ADC_SKEW_TICKS)
+    return slice(ticks.start - SYNC_DEPTH, ticks.stop - SYNC_DEPTH)
 
 
 def _read_window(cfg: ExperimentConfig, alpha: np.ndarray,
@@ -348,7 +344,7 @@ def _read_window(cfg: ExperimentConfig, alpha: np.ndarray,
     if noise is not None:
         volts = volts + noise[:, cols]
     raw, clipped = quantize_array(volts)
-    i_t, q_t = scaled_iq_at(cfg.pipeline, raw, cols.start + ADC_SKEW_TICKS)
+    i_t, q_t = scaled_iq_at(cfg.pipeline, raw, cols.start + SYNC_DEPTH)
     return i_t, q_t, clipped
 
 
@@ -504,7 +500,7 @@ def held_state_readout(state: int, n_source: int
     sched = sigmodel.PulseSchedule(
         readout_pulses=((M1_START_NS * NS, PULSE_NS * NS),),
         t_start=t_start,
-        repetition_period=n_source * TICK_NS * NS)
+        repetition_period=n_source * CLOCK_PERIOD_NS * NS)
     return sched, sigmodel.QubitTrajectory(((t_start, state),))
 
 
@@ -520,7 +516,7 @@ def noiseless_filtered_means(cfg: ExperimentConfig) -> tuple[float, float]:
     for state in (STATE_G, STATE_E):
         sched, traj = held_state_readout(state, N_SOURCE)
         volts = sigmodel.analog_waveform(dev, sched, traj,
-                                         phase_offset=CARRIER_PHASE_OFFSET)
+                                         phase_offset=SYNC_DEPTH)
         raw, _ = quantize_array(volts)
         bt = run_stream_batch(cfg.pipeline,
                               _to_pipeline_stream(raw[np.newaxis, :], N_TICKS),
@@ -666,14 +662,9 @@ def _binomial_err(p: float, n: int) -> float:
 
 def _latency_echo(cfg: ExperimentConfig) -> dict:
     b = cfg.latency_budget
-    el, el_u = tau_eltot(b)
-    fb, fb_u = total_feedback_latency(b)
     return {
-        "components_ns": b.components(),
-        "uncertainties_ns": b.uncertainties(),
+        **budget_summary(b),
         "tau_awg_inferred": b.awg_inferred,
-        "tau_eltot_ns": [el, el_u],
-        "tau_fb_ns": [fb, fb_u],
         "tau_ro_ns": cfg.tau_ro_ns,
         "conditional_pulse_center_ns": cfg.t_pi_ns,
     }
@@ -693,7 +684,7 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
             "s_q": pipe.s_q,
             "lut1": list(pipe.lut1),
             "lut2": list(pipe.lut2),
-            "sync_depth": pipe.sync_depth,
+            "sync_depth": SYNC_DEPTH,
         },
         "threshold_volts": cfg.threshold_volts,
         "threshold_raw": pipe.c_i.raw,

@@ -1,38 +1,43 @@
 """Feedback-latency bookkeeping.
 
-Composes the end-to-end feedback latency out of its measured
-contributions, exposes the trigger-to-feedback delay of the digital
-chain as a function of the programmable delay setting, and converts
-cable group delay to physical length.  All durations are in
-nanoseconds.
+Composes the end-to-end feedback latency out of its contributions and
+converts cable group delay to physical length.  All durations are in
+nanoseconds.  The digital terms and the trigger-to-feedback delay come
+from the cycle-accurate machine in qfbsim.pipeline; the converter
+latency tau_adc is the one analog term of the digital chain.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-CLOCK_PERIOD_NS = 10.0
+from .pipeline import (
+    CLOCK_PERIOD_NS,
+    PROC_CYCLES,
+    SYNC_DEPTH,
+    PipelineConfig,
+    trigger_to_eval_cycles,
+)
+
 SPEED_OF_LIGHT = 299792458.0  # m/s
 
 
 @dataclass(frozen=True)
 class LatencyBudget:
-    """Feedback-latency contributions and their uncertainties (ns).
+    """Analog feedback-latency contributions and their uncertainties (ns).
 
     tau_awg is not directly measured; the default is the value forced
     by closing the electronic-delay sum, and awg_inferred marks it so
     reports can flag it.
     """
 
-    tau_proc: float = 30.0
-    tau_adcdio: float = 80.0
+    tau_adc: float = 10.0
     tau_awg: float = 40.0
     tau_g: float = 69.0
     tau_ro: float = 105.0
     tau_ap: float = 28.0
-    u_proc: float = 0.0
-    u_adcdio: float = 3.0
+    u_adc: float = 3.0
     u_awg: float = 0.0
     u_g: float = 7.0
     u_ro: float = 2.0
@@ -40,19 +45,18 @@ class LatencyBudget:
     awg_inferred: bool = True
 
     def __post_init__(self) -> None:
-        for name, value in self.components().items():
-            if value < 0:
-                raise ValueError(f"{name} must be non-negative")
-        for name, value in self.uncertainties().items():
-            if value < 0:
-                raise ValueError(f"uncertainty {name} must be non-negative")
-        if self.tau_proc % CLOCK_PERIOD_NS != 0:
-            raise ValueError("tau_proc must be a whole number of clock cycles")
+        for f in fields(self):
+            if f.name != "awg_inferred" and getattr(self, f.name) < 0:
+                raise ValueError(f"{f.name} must be non-negative")
 
     def components(self) -> dict[str, float]:
+        """Every contribution.  tau_proc is the PROC_CYCLES processing
+        registers; tau_adcdio is the converter, the SYNC_DEPTH-clock ADC
+        link and the registered fb output."""
+        clock = float(CLOCK_PERIOD_NS)
         return {
-            "tau_proc": self.tau_proc,
-            "tau_adcdio": self.tau_adcdio,
+            "tau_proc": PROC_CYCLES * clock,
+            "tau_adcdio": self.tau_adc + (SYNC_DEPTH + 1) * clock,
             "tau_awg": self.tau_awg,
             "tau_g": self.tau_g,
             "tau_ro": self.tau_ro,
@@ -61,8 +65,8 @@ class LatencyBudget:
 
     def uncertainties(self) -> dict[str, float]:
         return {
-            "tau_proc": self.u_proc,
-            "tau_adcdio": self.u_adcdio,
+            "tau_proc": 0.0,  # whole clock cycles
+            "tau_adcdio": self.u_adc,
             "tau_awg": self.u_awg,
             "tau_g": self.u_g,
             "tau_ro": self.u_ro,
@@ -77,9 +81,9 @@ def _quadrature(values) -> float:
 def tau_eltot(budget: LatencyBudget) -> tuple[float, float]:
     """Total electronic delay: everything between pulse arrival at the
     ADC and the actuator pulse leaving the generator."""
-    value = budget.tau_proc + budget.tau_adcdio + budget.tau_awg + budget.tau_g
-    unc = _quadrature((budget.u_proc, budget.u_adcdio, budget.u_awg, budget.u_g))
-    return value, unc
+    comp, unc = budget.components(), budget.uncertainties()
+    names = ("tau_proc", "tau_adcdio", "tau_awg", "tau_g")
+    return sum(comp[n] for n in names), _quadrature(unc[n] for n in names)
 
 
 def total_feedback_latency(budget: LatencyBudget) -> tuple[float, float]:
@@ -91,18 +95,28 @@ def total_feedback_latency(budget: LatencyBudget) -> tuple[float, float]:
     return value, unc
 
 
-def trigger_to_fb_delay(d: int, budget: LatencyBudget | None = None) -> float:
-    """Trigger input to feedback output for delay setting d (cycles).
+def budget_summary(budget: LatencyBudget) -> dict:
+    """Components, uncertainties and both totals, as reports print them."""
+    el, el_u = tau_eltot(budget)
+    fb, fb_u = total_feedback_latency(budget)
+    return {
+        "components_ns": budget.components(),
+        "uncertainties_ns": budget.uncertainties(),
+        "tau_eltot_ns": [el, el_u],
+        "tau_fb_ns": [fb, fb_u],
+    }
 
-    The chain is the ADC/digital-IO transport plus the fixed digital
-    processing; each extra delay cycle beyond the first adds one clock
-    period.
+
+def trigger_to_fb_delay(pipeline: PipelineConfig,
+                        budget: LatencyBudget | None = None) -> float:
+    """Analog input to registered feedback output, as the machine times it.
+
+    The converter latency, then the clock cycles from the trigger edge
+    to the evaluation tick, plus the one that registers fb.
     """
-    if d < 1:
-        raise ValueError("delay setting must be at least 1")
     if budget is None:
         budget = LatencyBudget()
-    return budget.tau_adcdio + budget.tau_proc + (d - 1) * CLOCK_PERIOD_NS
+    return budget.tau_adc + (trigger_to_eval_cycles(pipeline) + 1) * CLOCK_PERIOD_NS
 
 
 def cable_length(tau_g_ns: float, eps_eff: float) -> float:
@@ -115,8 +129,8 @@ def cable_length(tau_g_ns: float, eps_eff: float) -> float:
 
 
 def integration_delay_setting(tau_ro_ns: float) -> int:
-    """Largest delay setting d whose d * 10 ns span fits inside the
-    readout duration, so integration never outlasts the pulse."""
+    """Largest delay setting d whose span of d clock periods fits inside
+    the readout duration, so integration never outlasts the pulse."""
     return max(1, int(tau_ro_ns // CLOCK_PERIOD_NS))
 
 
@@ -131,6 +145,7 @@ def budget_report(budget: LatencyBudget) -> str:
     fb, fb_u = total_feedback_latency(budget)
     lines.append(f"{'tau_eltot':<14} {el:8.1f} {el_u:7.1f}  subtotal")
     lines.append(f"{'tau_fb':<14} {fb:8.1f} {fb_u:7.1f}  total")
-    lines.append(f"delay setting for tau_ro: d = {integration_delay_setting(budget.tau_ro)}"
-                 f" (d * 10 ns = {integration_delay_setting(budget.tau_ro) * 10} ns)")
+    d = integration_delay_setting(budget.tau_ro)
+    lines.append(f"delay setting for tau_ro: d = {d}"
+                 f" (d * {CLOCK_PERIOD_NS} ns = {d * CLOCK_PERIOD_NS} ns)")
     return "\n".join(lines) + "\n"

@@ -1,6 +1,8 @@
 """Cycle-accurate model of the feedback signal processor.
 
-One `tick()` call advances the machine by one 10 ns clock cycle:
+CLOCK_PERIOD_NS, SYNC_DEPTH and PROC_CYCLES state the machine's timing
+once; the latency budget, the synthesizer and the experiment derive
+theirs from them.  One `tick()` call advances the machine one clock:
 
     ADC register -> fs/4 mixer (registered) -> moving average (registered)
     -> offset/scale preprocessing (combinational) -> sign-bit LUT
@@ -16,10 +18,10 @@ Outputs of `tick()` follow register semantics: the returned values are
 what is observable *during* the cycle, i.e. the state the registers held
 when the cycle began; the sample and trigger passed in are captured at
 the end of the cycle and influence later ticks only.  Consequently the
-filtered output at tick n depends on input samples up to n-3 (the three
-registered stages).  A trigger rising edge at the input reaches its
-evaluation tick trigger_to_eval_cycles(config) ticks later, and the
-registered fb rising edge lands one tick after that.
+filtered output at tick n depends on input samples up to n-3 (the
+PROC_CYCLES registered stages).  A trigger rising edge at the input
+reaches its evaluation tick trigger_to_eval_cycles(config) ticks later,
+and the registered fb rising edge lands one tick after that.
 
 A vectorized batch implementation (`run_stream_batch`) reproduces the
 scalar machine bit-exactly over arrays of independent streams, and
@@ -51,7 +53,13 @@ PREPROC_WIDTH = 16
 COS_SEQ = (1, 0, -1, 0)
 NSIN_SEQ = (0, -1, 0, 1)
 
-DEFAULT_SYNC_DEPTH = 6
+CLOCK_PERIOD_NS = 10
+# The ADC link delivers each sample SYNC_DEPTH clocks after the trigger
+# lane carries its edge; the trigger synchronizer is that deep to match.
+SYNC_DEPTH = 6
+# ADC, mixer and moving-average registers between a sample and the
+# filtered value that contains it.
+PROC_CYCLES = 3
 
 MAX_WINDOW = 40
 MAX_DELAY = 255
@@ -63,14 +71,12 @@ class PipelineConfig:
 
     window_len: moving-average length l (even, 2..40; the cycle-accurate
         normalizer requires a power of two).
-    delay: trigger-to-evaluation delay d in clock cycles; d*10 ns is the
-        readout time covered by the integration window.
+    delay: trigger-to-evaluation delay d in clock cycles; d clock
+        periods are the readout time covered by the integration window.
     c_i, c_q: offsets subtracted from the filtered I/Q before scaling.
     s_i, s_q: power-of-two scale exponents (-7..+7).
     lut1, lut2: 4-entry truth tables indexed by (x << 1) | y where x, y
         are the sign bits of the preprocessed I/Q.
-    sync_depth: fixed trigger-synchronization delay (ADC interface skew
-        compensation); overridable for what-if studies.
     """
 
     window_len: int = 4
@@ -81,7 +87,6 @@ class PipelineConfig:
     s_q: int = 0
     lut1: tuple[int, int, int, int] = (1, 1, 0, 0)  # 1 iff x = 0
     lut2: tuple[int, int, int, int] = (1, 0, 1, 0)  # 1 iff y = 0
-    sync_depth: int = DEFAULT_SYNC_DEPTH
 
     def __post_init__(self) -> None:
         l = self.window_len
@@ -100,8 +105,6 @@ class PipelineConfig:
         for name, lut in (("lut1", self.lut1), ("lut2", self.lut2)):
             if len(lut) != 4 or any(b not in (0, 1) for b in lut):
                 raise ConfigError(f"{name} must be four bits, got {lut!r}")
-        if self.sync_depth < 1:
-            raise ConfigError("sync_depth must be at least 1")
 
     @property
     def norm_shift(self) -> int:
@@ -126,7 +129,7 @@ class PipelineState:
         self.ma_im = MovingAverageBranch(cfg.window_len)
         self.i_reg = 0
         self.q_reg = 0
-        self.sync = [0] * cfg.sync_depth    # trigger synchronization stages
+        self.sync = [0] * SYNC_DEPTH        # trigger synchronization stages
         self.tr_a = 0                       # per-pipeline-stage trigger registers
         self.tr_b = 0
         self.tr_b_prev = 0                  # rising-edge history bit
@@ -316,12 +319,12 @@ def dump_trace(trace: list[TickOutput]) -> str:
 def trigger_to_eval_cycles(config: PipelineConfig) -> int:
     """Ticks from a trigger rising edge at the input to its evaluation tick.
 
-    The edge crosses the sync_depth synchronizer stages, the two
+    The edge crosses the SYNC_DEPTH synchronizer stages, the two
     per-stage trigger registers and the d-cycle user delay.  During the
     evaluation tick the discriminator result is gated into fb/fb2; the
     registered fb, fb2 and fb_time outputs rise one tick later.
     """
-    return config.sync_depth + 2 + config.delay
+    return SYNC_DEPTH + 2 + config.delay
 
 
 # ---------------------------------------------------------------------------
@@ -416,9 +419,11 @@ def filter_window(config: PipelineConfig, tick: int) -> range:
 
     A sample passes the ADC and mixer registers before it enters the
     moving average, whose register shows the sum up to the previous
-    tick: the window during tick n is samples n - l - 2 .. n - 3.
+    tick: the window during tick n is samples n - l - 2 .. n - 3, the
+    last one PROC_CYCLES ticks back.
     """
-    return range(tick - config.window_len - 2, tick - 2)
+    last = tick - PROC_CYCLES
+    return range(last - config.window_len + 1, last + 1)
 
 
 def scaled_iq_at(config: PipelineConfig, window: np.ndarray,

@@ -5,8 +5,9 @@ and thermal excitation, a linear cavity whose complex envelope relaxes
 toward a qubit-state-dependent steady state while a square readout pulse
 drives it (and toward zero otherwise), and a detection chain collapsed
 into a full-scale amplitude, static I/Q offsets and additive white
-Gaussian noise.  The carrier sits at a quarter of the sampling rate, so
-four consecutive samples step the carrier phase by 90 degrees.
+Gaussian noise.  The waveform is sampled once per pipeline clock and the
+carrier sits at a quarter of that rate, so four consecutive samples
+step the carrier phase by 90 degrees.
 
 The qubit's trajectory is an input here (a QubitTrajectory of
 piecewise-constant states); DeviceParams supplies the decay and
@@ -30,12 +31,15 @@ import numpy as np
 
 from . import fxp
 from .fxp import ADC_WIDTH, ConfigError, FxpSample
+from .pipeline import CLOCK_PERIOD_NS
 
 PLANCK = 6.62607015e-34      # J s
 BOLTZMANN = 1.380649e-23     # J / K
 
 STATE_G = 0
 STATE_E = 1
+
+SAMPLE_PERIOD = CLOCK_PERIOD_NS * 1e-9  # s: one ADC sample per clock
 
 
 @dataclass(frozen=True)
@@ -52,8 +56,6 @@ class DeviceParams:
     f_r: float = 7.133e9
     kappa: float = 2 * math.pi * 6.3e6
     chi: float = -2 * math.pi * 1.1e6
-    f_if: float = 25e6
-    f_s: float = 100e6
     t1: float = 1.4e-6
     p_therm: float = 0.0
     amp_ss: float = 0.6
@@ -62,8 +64,6 @@ class DeviceParams:
     offset_q: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.f_s <= 0 or abs(self.f_if * 4 - self.f_s) > 1e-6 * self.f_s:
-            raise ConfigError("synthesizer requires f_if = f_s / 4")
         if not 0.0 <= self.p_therm < 0.5:
             raise ConfigError("p_therm must be within [0, 0.5)")
         if not self.t1 > 0:
@@ -72,10 +72,6 @@ class DeviceParams:
             raise ConfigError("kappa must be positive")
         if self.noise_sigma < 0:
             raise ConfigError("noise_sigma must be non-negative")
-
-    @property
-    def sample_period(self) -> float:
-        return 1.0 / self.f_s
 
     def decay_rate(self) -> float:
         """Energy relaxation rate (1/s)."""
@@ -226,9 +222,8 @@ def analog_waveform(params: DeviceParams, schedule: PulseSchedule,
     phase_offset ties the carrier phase to a downstream demodulator whose
     phase counter started that many samples earlier.
     """
-    ts = params.sample_period
-    n = round(schedule.repetition_period / ts)
-    times = schedule.t_start + np.arange(n) * ts
+    n = round(schedule.repetition_period / SAMPLE_PERIOD)
+    times = schedule.t_start + np.arange(n) * SAMPLE_PERIOD
     alpha = envelope_at_times(params, schedule, trajectory, times)
     b = params.demod_gain() * alpha + complex(params.offset_i, params.offset_q)
     cos, sin = carrier_tables(n, phase_offset)
@@ -280,5 +275,5 @@ def synthesize_adc_stream(params: DeviceParams, schedule: PulseSchedule,
         volts = volts + rng.normal(0.0, params.noise_sigma, size=len(volts))
     raw, clipped = quantize_array(volts)
     samples = [FxpSample(int(r), ADC_WIDTH) for r in raw]
-    triggers = trigger_lane(schedule, len(samples), params.sample_period)
+    triggers = trigger_lane(schedule, len(samples), SAMPLE_PERIOD)
     return AdcStream(samples=samples, triggers=triggers, saturated_count=clipped)

@@ -128,7 +128,7 @@ def test_criterion_03_demodulation_amplitude_phase():
 
 def test_criterion_04_latency_reproduction():
     budget = LatencyBudget()
-    assert trigger_to_fb_delay(1, budget) == 110.0
+    assert trigger_to_fb_delay(PipelineConfig(delay=1), budget) == 110.0
     assert tau_eltot(budget)[0] == 219.0
     assert total_feedback_latency(budget)[0] == 352.0
 
@@ -141,7 +141,7 @@ def test_criterion_04_latency_reproduction():
     first = next(t.cycle for t in trace if t.i != 0)
     cycles = first - 10
     assert cycles == 3
-    assert cycles * 10.0 == budget.tau_proc
+    assert cycles * 10.0 == budget.components()["tau_proc"]
     print("[criterion 4] PASS trigger-to-fb 110 ns at d=1, totals 219/352 ns, "
           "measured digital latency 3 cycles = 30 ns")
 

@@ -12,7 +12,7 @@ import pytest
 
 from qfbsim import cli
 from qfbsim.config import ConfigFileError, load_text, resolve_noise
-from qfbsim.experiment import PI_HALF_INIT, THERMAL_INIT
+from qfbsim.experiment import PI_HALF_INIT, THERMAL_INIT, build_pipeline_config
 from qfbsim.sigmodel import thermal_population
 
 GOOD_DOC = """\
@@ -109,6 +109,9 @@ def test_pipeline_overrides():
     assert cfg.pipeline.window_len == 8
     assert cfg.pipeline.delay == 12
     assert cfg.tau_ro_ns == 120
+    # keys the document leaves out keep build_pipeline_config's defaults
+    cfg, _ = load_text("pipeline.delay = 8\n")
+    assert cfg.pipeline == build_pipeline_config(cfg.device, 0.016, delay=8)
 
 
 def test_shipped_configs_load():
@@ -160,6 +163,23 @@ def test_latency_report_json(capsys):
     assert doc["integration_delay_cycles"] == 10
 
 
+def test_latency_report_trigger_to_fb_follows_the_delay(capsys):
+    assert cli.main(["latency-report", "--delay-cycles", "1"]) == 0
+    assert "trigger to fb at d = 1: 110.0 ns" in capsys.readouterr().out
+    assert cli.main(["latency-report", "--delay-cycles", "0", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["trigger_to_fb_ns"] == 100.0
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+@pytest.mark.parametrize("delay", ["256", "-1"])
+def test_latency_report_rejects_delays_the_machine_cannot_run(capsys, mode,
+                                                              delay):
+    assert cli.main(["latency-report", "--delay-cycles", delay, *mode]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"delay {delay} outside 0..255" in captured.err
+
+
 def test_calibrate_noise_json(capsys):
     rc = cli.main(["calibrate-noise", "--config",
                    shipped("scenario_pi_half.cfg"), "--json"])
@@ -185,6 +205,15 @@ def test_bad_config_lists_every_error(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "unknown key 'device.nope'" in err
+
+
+@pytest.mark.parametrize("key", ["device.f_s = 200 MHz", "device.f_if = 50 MHz"])
+def test_sample_rate_is_not_a_config_key(tmp_path, capsys, key):
+    # the sample rate is the pipeline clock; a document cannot set it
+    doc = tmp_path / "rate.cfg"
+    doc.write_text(key + "\n")
+    assert cli.main(["calibrate-noise", "--config", str(doc)]) == 1
+    assert f"unknown key '{key.split()[0]}'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("delay,rc", [(12, 0), (13, 1)])

@@ -13,6 +13,7 @@ from qfbsim.experiment import (
     CalibrationError,
     ExperimentConfig,
     _Protocol,
+    _config_echo,
     _run_mc,
     build_pipeline_config,
     calibrate_noise,
@@ -60,8 +61,6 @@ def test_config_validation():
         make_config(reps=0)
     good = make_config()
     with pytest.raises(ConfigError):
-        replace(good, pipeline=replace(good.pipeline, sync_depth=4))
-    with pytest.raises(ConfigError):
         replace(good, pipeline=replace(good.pipeline, delay=20))
     with pytest.raises(ConfigError):
         replace(good, pipeline=replace(good.pipeline, delay=2))
@@ -79,7 +78,7 @@ def test_default_pipeline_shape():
     pipe = cfg.pipeline
     assert pipe.window_len == 4 and pipe.delay == 10
     assert pipe.lut1 == (1, 1, 0, 0)
-    assert pipe.sync_depth == 6
+    assert _config_echo(cfg)["pipeline"]["sync_depth"] == 6
     q_mean = 0.3 * bench_device().steady_alpha(0).real
     assert pipe.c_q.to_volts() == pytest.approx(q_mean, abs=1e-4)
 

@@ -21,8 +21,10 @@ from qfbsim import experiment as ex
 from qfbsim.fxp import ConfigError, FxpSample, raw_bounds
 from qfbsim.latency import LatencyBudget
 from qfbsim.pipeline import (
+    CLOCK_PERIOD_NS,
     FILTER_WIDTH,
     PREPROC_WIDTH,
+    SYNC_DEPTH,
     PipelineConfig,
     filter_window,
     run_stream_batch,
@@ -123,7 +125,7 @@ def _full_segments(cfg):
     t_pi = cfg.t_pi_ns * ex.NS
     m1_end = ex.M1_START_NS + ex.PULSE_NS
     m2_end = ex.M2_START_NS + ex.PULSE_NS
-    t_end = ex.GRID_START_NS + ex.N_SOURCE * ex.TICK_NS
+    t_end = ex.GRID_START_NS + ex.N_SOURCE * CLOCK_PERIOD_NS
     first = [(ex.GRID_START_NS * ex.NS, ex.M1_START_NS * ex.NS, False),
              (ex.M1_START_NS * ex.NS, m1_end * ex.NS, True),
              (m1_end * ex.NS, t_pi, False)]
@@ -166,7 +168,7 @@ def test_envelope_filler_matches_scalar_envelope(initial, p_therm):
     sched = PulseSchedule(
         readout_pulses=((ex.M1_START_NS * ex.NS, ex.PULSE_NS * ex.NS),
                         (ex.M2_START_NS * ex.NS, ex.PULSE_NS * ex.NS)),
-        t_start=t0, repetition_period=ex.N_SOURCE * ex.TICK_NS * ex.NS)
+        t_start=t0, repetition_period=ex.N_SOURCE * CLOCK_PERIOD_NS * ex.NS)
     for r in range(reps):
         want = envelope_at_times(dev, sched, QubitTrajectory(tuple(flips[r])),
                                  ex._grid_times_s())
@@ -225,8 +227,8 @@ def _reference_chunk(cfg, protocol, stream_id, chunk_idx, reps):
     clipped = 0
     for trig in windows:
         ticks = filter_window(cfg.pipeline, cfg.eval_tick(trig))
-        clipped += quantize_array(v[:, ticks.start - ex.ADC_SKEW_TICKS:
-                                    ticks.stop - ex.ADC_SKEW_TICKS])[1]
+        clipped += quantize_array(v[:, ticks.start - SYNC_DEPTH:
+                                    ticks.stop - SYNC_DEPTH])[1]
     it1, qt1 = bt.i_t[:, m1], bt.q_t[:, m1]
     assert np.array_equal(bt.fb[:, m1 + 1], fb1)
     if not protocol.double:
@@ -389,10 +391,15 @@ def test_conditional_pi_must_land_between_the_readouts(delay, ok):
 
 
 def test_conditional_pi_inside_the_first_pulse_is_rejected():
-    fast = LatencyBudget(tau_adcdio=0.0, tau_awg=0.0, tau_g=0.0)
-    with pytest.raises(ConfigError, match="conditional pi"):
-        ex.ExperimentConfig(device=_device(), scenario=ex.PI_HALF_INIT,
-                            latency_budget=fast)
+    # zero analog terms leave the 100 ns digital chain: at delay 4 the
+    # pi centre is 40 + 100 + 28 / 2 = 154 ns, inside the 160 ns pulse
+    fast = LatencyBudget(tau_adc=0.0, tau_awg=0.0, tau_g=0.0)
+    dev = _device()
+    cfg = dict(device=dev, scenario=ex.PI_HALF_INIT, latency_budget=fast)
+    assert ex.ExperimentConfig(**cfg).t_pi_ns == 214.0
+    with pytest.raises(ConfigError, match="conditional pi at 154 ns"):
+        ex.ExperimentConfig(**cfg, pipeline=ex.build_pipeline_config(
+            dev, 0.016, delay=4))
 
 
 def test_adc_saturation_counts_only_integration_windows():

@@ -28,9 +28,9 @@ SEED = 7
 GOLDEN = {
     "scenario_pi_half.cfg": {
         "report_feedback_off.json":
-            "39a5802db0dd47e36de77d02b07a8fa28bf338663c29ca049b9e10259d0301bb",
+            "9646df32b697ee13879b91b37a6373a10b645fc8d82c6124afd6ceab2a764ef4",
         "report_feedback_on.json":
-            "7121ce466f4c9f3bdf85358547d24165f9ba610c35f24fe6acef9f2cd77296d4",
+            "6200ea5940649913831359b0f393d32c9ae081cc32a79ad5e10bb3a3f5f30ba5",
         "histogram.bin":
             "c3a90c17b64e84ebb7259d9dc2dd16acc8ea4c397426342648560c02589f42f4",
         "readout_fidelity.json":
@@ -38,9 +38,9 @@ GOLDEN = {
     },
     "scenario_thermal.cfg": {
         "report_feedback_off.json":
-            "33428a3014c428f171ef7563770fc46aaa3af36e6b636c17b969cf1326d19ac6",
+            "df6ab723a2decd7bcf4842b34b10b843a6328641bece1f548c3d37856c5a49f9",
         "report_feedback_on.json":
-            "16d467bb27f61b13ab01d2d532e59e75863f6add0014c5e61e446f3dd45c7408",
+            "6643bf9436e73653636ffdf83ff81c875b36e5a2c490b3d91c33dd7242f82ba6",
         "histogram.bin":
             "fb412d326e01332a45d209377158671039008a7dd8e0484c8a1aa714b2ff837a",
         "readout_fidelity.json":

@@ -4,9 +4,8 @@ import math
 
 import pytest
 
-from qfbsim.fxp import FxpSample
+from qfbsim.fxp import ConfigError, FxpSample
 from qfbsim.latency import (
-    CLOCK_PERIOD_NS,
     LatencyBudget,
     budget_report,
     cable_length,
@@ -15,7 +14,21 @@ from qfbsim.latency import (
     total_feedback_latency,
     trigger_to_fb_delay,
 )
-from qfbsim.pipeline import ADC_WIDTH, PipelineConfig, run_stream
+from qfbsim.experiment import (
+    PI_HALF_INIT,
+    ExperimentConfig,
+    build_pipeline_config,
+    held_state_readout,
+)
+from qfbsim.pipeline import (
+    ADC_WIDTH,
+    CLOCK_PERIOD_NS,
+    MAX_DELAY,
+    SYNC_DEPTH,
+    PipelineConfig,
+    run_stream,
+)
+from qfbsim.sigmodel import SAMPLE_PERIOD, STATE_E, DeviceParams, synthesize_adc_stream
 
 
 def test_default_budget_totals():
@@ -32,32 +45,34 @@ def test_quadrature_uncertainty():
     _, fb_u = total_feedback_latency(b)
     assert el_u == pytest.approx(math.sqrt(3**2 + 7**2))
     assert fb_u == pytest.approx(math.sqrt(3**2 + 7**2 + 2**2))
-    b345 = LatencyBudget(u_adcdio=3.0, u_g=4.0, u_ro=0.0)
+    b345 = LatencyBudget(u_adc=3.0, u_g=4.0, u_ro=0.0)
     assert tau_eltot(b345)[1] == pytest.approx(5.0)
 
 
 def test_zero_budget():
-    b = LatencyBudget(tau_proc=0, tau_adcdio=0, tau_awg=0, tau_g=0,
-                      tau_ro=0, tau_ap=0, u_adcdio=0, u_g=0, u_ro=0)
-    assert total_feedback_latency(b) == (0.0, 0.0)
+    # with every analog term at zero, what is left is the machine's own
+    # digital chain: tau_proc 30 ns + (SYNC_DEPTH + 1) clocks = 100 ns
+    b = LatencyBudget(tau_adc=0, tau_awg=0, tau_g=0, tau_ro=0, tau_ap=0,
+                      u_adc=0, u_g=0, u_ro=0)
+    assert total_feedback_latency(b) == (100.0, 0.0)
 
 
 def test_trigger_to_fb_anchor_points():
-    assert trigger_to_fb_delay(1) == 110.0
-    assert trigger_to_fb_delay(2) == 120.0
-    assert trigger_to_fb_delay(14) == 240.0
+    assert trigger_to_fb_delay(PipelineConfig(delay=1)) == 110.0
+    assert trigger_to_fb_delay(PipelineConfig(delay=2)) == 120.0
+    assert trigger_to_fb_delay(PipelineConfig(delay=14)) == 240.0
 
 
 def test_trigger_to_fb_requires_positive_setting():
-    with pytest.raises(ValueError):
-        trigger_to_fb_delay(0)
+    for d in (-1, 256):
+        with pytest.raises(ConfigError):
+            trigger_to_fb_delay(PipelineConfig(delay=d))
 
 
 def test_monotone_in_every_component():
     base = total_feedback_latency(LatencyBudget())[0]
-    for name in ("tau_proc", "tau_adcdio", "tau_awg", "tau_g", "tau_ro", "tau_ap"):
-        bump = 10.0 if name == "tau_proc" else 1.0
-        b = LatencyBudget(**{name: getattr(LatencyBudget(), name) + bump})
+    for name in ("tau_adc", "tau_awg", "tau_g", "tau_ro", "tau_ap"):
+        b = LatencyBudget(**{name: getattr(LatencyBudget(), name) + 1.0})
         assert total_feedback_latency(b)[0] > base
 
 
@@ -78,7 +93,7 @@ def test_cable_length_validation():
 
 def test_budget_validation():
     with pytest.raises(ValueError):
-        LatencyBudget(tau_proc=35.0)
+        LatencyBudget(tau_adc=-1.0)
     with pytest.raises(ValueError):
         LatencyBudget(tau_g=-1.0)
     with pytest.raises(ValueError):
@@ -109,4 +124,62 @@ def test_proc_delay_matches_pipeline_measurement():
     trace = run_stream(config, samples, [0] * 20)
     first_response = next(t.cycle for t in trace if t.i != 0)
     measured_cycles = first_response - impulse_at
-    assert measured_cycles * CLOCK_PERIOD_NS == LatencyBudget().tau_proc
+    assert measured_cycles * CLOCK_PERIOD_NS == LatencyBudget().components()["tau_proc"]
+
+
+def _fb_rise_after_analog_edge(delay: int, ticks: int = 64) -> int:
+    """Clock cycles from the analog readout edge to the registered fb rise.
+
+    The input is a noiseless held-e readout built as simulate-pipeline
+    builds it: the trigger lane marks the sample at which the readout
+    pulse reaches the converter, and the ADC data lane carries the
+    samples SYNC_DEPTH cycles later.  lut1 fires on every sign pair, so
+    fb rises whenever the gated trigger does.
+    """
+    sched, traj = held_state_readout(STATE_E, ticks - SYNC_DEPTH)
+    stream = synthesize_adc_stream(DeviceParams(), sched, traj,
+                                   phase_offset=SYNC_DEPTH)
+    samples = [FxpSample(0, ADC_WIDTH)] * SYNC_DEPTH + stream.samples
+    triggers = stream.triggers + [0] * SYNC_DEPTH
+    edge = round((sched.readout_pulses[0][0] - sched.t_start) / SAMPLE_PERIOD)
+    assert triggers.index(1) == edge
+    trace = run_stream(PipelineConfig(delay=delay, lut1=(1, 1, 1, 1)),
+                       samples, triggers)
+    rises = [t.cycle for k, t in enumerate(trace)
+             if t.fb and (k == 0 or not trace[k - 1].fb)]
+    assert len(rises) == 1
+    return rises[0] - edge
+
+
+def test_trigger_to_fb_measured_on_the_tick_machine():
+    # the paper's headline: fb 110 ns after the analog input at d = 1
+    budget = LatencyBudget()
+    measured = {d: budget.tau_adc + _fb_rise_after_analog_edge(d) * CLOCK_PERIOD_NS
+                for d in range(41)}
+    assert measured[1] == 110.0
+    for d, ns in measured.items():
+        assert ns == 110.0 + (d - 1) * CLOCK_PERIOD_NS
+        assert ns == trigger_to_fb_delay(PipelineConfig(delay=d), budget)
+    # the budget's digital terms add up to the same delay at every setting
+    comp = budget.components()
+    for d in range(MAX_DELAY + 1):
+        assert trigger_to_fb_delay(PipelineConfig(delay=d), budget) == (
+            comp["tau_adcdio"] + comp["tau_proc"] + (d - 1) * CLOCK_PERIOD_NS)
+
+
+def test_conditional_pi_is_one_clock_after_the_fb_edge():
+    # t_pi_ns counts tau_eltot from the integration-window end, but the
+    # machine's fb edge follows that end by tau_adcdio + tau_proc minus
+    # one clock, so the conditional pi centre sits one clock period
+    # later than fb edge + tau_awg + tau_g + tau_ap / 2.  Pinned as it
+    # stands; moving t_pi moves every report digest.
+    dev = DeviceParams()
+    for d in range(4, 13):
+        cfg = ExperimentConfig(device=dev, scenario=PI_HALF_INIT,
+                               pipeline=build_pipeline_config(dev, 0.016, delay=d))
+        b = cfg.latency_budget
+        fb_edge_ns = b.tau_adc + _fb_rise_after_analog_edge(d) * CLOCK_PERIOD_NS
+        assert cfg.t_pi_ns == (fb_edge_ns + b.tau_awg + b.tau_g + b.tau_ap / 2
+                               + CLOCK_PERIOD_NS)
+        if d == 10:
+            assert (fb_edge_ns, cfg.t_pi_ns) == (200.0, 333.0)

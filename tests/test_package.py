@@ -1,8 +1,44 @@
 """Package-level guards."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import qfbsim
+from qfbsim import cli, config, experiment, histo
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def test_every_exported_name_resolves():
     missing = [name for name in qfbsim.__all__ if not hasattr(qfbsim, name)]
     assert missing == []
+
+
+def _load_perfbench(name: str, monkeypatch):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their defining module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_hooks_resolve(monkeypatch):
+    # the benchmark wraps qfbsim's functions by name from outside; a
+    # renamed or removed hook fails here with a KeyError naming it
+    tracer = _load_perfbench("tracer", monkeypatch)
+    workloads = _load_perfbench("workloads", monkeypatch)
+    owners = (cli, config, experiment, histo, histo.HistogramRam,
+              experiment._EnvelopeFiller)
+    before = [dict(vars(o)) for o in owners]
+    mods = {"cli": cli, "config": config, "experiment": experiment,
+            "histo": histo}
+    with workloads.Capture().installed(cli, experiment):
+        with tracer.Tracer().installed(mods) as installed:
+            assert installed._patches
+    for owner, attrs in zip(owners, before):
+        now = vars(owner)
+        assert {k for k in now.keys() - attrs.keys() if not k.startswith("__")} == set()
+        assert all(now[k] is v for k, v in attrs.items()), owner

@@ -176,19 +176,19 @@ def test_zero_stream_with_trigger_fires_fb_once():
 
 
 def test_fb_edge_timing_across_delays_and_sync_depths():
-    for sync in (6, 3):
-        for d in (0, 1, 5, 14):
-            cfg = pl.PipelineConfig(window_len=4, delay=d, sync_depth=sync,
-                                    lut1=(1, 1, 1, 1))
-            n_e = 7
-            n = n_e + sync + d + 10
-            triggers = [1 if k == n_e else 0 for k in range(n)]
-            rng = random.Random(d * 100 + sync)
-            samples = [adc(rng.randint(-8192, 8191)) for _ in range(n)]
-            trace = pl.run_stream(cfg, samples, triggers)
-            rising = [t.cycle for k, t in enumerate(trace)
-                      if t.fb and (k == 0 or not trace[k - 1].fb)]
-            assert rising == [n_e + sync + 2 + d + 1]
+    # the synchronizer depth is fixed at SYNC_DEPTH; the name is historical
+    sync = pl.SYNC_DEPTH
+    for d in (0, 1, 5, 14):
+        cfg = pl.PipelineConfig(window_len=4, delay=d, lut1=(1, 1, 1, 1))
+        n_e = 7
+        n = n_e + sync + d + 10
+        triggers = [1 if k == n_e else 0 for k in range(n)]
+        rng = random.Random(d * 100 + sync)
+        samples = [adc(rng.randint(-8192, 8191)) for _ in range(n)]
+        trace = pl.run_stream(cfg, samples, triggers)
+        rising = [t.cycle for k, t in enumerate(trace)
+                  if t.fb and (k == 0 or not trace[k - 1].fb)]
+        assert rising == [n_e + sync + 2 + d + 1]
 
 
 def test_processing_latency_is_three_cycles():
@@ -340,7 +340,7 @@ def test_readout_events_pair_evaluation_cycle_with_fb():
     trace = pl.run_stream(cfg, samples, triggers)
     # the discriminator acts during the evaluation cycle; the registered
     # fb_time and fb rise together one tick later
-    m_star = n_e + cfg.sync_depth + 2 + cfg.delay
+    m_star = n_e + pl.SYNC_DEPTH + 2 + cfg.delay
     assert pl.trigger_to_eval_cycles(cfg) == m_star - n_e
     rises = [k for k in range(1, n) if trace[k].fb_time and not trace[k - 1].fb_time]
     assert rises == [m_star + 1]
@@ -390,7 +390,6 @@ def stream_cases(draw):
     cfg = pl.PipelineConfig(
         window_len=draw(st.sampled_from([2, 4, 8, 16, 32])),
         delay=draw(st.integers(0, pl.MAX_DELAY)),
-        sync_depth=draw(st.integers(1, 8)),
         c_i=FxpSample(draw(st.integers(FILTER_LO, FILTER_HI)), pl.FILTER_WIDTH),
         c_q=FxpSample(draw(st.integers(FILTER_LO, FILTER_HI)), pl.FILTER_WIDTH),
         s_i=draw(st.integers(-7, 7)),

@@ -329,8 +329,6 @@ def test_trigger_lane_outside_window_ignored():
 
 def test_device_params_validation():
     with pytest.raises(ConfigError):
-        DeviceParams(f_if=20e6)
-    with pytest.raises(ConfigError):
         DeviceParams(p_therm=0.6)
     with pytest.raises(ConfigError):
         DeviceParams(t1=0.0)
