@@ -13,7 +13,6 @@ from .experiment import (
     ExperimentReport,
     FeedbackComparison,
     ReadoutFidelity,
-    build_pipeline_config,
     calibrate_noise,
     noiseless_filtered_means,
     optimize_threshold,
@@ -53,7 +52,6 @@ __all__ = [
     "PulseSchedule",
     "QubitTrajectory",
     "ReadoutFidelity",
-    "build_pipeline_config",
     "calibrate_noise",
     "noiseless_filtered_means",
     "optimize_threshold",

@@ -13,13 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .experiment import (
-    ExperimentConfig,
-    PI_HALF_INIT,
-    SCENARIOS,
-    build_pipeline_config,
-    calibrate_noise,
-)
+from .experiment import ExperimentConfig, PI_HALF_INIT, SCENARIOS, calibrate_noise
 from .fxp import ConfigError
 from .sigmodel import DeviceParams, thermal_population
 
@@ -49,7 +43,6 @@ class _Field:
 
 SCHEMA = {
     "device.f_q": _Field(FREQUENCY_UNITS),
-    "device.f_r": _Field(FREQUENCY_UNITS),
     "device.kappa": _Field(FREQUENCY_UNITS),      # linewidth kappa / 2 pi
     "device.chi": _Field(FREQUENCY_UNITS),        # dispersive shift chi / 2 pi
     "device.t1": _Field(TIME_UNITS),
@@ -70,6 +63,17 @@ SCHEMA = {
 }
 
 _DEVICE_SCALE = {"device.kappa": 2.0 * math.pi, "device.chi": 2.0 * math.pi}
+
+# ExperimentConfig arguments a document may set; the rest keep their defaults
+_EXPERIMENT_ARGS = {
+    "experiment.feedback": "feedback_enabled",
+    "experiment.repetitions": "repetitions",
+    "experiment.master_seed": "master_seed",
+    "experiment.threshold": "threshold_volts",
+    "pipeline.window_len": "window_len",
+    "pipeline.delay": "delay",
+    "pipeline.scale_shift": "scale_shift",
+}
 
 
 def _split_tokens(value: str) -> list[str]:
@@ -150,7 +154,7 @@ def _build(values: dict) -> tuple[ExperimentConfig, float | None]:
                       " are mutually exclusive")
 
     dev_kwargs = {}
-    for key in ("f_q", "f_r", "kappa", "chi", "t1",
+    for key in ("f_q", "kappa", "chi", "t1",
                 "amp_ss", "noise_sigma", "offset_i", "offset_q"):
         if f"device.{key}" in values:
             dev_kwargs[key] = values[f"device.{key}"]
@@ -170,31 +174,15 @@ def _build(values: dict) -> tuple[ExperimentConfig, float | None]:
 
     cfg = None
     if device is not None:
-        exp_kwargs = {
-            "device": device,
-            "scenario": values.get("experiment.scenario", PI_HALF_INIT),
-            "threshold_volts": values.get("experiment.threshold", 0.016),
-        }
-        if "experiment.feedback" in values:
-            exp_kwargs["feedback_enabled"] = values["experiment.feedback"]
-        if "experiment.repetitions" in values:
-            exp_kwargs["repetitions"] = values["experiment.repetitions"]
-        if "experiment.master_seed" in values:
-            exp_kwargs["master_seed"] = values["experiment.master_seed"]
-        pipe_kwargs = {key.removeprefix("pipeline."): value
-                       for key, value in values.items()
-                       if key.startswith("pipeline.")}
-        if pipe_kwargs:
-            try:
-                exp_kwargs["pipeline"] = build_pipeline_config(
-                    device, exp_kwargs["threshold_volts"], **pipe_kwargs)
-            except (ConfigError, ValueError) as exc:
-                errors.append(str(exc))
-        if not errors:
-            try:
-                cfg = ExperimentConfig(**exp_kwargs)
-            except (ConfigError, ValueError) as exc:
-                errors.append(str(exc))
+        exp_kwargs = {arg: values[key] for key, arg in _EXPERIMENT_ARGS.items()
+                      if key in values}
+        try:
+            cfg = ExperimentConfig(
+                device=device,
+                scenario=values.get("experiment.scenario", PI_HALF_INIT),
+                **exp_kwargs)
+        except (ConfigError, ValueError) as exc:
+            errors.append(str(exc))
 
     if errors:
         raise ConfigFileError(errors)

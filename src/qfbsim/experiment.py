@@ -46,7 +46,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import sigmodel
-from .fxp import ADC_LSB_VOLTS, ConfigError, FxpSample, quantize
+from .fxp import ADC_LSB_VOLTS, ConfigError, FxpSample, quantize, quantize_flagged
 from .histo import HistogramRam, correlation_addresses
 from .latency import LatencyBudget, budget_summary, tau_eltot
 from .pipeline import (
@@ -94,49 +94,54 @@ def threshold_sample(threshold_volts: float) -> FxpSample:
     return quantize(threshold_volts, FILTER_WIDTH)
 
 
-def build_pipeline_config(device: DeviceParams, threshold_volts: float,
-                          *, delay: int = PipelineConfig.delay,
-                          window_len: int = PipelineConfig.window_len,
-                          scale_shift: int = 3) -> PipelineConfig:
-    """Pipeline setup matching the experiment's demodulation frame.
-
-    The threshold becomes the in-phase offset (so the sign bit of the
-    scaled output is the state decision) and the quadrature offset
-    cancels the state-independent component of the filtered signal.
-    """
-    c_i = threshold_sample(threshold_volts)
-    q_mean = (device.amp_ss / 2.0) * device.steady_alpha(STATE_G).real + device.offset_q
-    c_q = quantize(q_mean, FILTER_WIDTH)
-    return PipelineConfig(window_len=window_len, delay=delay, c_i=c_i, c_q=c_q,
-                          s_i=scale_shift, s_q=scale_shift,
-                          lut1=FEEDBACK_LUT, lut2=COMPLEMENT_LUT)
+def _filter_offset(volts: float, name: str) -> FxpSample:
+    """An offset quantized onto the filtered-signal grid, which it must fit."""
+    sample, clipped = quantize_flagged(volts, FILTER_WIDTH)
+    if clipped:
+        full_scale = 2 ** (FILTER_WIDTH - 1) * ADC_LSB_VOLTS
+        raise ConfigError(f"{name} ({volts:g} V) lies outside the filtered-signal "
+                          f"range of +-{full_scale:g} V")
+    return sample
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """Settings of one experiment; `pipeline` is derived from them.
+
+    The pipeline setup matches the experiment's demodulation frame: the
+    threshold becomes the in-phase offset (so the sign bit of the scaled
+    output is the state decision) and the quadrature offset cancels the
+    state-independent component of the filtered signal.
+    """
+
     device: DeviceParams
     scenario: str
     feedback_enabled: bool = True
     repetitions: int = 1 << 17
     master_seed: int = 1
     threshold_volts: float = 0.016
-    pipeline: PipelineConfig | None = None
+    delay: int = PipelineConfig.delay
+    window_len: int = PipelineConfig.window_len
+    scale_shift: int = 3
     latency_budget: LatencyBudget = field(default_factory=LatencyBudget)
+    pipeline: PipelineConfig = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be at least 1")
-        if self.pipeline is None:
-            object.__setattr__(self, "pipeline", build_pipeline_config(
-                self.device, self.threshold_volts))
-        pipe = self.pipeline
-        if pipe.c_i.raw != threshold_sample(self.threshold_volts).raw:
-            raise ConfigError("pipeline in-phase offset does not match threshold_volts")
+        dev = self.device
+        q_mean = (dev.amp_ss / 2.0) * dev.steady_alpha(STATE_G).real + dev.offset_q
+        object.__setattr__(self, "pipeline", PipelineConfig(
+            window_len=self.window_len, delay=self.delay,
+            c_i=_filter_offset(self.threshold_volts, "threshold_volts"),
+            c_q=_filter_offset(q_mean, "quadrature offset set by device offset_q"),
+            s_i=self.scale_shift, s_q=self.scale_shift,
+            lut1=FEEDBACK_LUT, lut2=COMPLEMENT_LUT))
         if self.tau_ro_ns > PULSE_NS:
             raise ConfigError(f"integration end ({self.tau_ro_ns} ns) falls beyond the pulse")
-        if pipe.delay < pipe.window_len:
+        if self.delay < self.window_len:
             raise ConfigError("integration window starts before the pulse")
         if not M1_START_NS + PULSE_NS <= self.t_pi_ns < M2_START_NS:
             raise ConfigError(
@@ -147,12 +152,12 @@ class ExperimentConfig:
     @property
     def tau_ro_ns(self) -> int:
         """Readout duration: pulse start to integration-window end."""
-        return self.pipeline.delay * CLOCK_PERIOD_NS
+        return self.delay * CLOCK_PERIOD_NS
 
     @property
     def window_center_ns(self) -> float:
         """Integration-window center, relative to the pulse start."""
-        return self.tau_ro_ns - self.pipeline.window_len * CLOCK_PERIOD_NS / 2.0
+        return self.tau_ro_ns - self.window_len * CLOCK_PERIOD_NS / 2.0
 
     @property
     def t_pi_ns(self) -> float:
@@ -580,17 +585,19 @@ def calibrate_noise(target_overlap: float, cfg: ExperimentConfig) -> float:
     return sigma
 
 
-def oracle_probabilities(cfg: ExperimentConfig) -> dict:
+def oracle_probabilities(cfg: ExperimentConfig,
+                         overlap: float | None = None) -> dict:
     """Rate-equation prediction of the report probabilities.
 
     Populations propagate with the total relaxation rate toward the
     thermal equilibrium, the first measurement projects the state at the
     integration-window center, readout misidentification enters as a
     symmetric flip with probability overlap/2, and the conditional pi
-    acts as an ideal population swap on feedback-on records.
+    acts as an ideal population swap on feedback-on records.  overlap,
+    when given, is overlap_probability(cfg) computed by the caller.
     """
     dev = cfg.device
-    eps = overlap_probability(cfg) / 2.0
+    eps = (overlap_probability(cfg) if overlap is None else overlap) / 2.0
     c1 = cfg.window_center_ns * NS
     c2 = (M2_START_NS + cfg.window_center_ns) * NS
     t_pi = cfg.t_pi_ns * NS
@@ -696,8 +703,8 @@ def _protocol_for(cfg: ExperimentConfig) -> _Protocol:
     return _Protocol(init_gate=gate, double=True)
 
 
-def _assemble_report(cfg: ExperimentConfig, res: _McResult,
-                     ram: HistogramRam) -> ExperimentReport:
+def _assemble_report(cfg: ExperimentConfig, res: _McResult, ram: HistogramRam,
+                     overlap: float) -> ExperimentReport:
     n = res.n
     e1 = res.it1 >= 0
     e2 = res.it2 >= 0
@@ -721,7 +728,7 @@ def _assemble_report(cfg: ExperimentConfig, res: _McResult,
         p_e2_err=_binomial_err(p_e2, n),
         quadrants=quadrants,
         quadrant_errs={k: _binomial_err(quadrants[k], n) for k in QUADRANT_KEYS},
-        oracle=oracle_probabilities(cfg),
+        oracle=oracle_probabilities(cfg, overlap),
         latency=_latency_echo(cfg),
         config_echo=_config_echo(cfg),
         adc_saturated=res.saturated,
@@ -734,7 +741,7 @@ def run_experiment(cfg: ExperimentConfig, *, jobs: int = 1) -> ExperimentReport:
     res = _run_mc(cfg, _protocol_for(cfg), stream_id=0, jobs=jobs)
     ram = HistogramRam(segment_count=1)
     ram.update_addresses(correlation_addresses(res.it1, res.it2, res.qt2, seg=0))
-    return _assemble_report(cfg, res, ram)
+    return _assemble_report(cfg, res, ram, overlap_probability(cfg))
 
 
 @dataclass
@@ -750,11 +757,14 @@ def run_feedback_comparison(cfg: ExperimentConfig, *,
 
     Both arms come out of one pass over the chunks: each chunk's first
     phase runs once and branches into the two arms, which are
-    byte-identical to two separate run_experiment calls.
+    byte-identical to two separate run_experiment calls.  The readout
+    overlap does not depend on the feedback setting, so both arms'
+    oracles share one computation of it.
     """
     protocol = _protocol_for(cfg)
     arms = (False, True)
     per_arm = _run_chunks(cfg, protocol, 0, jobs, arms)
+    overlap = overlap_probability(cfg)
     ram = HistogramRam(segment_count=2)
     reports = []
     for seg, (enabled, parts) in enumerate(zip(arms, per_arm)):
@@ -762,7 +772,7 @@ def run_feedback_comparison(cfg: ExperimentConfig, *,
         res = _run_mc(sub, protocol, parts=parts)
         ram.update_addresses(correlation_addresses(res.it1, res.it2, res.qt2,
                                                    seg=seg))
-        reports.append(_assemble_report(sub, res, ram))
+        reports.append(_assemble_report(sub, res, ram, overlap))
     return FeedbackComparison(off=reports[0], on=reports[1], histogram=ram)
 
 

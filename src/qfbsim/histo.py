@@ -90,11 +90,12 @@ class HistogramRam:
 
     def update_addresses(self, addrs: np.ndarray) -> None:
         """Count one event at every address; words saturate at WORD_MAX."""
-        counts = np.bincount(np.asarray(addrs, dtype=np.int64), minlength=RAM_WORDS)
-        self.shadow += counts
-        summed = self.words.astype(np.int64) + counts
-        np.minimum(summed, WORD_MAX, out=summed)
-        self.words = summed.astype(np.uint16)
+        touched, counts = np.unique(np.asarray(addrs, dtype=np.int64),
+                                    return_counts=True)
+        if touched.size and not 0 <= touched[0] <= touched[-1] < RAM_WORDS:
+            raise ValueError(f"addresses must lie within 0..{RAM_WORDS - 1}")
+        self.shadow[touched] += counts
+        self.words[touched] = np.minimum(self.words[touched] + counts, WORD_MAX)
 
     # -- analysis -------------------------------------------------------------
 

@@ -53,7 +53,6 @@ class DeviceParams:
     """
 
     f_q: float = 6.148e9
-    f_r: float = 7.133e9
     kappa: float = 2 * math.pi * 6.3e6
     chi: float = -2 * math.pi * 1.1e6
     t1: float = 1.4e-6

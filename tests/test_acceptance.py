@@ -14,7 +14,13 @@ import numpy as np
 import pytest
 
 from qfbsim.config import load_file, resolve_noise
-from qfbsim.experiment import run_feedback_comparison, readout_fidelity, run_experiment
+from qfbsim.experiment import (
+    PI_HALF_INIT,
+    ExperimentConfig,
+    readout_fidelity,
+    run_experiment,
+    run_feedback_comparison,
+)
 from qfbsim.fxp import ADC_LSB_VOLTS, FxpSample, quantize
 from qfbsim.histo import (
     RAM_WORDS,
@@ -35,7 +41,6 @@ from qfbsim.pipeline import (
     run_stream_batch,
 )
 from qfbsim.sigmodel import DeviceParams, thermal_population
-from qfbsim.experiment import build_pipeline_config
 
 
 def _shipped(name):
@@ -103,7 +108,7 @@ def test_criterion_02_moving_average_identity():
 
 def test_criterion_03_demodulation_amplitude_phase():
     device = DeviceParams()
-    pipe = build_pipeline_config(device, 0.016)
+    pipe = ExperimentConfig(device=device, scenario=PI_HALF_INIT).pipeline
     rng = np.random.default_rng(99)
     start = time.perf_counter()
     worst = 0.0
@@ -134,7 +139,7 @@ def test_criterion_04_latency_reproduction():
 
     # measured digital latency: impulse on the ADC lane to the first
     # filter response
-    pipe = build_pipeline_config(DeviceParams(), 0.016)
+    pipe = ExperimentConfig(device=DeviceParams(), scenario=PI_HALF_INIT).pipeline
     samples = [FxpSample(0, 14)] * 30
     samples[10] = FxpSample(4000, 14)
     trace = run_stream(pipe, samples, [0] * 30)
@@ -154,7 +159,7 @@ def test_criterion_05_discrimination_truth_table_and_marker():
                 assert discriminate(x, y, lut) == lut[(x << 1) | y]
 
     rng = np.random.default_rng(55)
-    pipe = build_pipeline_config(DeviceParams(), 0.016)
+    pipe = ExperimentConfig(device=DeviceParams(), scenario=PI_HALF_INIT).pipeline
     reps, ticks = 4, 250_000
     raw = rng.integers(-8192, 8192, size=(reps, ticks))
     triggers = (rng.random(ticks) < 0.02).astype(np.int64)

@@ -12,7 +12,7 @@ import pytest
 
 from qfbsim import cli
 from qfbsim.config import ConfigFileError, load_text, resolve_noise
-from qfbsim.experiment import PI_HALF_INIT, THERMAL_INIT, build_pipeline_config
+from qfbsim.experiment import PI_HALF_INIT, THERMAL_INIT, ExperimentConfig
 from qfbsim.sigmodel import thermal_population
 
 GOOD_DOC = """\
@@ -109,9 +109,10 @@ def test_pipeline_overrides():
     assert cfg.pipeline.window_len == 8
     assert cfg.pipeline.delay == 12
     assert cfg.tau_ro_ns == 120
-    # keys the document leaves out keep build_pipeline_config's defaults
+    # keys the document leaves out keep ExperimentConfig's defaults
     cfg, _ = load_text("pipeline.delay = 8\n")
-    assert cfg.pipeline == build_pipeline_config(cfg.device, 0.016, delay=8)
+    fresh = ExperimentConfig(device=cfg.device, scenario=PI_HALF_INIT, delay=8)
+    assert (cfg, cfg.pipeline) == (fresh, fresh.pipeline)
 
 
 def test_shipped_configs_load():
@@ -225,6 +226,24 @@ def test_conditional_pi_past_second_readout_is_usage_error(tmp_path, capsys,
                      "64", "--out-dir", str(tmp_path / "out")]) == rc
     if rc:
         assert "conditional pi" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line,name", [
+    ("experiment.threshold = 3 V", "threshold_volts"),
+    ("experiment.threshold = -3 V", "threshold_volts"),
+    ("device.offset_q = 2 V", "offset_q"),
+])
+def test_offset_beyond_the_filter_range_is_usage_error(tmp_path, capsys, line,
+                                                       name):
+    # the pipeline's offsets live on the +-2 V filtered-signal grid; one
+    # that would saturate there is rejected, not clipped
+    doc = tmp_path / "offset.cfg"
+    doc.write_text(line + "\n")
+    out = tmp_path / "out"
+    assert cli.main(["run-experiment", "--config", str(doc), "--repetitions",
+                     "64", "--out-dir", str(out)]) == 1
+    assert name in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["run-experiment", "optimize-threshold",

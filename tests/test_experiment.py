@@ -15,7 +15,6 @@ from qfbsim.experiment import (
     _Protocol,
     _config_echo,
     _run_mc,
-    build_pipeline_config,
     calibrate_noise,
     noiseless_filtered_means,
     optimize_threshold,
@@ -61,11 +60,45 @@ def test_config_validation():
         make_config(reps=0)
     good = make_config()
     with pytest.raises(ConfigError):
-        replace(good, pipeline=replace(good.pipeline, delay=20))
+        replace(good, delay=20)
     with pytest.raises(ConfigError):
-        replace(good, pipeline=replace(good.pipeline, delay=2))
-    with pytest.raises(ConfigError):
-        replace(good, threshold_volts=0.05)  # no longer matches c_i
+        replace(good, delay=2)
+    # the pipeline follows the threshold instead of contradicting it
+    assert replace(good, threshold_volts=0.05).pipeline.c_i == threshold_sample(0.05)
+
+
+@pytest.mark.parametrize("change", [
+    {"threshold_volts": 0.0125},
+    {"device": bench_device(offset_q=0.02)},
+    {"delay": 8},
+    {"window_len": 8},
+    {"scale_shift": 2},
+], ids=["threshold_volts", "device", "delay", "window_len", "scale_shift"])
+def test_replace_rebuilds_the_pipeline(change):
+    base = dict(device=bench_device(), scenario=PI_HALF_INIT)
+    changed = replace(ExperimentConfig(**base), **change)
+    assert changed.pipeline == ExperimentConfig(**{**base, **change}).pipeline
+    assert changed.pipeline != ExperimentConfig(**base).pipeline
+
+
+def test_pipeline_is_derived_not_set():
+    cfg = make_config()
+    with pytest.raises(ValueError, match="pipeline"):
+        replace(cfg, pipeline=cfg.pipeline)
+    with pytest.raises(TypeError):
+        ExperimentConfig(device=bench_device(), scenario=PI_HALF_INIT,
+                         pipeline=cfg.pipeline)
+
+
+def test_offsets_must_fit_the_filtered_signal_grid():
+    # the 15-bit filtered-signal grid spans -2 V .. 2 V - 1 LSB
+    good = make_config()
+    assert replace(good, threshold_volts=-2.0).pipeline.c_i.raw == -16384
+    for volts in (2.0, 3.0, -3.0):
+        with pytest.raises(ConfigError, match="threshold_volts"):
+            replace(good, threshold_volts=volts)
+    with pytest.raises(ConfigError, match="offset_q"):
+        replace(good, device=bench_device(offset_q=2.0))
 
 
 def test_threshold_quantization():
@@ -320,6 +353,8 @@ def test_optimize_threshold_below_configured_value():
     best = optimize_threshold(cfg)
     assert best < 0.016
     assert best > 0.0
+    # the optimized threshold applies to the configuration it came from
+    assert replace(cfg, threshold_volts=best).pipeline.c_i == threshold_sample(best)
 
 
 def test_optimize_threshold_midpoint_for_symmetric_ensembles():

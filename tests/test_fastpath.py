@@ -290,7 +290,7 @@ def test_chunk_with_wider_window_and_longer_delay():
     cfg = ex.ExperimentConfig(device=_device(), scenario=ex.PI_HALF_INIT,
                               feedback_enabled=True, repetitions=200,
                               master_seed=9)
-    cfg = replace(cfg, pipeline=replace(cfg.pipeline, window_len=8, delay=12))
+    cfg = replace(cfg, window_len=8, delay=12)
     protocol = ex._protocol_for(cfg)
     want = _reference_chunk(cfg, protocol, 0, 0, 200)
     for got in _chunk_both_ways(cfg, protocol, 0, 0, 200):
@@ -299,7 +299,7 @@ def test_chunk_with_wider_window_and_longer_delay():
 
 def test_second_phase_ends_with_the_second_window():
     cfg = ex.ExperimentConfig(device=_device(), scenario=ex.PI_HALF_INIT)
-    cfg = replace(cfg, pipeline=replace(cfg.pipeline, window_len=8, delay=12))
+    cfg = replace(cfg, window_len=8, delay=12)
     (_, _, _), (a, b, on) = ex._phase_b_segments(cfg)
     assert (a, on) == (ex.M2_START_NS * ex.NS, True)
     # the window covers 40..120 ns into the pulse: its last sample is at
@@ -382,12 +382,11 @@ def test_jobs_below_one_are_rejected(jobs):
 @pytest.mark.parametrize("delay,ok", [(12, True), (13, False), (16, False)])
 def test_conditional_pi_must_land_between_the_readouts(delay, ok):
     cfg = ex.ExperimentConfig(device=_device(), scenario=ex.PI_HALF_INIT)
-    pipe = replace(cfg.pipeline, delay=delay)
     if ok:
-        assert replace(cfg, pipeline=pipe).t_pi_ns < ex.M2_START_NS
+        assert replace(cfg, delay=delay).t_pi_ns < ex.M2_START_NS
     else:
         with pytest.raises(ConfigError, match="conditional pi"):
-            replace(cfg, pipeline=pipe)
+            replace(cfg, delay=delay)
 
 
 def test_conditional_pi_inside_the_first_pulse_is_rejected():
@@ -398,8 +397,7 @@ def test_conditional_pi_inside_the_first_pulse_is_rejected():
     cfg = dict(device=dev, scenario=ex.PI_HALF_INIT, latency_budget=fast)
     assert ex.ExperimentConfig(**cfg).t_pi_ns == 214.0
     with pytest.raises(ConfigError, match="conditional pi at 154 ns"):
-        ex.ExperimentConfig(**cfg, pipeline=ex.build_pipeline_config(
-            dev, 0.016, delay=4))
+        ex.ExperimentConfig(**cfg, delay=4)
 
 
 def test_adc_saturation_counts_only_integration_windows():
@@ -435,3 +433,25 @@ def test_calibrate_noise_computes_the_means_once(monkeypatch):
             else:
                 hi = mid
         assert sigma == 0.5 * (lo + hi)
+
+
+def test_feedback_comparison_computes_the_overlap_once(monkeypatch):
+    cfg = ex.ExperimentConfig(device=_device(), scenario=ex.PI_HALF_INIT,
+                              repetitions=256)
+    calls = {"means": 0, "oracle": 0}
+    means = ex.noiseless_filtered_means
+    oracle = ex.oracle_probabilities
+
+    def counted_means(c):
+        calls["means"] += 1
+        return means(c)
+
+    def counted_oracle(*args):
+        calls["oracle"] += 1
+        return oracle(*args)
+
+    monkeypatch.setattr(ex, "noiseless_filtered_means", counted_means)
+    monkeypatch.setattr(ex, "oracle_probabilities", counted_oracle)
+    comp = ex.run_feedback_comparison(cfg)
+    assert calls == {"means": 1, "oracle": 2}
+    assert comp.on.oracle == oracle(replace(cfg, feedback_enabled=True))

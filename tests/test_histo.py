@@ -156,6 +156,15 @@ def test_update_2d_single():
     assert ram.shadow.sum() == 1
 
 
+@pytest.mark.parametrize("addr", [-1, histo.RAM_WORDS])
+def test_update_rejects_addresses_outside_the_ram(addr):
+    ram = HistogramRam()
+    with pytest.raises(ValueError):
+        ram.update_addresses(np.array([0, addr]))
+    assert ram.shadow.sum() == 0
+    assert ram.words.sum() == 0
+
+
 def test_update_2d_saturates_at_word_max():
     ram = HistogramRam()
     addr = pack_correlation_address(5, 3, 9, 0)

@@ -17,7 +17,6 @@ from qfbsim.latency import (
 from qfbsim.experiment import (
     PI_HALF_INIT,
     ExperimentConfig,
-    build_pipeline_config,
     held_state_readout,
 )
 from qfbsim.pipeline import (
@@ -175,8 +174,7 @@ def test_conditional_pi_is_one_clock_after_the_fb_edge():
     # stands; moving t_pi moves every report digest.
     dev = DeviceParams()
     for d in range(4, 13):
-        cfg = ExperimentConfig(device=dev, scenario=PI_HALF_INIT,
-                               pipeline=build_pipeline_config(dev, 0.016, delay=d))
+        cfg = ExperimentConfig(device=dev, scenario=PI_HALF_INIT, delay=d)
         b = cfg.latency_budget
         fb_edge_ns = b.tau_adc + _fb_rise_after_analog_edge(d) * CLOCK_PERIOD_NS
         assert cfg.t_pi_ns == (fb_edge_ns + b.tau_awg + b.tau_g + b.tau_ap / 2
