@@ -46,7 +46,15 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import sigmodel
-from .fxp import ADC_LSB_VOLTS, ConfigError, FxpSample, quantize, quantize_flagged
+from .fxp import (
+    ADC_LSB_VOLTS,
+    SHIFT_MAX,
+    SHIFT_MIN,
+    ConfigError,
+    FxpSample,
+    quantize,
+    quantize_flagged,
+)
 from .histo import HistogramRam, correlation_addresses
 from .latency import LatencyBudget, budget_summary, tau_eltot
 from .pipeline import (
@@ -131,6 +139,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be at least 1")
+        if not SHIFT_MIN <= self.scale_shift <= SHIFT_MAX:
+            raise ConfigError(f"scale_shift {self.scale_shift} outside "
+                              f"{SHIFT_MIN}..{SHIFT_MAX}")
         dev = self.device
         q_mean = (dev.amp_ss / 2.0) * dev.steady_alpha(STATE_G).real + dev.offset_q
         object.__setattr__(self, "pipeline", PipelineConfig(
@@ -205,27 +216,29 @@ def _sample_jump_columns(rng, state: np.ndarray, a: float, b: float,
 
     Returns a list of chronological event columns: each is a (reps,)
     array of jump times with +inf where that repetition has no further
-    jump.  A fresh full-size exponential column is consumed per
-    iteration so the draw layout depends only on the worst repetition.
+    jump, so a repetition's finite times come first.  A fresh full-size
+    exponential column is consumed per iteration so the draw layout
+    depends only on the worst repetition; only the repetitions still
+    jumping read their draws, which after the first iteration are the
+    few that jumped in it.
     """
+    reps = state.shape[0]
     cols = []
-    state = state.copy()
-    t = np.full(state.shape, a)
-    active = np.ones(state.shape, dtype=bool)
+    active = np.arange(reps)
+    t = np.full(reps, a)
     while True:
+        u = rng.exponential(1.0, size=reps)[active]
         rates = np.where(state == STATE_E, gamma_down, gamma_up)
-        u = rng.exponential(1.0, size=state.shape)
-        with np.errstate(divide="ignore"):
-            dt = np.where(rates > 0, u / np.maximum(rates, 1e-300), np.inf)
+        # the floor keeps every quotient finite; a zero rate gets inf
+        dt = np.where(rates > 0, u / np.maximum(rates, 1e-300), np.inf)
         t_next = t + dt
-        jump = active & (t_next < b)
+        jump = t_next < b
         if not jump.any():
-            break
-        cols.append(np.where(jump, t_next, np.inf))
-        state[jump] ^= 1
-        t = np.where(jump, t_next, t)
-        active = jump
-    return cols
+            return cols
+        active, t, state = active[jump], t_next[jump], state[jump] ^ 1
+        col = np.full(reps, np.inf)
+        col[active] = t
+        cols.append(col)
 
 
 class _EnvelopeFiller:
@@ -235,55 +248,94 @@ class _EnvelopeFiller:
     column cols[k]); alpha still advances through every jump and pulse
     edge, so each evaluated column is the same whichever others are
     evaluated.
+
+    Every value is one relaxation step from the repetition's last event
+    (segment start or jump): target + (alpha - target) exp(-lam dt),
+    with lam and target set by the qubit state.  Repetitions without a
+    jump in a segment take all of its values in one closed-form step;
+    only those that jump step through their events.
     """
 
     def __init__(self, device: DeviceParams, reps: int, cols: np.ndarray):
-        self.a_g = device.steady_alpha(STATE_G)
-        self.a_e = device.steady_alpha(STATE_E)
-        self.lam_g = device.envelope_rate(STATE_G)
-        self.lam_e = device.envelope_rate(STATE_E)
+        # indexed by qubit state (STATE_G = 0, STATE_E = 1)
+        self.target = np.array([device.steady_alpha(s) for s in range(2)])
+        self.lam = np.array([device.envelope_rate(s) for s in range(2)])
         self.alpha = np.zeros(reps, dtype=complex)
         self.grid = _grid_times_s()[cols]
         self.out = np.zeros((reps, self.grid.size), dtype=complex)
 
-    def _step(self, alpha, state, t_from, t_to, pulse_on):
-        lam = np.where(state == STATE_G, self.lam_g, self.lam_e)
-        if pulse_on:
-            target = np.where(state == STATE_G, self.a_g, self.a_e)
-        else:
-            target = 0.0
-        return target + (alpha - target) * np.exp(-lam * (t_to - t_from))
+    def _decay(self, state, elapsed):
+        return np.exp(-self.lam[state] * elapsed)
+
+    def _step(self, alpha, state, decay, pulse_on):
+        """One relaxation step; alpha and decay have the same shape.
+
+        numpy rounds a complex product differently on some broadcast
+        operands (its vector kernel fuses a multiply-add), so the
+        product only ever sees equal shapes.  The sum is taken in
+        place: numpy would inspect the call stack before reusing a
+        large temporary, which costs more than the sum.
+        """
+        target = self.target[state] if pulse_on else 0.0
+        value = (alpha - target) * decay
+        value += target
+        return value
 
     def run_segment(self, state: np.ndarray, a: float, b: float,
                     pulse_on: bool, cols) -> np.ndarray:
         """Fill the evaluated grid points inside [a, b); advance alpha to b.
 
-        cols are chronological per repetition, so each grid point is
-        evaluated exactly once: right before the first event past it.
+        cols are the segment's jump columns from _sample_jump_columns,
+        chronological per repetition.  Each grid point is stepped from
+        the last event at or before it.  Repetitions without a jump
+        take every evaluated point and the segment end in one step from
+        a, with one decay per qubit state and point; the few that jump
+        take theirs from _jumper_values.  Values are laid out (point,
+        repetition) so that every operation runs along the repetitions.
         """
-        state = state.copy()
         idx = np.flatnonzero((self.grid >= a) & (self.grid < b))
-        t_cur = np.full(state.shape, a)
-        filled = np.zeros((state.shape[0], idx.size), dtype=bool)
-        for times in [*cols, None]:
-            bound = np.full(state.shape, np.inf) if times is None else times
-            for jj, j in enumerate(idx):
-                gt = self.grid[j]
-                need = (gt < bound) & ~filled[:, jj]
-                if need.any():
-                    self.out[need, j] = self._step(
-                        self.alpha[need], state[need], t_cur[need], gt, pulse_on)
-                    filled[:, jj] |= need
-            if times is not None:
-                valid = np.isfinite(times)
-                if valid.any():
-                    self.alpha[valid] = self._step(
-                        self.alpha[valid], state[valid], t_cur[valid],
-                        times[valid], pulse_on)
-                    t_cur = np.where(valid, times, t_cur)
-                    state = np.where(valid, state ^ 1, state)
-        self.alpha = self._step(self.alpha, state, t_cur, b, pulse_on)
+        ends = np.append(self.grid[idx], b)
+        decay = self._decay(np.arange(2)[:, None], ends - a)
+        vals = self._step(np.tile(self.alpha, (ends.size, 1)), state,
+                          np.take(decay.T, state, axis=1), pulse_on)
+        state = state.copy()
+        if cols:
+            jumpers = np.flatnonzero(np.isfinite(cols[0]))
+            times = np.stack([c[jumpers] for c in cols])
+            vals[:, jumpers], state[jumpers] = self._jumper_values(
+                self.alpha[jumpers], state[jumpers], a, ends, times, pulse_on)
+        self.out[:, idx] = vals[:-1].T
+        self.alpha = vals[-1].copy()
         return state
+
+    def _jumper_values(self, alpha, state, a, ends, times, pulse_on):
+        """(point, jumper) envelope values at ends, and the final states,
+        of repetitions that jump in the segment.
+
+        times is (events, jumpers), chronological per jumper with +inf
+        after its last jump.  The envelope, state and start time after
+        each jump are stacked by event count, and each point is stepped
+        from the entry that its count of events at or before it selects:
+        one step for all points.
+        """
+        n_ev, n = times.shape
+        states = state ^ (np.arange(n_ev + 1)[:, None] & 1)
+        # a jumper's entries past its last jump are never selected; they
+        # step to the segment end so that every entry stays finite
+        starts = np.concatenate([np.full((1, n), a), np.minimum(times, ends[-1])])
+        alphas = np.empty((n_ev + 1, n), dtype=complex)
+        alphas[0] = alpha
+        for k in range(n_ev):
+            alphas[k + 1] = self._step(
+                alphas[k], states[k],
+                self._decay(states[k], starts[k + 1] - starts[k]), pulse_on)
+        at = (times <= ends[:, None, None]).sum(axis=1)
+        rep = np.arange(n)
+        st = states[at, rep]
+        vals = self._step(alphas[at, rep], st,
+                          self._decay(st, ends[:, None] - starts[at, rep]),
+                          pulse_on)
+        return vals, st[-1]
 
 
 def _phase_a_segments(cfg: ExperimentConfig):

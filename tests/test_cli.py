@@ -228,6 +228,20 @@ def test_conditional_pi_past_second_readout_is_usage_error(tmp_path, capsys,
         assert "conditional pi" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("shift", [9, -8])
+def test_scale_shift_out_of_range_names_the_document_key(tmp_path, capsys,
+                                                         shift):
+    doc = tmp_path / "shift.cfg"
+    doc.write_text(f"pipeline.scale_shift = {shift}\n")
+    out = tmp_path / "out"
+    assert cli.main(["run-experiment", "--config", str(doc), "--repetitions",
+                     "64", "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"scale_shift {shift} outside -7..7" in err
+    assert "s_i" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("line,name", [
     ("experiment.threshold = 3 V", "threshold_volts"),
     ("experiment.threshold = -3 V", "threshold_volts"),

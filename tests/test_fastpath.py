@@ -6,7 +6,8 @@ the first pulse and after the second window, and runs its first phase
 once for all feedback settings.  These tests hold it to the full-stream
 batch pipeline, which is itself held to the scalar machine, its batch
 envelope to the scalar envelope of each repetition, and a feedback
-comparison to two separate runs.
+comparison to two separate runs.  The sparse envelope and jump sampler
+are held bit for bit to the dense loops they replaced, kept here.
 """
 
 import math
@@ -14,7 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qfbsim import experiment as ex
@@ -173,6 +174,164 @@ def test_envelope_filler_matches_scalar_envelope(initial, p_therm):
         want = envelope_at_times(dev, sched, QubitTrajectory(tuple(flips[r])),
                                  ex._grid_times_s())
         np.testing.assert_allclose(filler.out[r], want, rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the sparse envelope and jump sampler == their dense loops, bit for bit
+
+
+def _dense_jump_columns(rng, state, a, b, gamma_down, gamma_up):
+    """Reference sampler: every repetition's arithmetic in every iteration."""
+    cols = []
+    state = state.copy()
+    t = np.full(state.shape, a)
+    active = np.ones(state.shape, dtype=bool)
+    while True:
+        rates = np.where(state == STATE_E, gamma_down, gamma_up)
+        u = rng.exponential(1.0, size=state.shape)
+        with np.errstate(divide="ignore"):
+            dt = np.where(rates > 0, u / np.maximum(rates, 1e-300), np.inf)
+        t_next = t + dt
+        jump = active & (t_next < b)
+        if not jump.any():
+            break
+        cols.append(np.where(jump, t_next, np.inf))
+        state[jump] ^= 1
+        t = np.where(jump, t_next, t)
+        active = jump
+    return cols
+
+
+class _DenseFiller:
+    """Reference envelope: every event column x every evaluated column,
+    with masks over all repetitions."""
+
+    def __init__(self, device, reps, cols):
+        self.a_g = device.steady_alpha(STATE_G)
+        self.a_e = device.steady_alpha(STATE_E)
+        self.lam_g = device.envelope_rate(STATE_G)
+        self.lam_e = device.envelope_rate(STATE_E)
+        self.alpha = np.zeros(reps, dtype=complex)
+        self.grid = ex._grid_times_s()[cols]
+        self.out = np.zeros((reps, self.grid.size), dtype=complex)
+
+    def _step(self, alpha, state, t_from, t_to, pulse_on):
+        lam = np.where(state == STATE_G, self.lam_g, self.lam_e)
+        if pulse_on:
+            target = np.where(state == STATE_G, self.a_g, self.a_e)
+        else:
+            target = 0.0
+        return target + (alpha - target) * np.exp(-lam * (t_to - t_from))
+
+    def run_segment(self, state, a, b, pulse_on, cols):
+        state = state.copy()
+        idx = np.flatnonzero((self.grid >= a) & (self.grid < b))
+        t_cur = np.full(state.shape, a)
+        filled = np.zeros((state.shape[0], idx.size), dtype=bool)
+        for times in [*cols, None]:
+            bound = np.full(state.shape, np.inf) if times is None else times
+            for jj, j in enumerate(idx):
+                gt = self.grid[j]
+                need = (gt < bound) & ~filled[:, jj]
+                if need.any():
+                    self.out[need, j] = self._step(
+                        self.alpha[need], state[need], t_cur[need], gt, pulse_on)
+                    filled[:, jj] |= need
+            if times is not None:
+                valid = np.isfinite(times)
+                if valid.any():
+                    self.alpha[valid] = self._step(
+                        self.alpha[valid], state[valid], t_cur[valid],
+                        times[valid], pulse_on)
+                    t_cur = np.where(valid, times, t_cur)
+                    state = np.where(valid, state ^ 1, state)
+        self.alpha = self._step(self.alpha, state, t_cur, b, pulse_on)
+        return state
+
+
+GRID_S = ex._grid_times_s()
+RATES = [0.0, 1 / 1.4e-6, 1 / 200e-9, 1 / 30e-9]
+
+
+@st.composite
+def segment_bounds(draw):
+    """[a, b) on the grid or between grid points: some hold no grid
+    point, some start or end exactly on one."""
+    first = draw(st.integers(0, ex.N_SOURCE - 1))
+    last = draw(st.integers(first, ex.N_SOURCE))
+    step = CLOCK_PERIOD_NS * ex.NS
+    a = GRID_S[0] + first * step + draw(st.sampled_from([0.0, 0.3, 0.99])) * step
+    b = GRID_S[0] + last * step + draw(st.sampled_from([0.0, 0.5, 1.0])) * step
+    return (a, b) if a < b else (a, a + 0.5 * step)
+
+
+@st.composite
+def envelope_cases(draw):
+    dev = _device(p_therm=draw(st.sampled_from([0.0, 0.3])),
+                  t1=draw(st.sampled_from([200e-9, math.inf])))
+    reps = draw(st.integers(1, 24))
+    a, b = draw(segment_bounds())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    initial = draw(st.sampled_from(["g", "e", "mixed"]))
+    state = {"g": np.full(reps, STATE_G, dtype=np.uint8),
+             "e": np.full(reps, STATE_E, dtype=np.uint8),
+             "mixed": rng.integers(0, 2, reps).astype(np.uint8)}[initial]
+    jumps = draw(st.sampled_from(["sampled", "none", "all", "some"]))
+    if jumps == "sampled":
+        cols = ex._sample_jump_columns(rng, state, a, b, dev.decay_rate(),
+                                       dev.excitation_rate())
+    else:
+        # jump times on grid points, on both segment edges, repeated,
+        # and anywhere in between
+        on_grid = GRID_S[(GRID_S >= a) & (GRID_S < b)].tolist()
+        pool = st.sampled_from(on_grid + [a, b]) | st.floats(a, b)
+        fewest = {"none": 0, "all": 1, "some": 0}[jumps]
+        most = 0 if jumps == "none" else 3
+        per_rep = [sorted(draw(st.lists(pool, min_size=fewest, max_size=most)))
+                   for _ in range(reps)]
+        cols = [np.array([t[k] if k < len(t) else np.inf for t in per_rep])
+                for k in range(max(map(len, per_rep)))]
+    filler_cols = np.array(draw(st.lists(st.integers(0, ex.N_SOURCE - 1),
+                                         unique=True, max_size=12)), dtype=int)
+    alpha = rng.normal(size=reps) + 1j * rng.normal(size=reps)
+    return dev, state, a, b, draw(st.booleans()), cols, filler_cols, alpha
+
+
+@settings(max_examples=400, deadline=None)
+@given(envelope_cases())
+def test_envelope_filler_matches_dense_loop_bitwise(case):
+    dev, state, a, b, pulse_on, cols, filler_cols, alpha = case
+    want = _DenseFiller(dev, state.size, filler_cols)
+    got = ex._EnvelopeFiller(dev, state.size, filler_cols)
+    want.alpha, got.alpha = alpha.copy(), alpha.copy()
+    want_state = want.run_segment(state, a, b, pulse_on, cols)
+    got_state = got.run_segment(state, a, b, pulse_on, cols)
+    assert np.array_equal(got.out, want.out)
+    assert np.array_equal(got.alpha, want.alpha)
+    assert np.array_equal(got_state, want_state)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), reps=st.integers(0, 64),
+       gamma_down=st.sampled_from(RATES), gamma_up=st.sampled_from(RATES),
+       bounds=segment_bounds())
+@example(seed=1, reps=40, gamma_down=0.0, gamma_up=1 / 30e-9,
+         bounds=(0.0, 200e-9))
+@example(seed=2, reps=40, gamma_down=1 / 30e-9, gamma_up=0.0,
+         bounds=(0.0, 200e-9))
+def test_jump_sampler_matches_dense_loop_bitwise(seed, reps, gamma_down,
+                                                 gamma_up, bounds):
+    a, b = bounds
+    state = np.random.default_rng(seed + 1).integers(0, 2, reps).astype(np.uint8)
+    before = state.copy()
+    rng_want, rng_got = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = _dense_jump_columns(rng_want, state, a, b, gamma_down, gamma_up)
+    got = ex._sample_jump_columns(rng_got, state, a, b, gamma_down, gamma_up)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    assert rng_got.bit_generator.state == rng_want.bit_generator.state
+    assert np.array_equal(state, before)
 
 
 def _reference_chunk(cfg, protocol, stream_id, chunk_idx, reps):
