@@ -37,7 +37,7 @@ from .latency import (
     integration_delay_setting,
     trigger_to_fb_delay,
 )
-from .pipeline import SYNC_DEPTH, PipelineConfig, dump_trace, run_stream
+from .pipeline import SYNC_DEPTH, PipelineConfig, PipelineState, dump_trace, run_stream
 from .sigmodel import STATE_E, STATE_G, synthesize_adc_stream
 
 SEED_ENV = "QFB_SEED"
@@ -222,12 +222,20 @@ def cmd_simulate_pipeline(args) -> int:
                                        phase_offset=SYNC_DEPTH)
         samples = [FxpSample(0, ADC_WIDTH)] * SYNC_DEPTH + stream.samples
         triggers = stream.triggers + [0] * SYNC_DEPTH
-    trace = run_stream(cfg.pipeline, samples, triggers)
-    text = dump_trace(trace)
+    state = PipelineState(cfg.pipeline)
+    text = dump_trace(run_stream(cfg.pipeline, samples, triggers, state))
     if args.out:
         _write_text(Path(args.out), text)
     else:
         sys.stdout.write(text)
+    latched = {"preprocessed i_t": state.overflow["i_t"],
+               "preprocessed q_t": state.overflow["q_t"],
+               "moving-average re branch": state.ma_re.overflow,
+               "moving-average im branch": state.ma_im.overflow}
+    for name, flag in latched.items():
+        if flag:
+            print(f"warning: {name} saturated; its overflow flag latched",
+                  file=sys.stderr)
     return 0
 
 

@@ -20,14 +20,15 @@ run_experiment drives a vectorized Monte Carlo of the full loop (exact
 exponential jump times from _sample_jump_columns, the package's one jump
 sampler; closed-form cavity envelope propagation; the bit-exact
 pipeline) and reports quadrant statistics next to an independent
-analytic rate-equation prediction.  The Monte Carlo only synthesizes
-the 2 l samples inside the two integration windows and evaluates the
-pipeline only at the two readout ticks (scaled_iq_at), which lie
-pipeline.trigger_to_eval_cycles after the triggers, so the feedback bit
-needs no trigger-chain simulation; the scalar tick() machine and
-run_stream_batch stay the reference models it is tested against, and
-the noiseless calibration still runs the whole stream through
-run_stream_batch.
+analytic rate-equation prediction.  The Monte Carlo only draws noise
+for, and synthesizes, the 2 l samples inside the two integration
+windows, draws jump times only for the repetitions still jumping, and
+evaluates the pipeline only at the two readout ticks (scaled_iq_at),
+which lie pipeline.trigger_to_eval_cycles after the triggers, so the
+feedback bit needs no trigger-chain simulation; the scalar tick()
+machine and run_stream_batch stay the reference models it is tested
+against, and the noiseless calibration still runs the whole stream
+through run_stream_batch.
 
 The envelope is not propagated before the first pulse (it is exactly
 zero there), the second phase stops at the end of the second integration
@@ -216,18 +217,17 @@ def _sample_jump_columns(rng, state: np.ndarray, a: float, b: float,
 
     Returns a list of chronological event columns: each is a (reps,)
     array of jump times with +inf where that repetition has no further
-    jump, so a repetition's finite times come first.  A fresh full-size
-    exponential column is consumed per iteration so the draw layout
-    depends only on the worst repetition; only the repetitions still
-    jumping read their draws, which after the first iteration are the
-    few that jumped in it.
+    jump, so a repetition's finite times come first.  Each iteration
+    draws one exponential per repetition still jumping, in repetition
+    order: all of them at first, after that only the few that jumped in
+    the previous iteration.
     """
     reps = state.shape[0]
     cols = []
     active = np.arange(reps)
     t = np.full(reps, a)
     while True:
-        u = rng.exponential(1.0, size=reps)[active]
+        u = rng.exponential(1.0, size=active.size)
         rates = np.where(state == STATE_E, gamma_down, gamma_up)
         # the floor keeps every quotient finite; a zero rate gets inf
         dt = np.where(rates > 0, u / np.maximum(rates, 1e-300), np.inf)
@@ -347,7 +347,9 @@ def _phase_a_segments(cfg: ExperimentConfig):
 
 def _phase_b_segments(cfg: ExperimentConfig):
     """From the conditional pi to the end of the second integration
-    window: no result reads the rest of the repetition."""
+    window: no result reads the rest of the repetition.  The bounds are
+    part of the draw layout, since a segment draws one exponential per
+    repetition still jumping in it."""
     t_pi = cfg.t_pi_ns * NS
     w2_end = (GRID_START_NS + CLOCK_PERIOD_NS * _window_cols(cfg, TRIG2_TICK).stop) * NS
     return [(t_pi, M2_START_NS * NS, False),
@@ -392,14 +394,14 @@ def _window_cols(cfg: ExperimentConfig, trigger_tick: int) -> slice:
 
 
 def _read_window(cfg: ExperimentConfig, alpha: np.ndarray,
-                 noise: np.ndarray | None, cols: slice):
+                 noise: np.ndarray, cols: slice):
     """Digitize one integration window and evaluate the pipeline on it.
 
-    Returns (i_t, q_t, clipped) at the readout's evaluation tick.
+    alpha and noise hold the window's columns only (column k is grid
+    column cols.start + k).  Returns (i_t, q_t, clipped) at the
+    readout's evaluation tick.
     """
-    volts = _waveform_volts(cfg.device, alpha, cols)
-    if noise is not None:
-        volts = volts + noise[:, cols]
+    volts = _waveform_volts(cfg.device, alpha, cols) + noise
     raw, clipped = quantize_array(volts)
     i_t, q_t = scaled_iq_at(cfg.pipeline, raw, cols.start + SYNC_DEPTH)
     return i_t, q_t, clipped
@@ -412,39 +414,41 @@ def _run_chunk(cfg: ExperimentConfig, protocol: _Protocol, stream_id: int,
     Returns one (it1, qt1, fb1, it2, qt2, clipped) tuple for each entry
     of feedback (True: the conditional pi fires on fb1).
 
-    Draw order is fixed: per-sample noise, initial states, first-phase
-    jumps (with the init-gate draw at t = 0), then - after the feedback
-    bit is known from the pipeline - the conditional pi and the
-    second-phase jumps.  Nothing after the first phase influences the
+    Draw order is fixed: noise on the observed samples, initial states,
+    first-phase jumps (with the init-gate draw at t = 0), then - after
+    the feedback bit is known from the pipeline - the conditional pi and
+    the second-phase jumps.  Nothing after the first phase influences the
     first readout, so the first phase runs once: the generator state,
     qubit states and cavity envelope are snapshotted after it, and each
     feedback setting runs the second phase from that snapshot, drawing
     exactly what a chunk run for that setting alone would draw.
 
-    Only the samples inside the two integration windows reach a result,
-    so only those are synthesized and digitized, and the pipeline is
-    evaluated only at the two readout ticks.  Before the first pulse the
-    envelope is exactly zero, so that segment only advances the qubit
-    state; the second phase ends with the second integration window.
-    The noise draw still spans the whole window, which keeps every
-    seed's outputs unchanged.
+    Only the samples inside the integration windows (both, or the first
+    for a single readout) reach a result, so only those get noise, are
+    synthesized and digitized, and the pipeline is evaluated only at the
+    readout ticks.  The noise draw is one (reps, observed) array whose
+    column k belongs to grid column observed[k].  Before the first pulse
+    the envelope is exactly zero, so that segment only advances the
+    qubit state; the second phase ends with the second integration
+    window.
     """
     rng = np.random.default_rng(
         np.random.SeedSequence([cfg.master_seed & 0xFFFFFFFFFFFFFFFF,
                                 stream_id, chunk_idx]))
     dev = cfg.device
-    sigma = dev.noise_sigma
-    noise = rng.normal(0.0, sigma, size=(reps, N_SOURCE)) if sigma > 0 else None
-    state = (rng.random(reps) < dev.p_therm).astype(np.uint8)
-
-    gamma_down = dev.decay_rate()
-    gamma_up = dev.excitation_rate()
     pipe = cfg.pipeline
     l = pipe.window_len
     w1 = _window_cols(cfg, TRIG1_TICK)
     w2 = _window_cols(cfg, TRIG2_TICK)
-    filler = _EnvelopeFiller(dev, reps,
-                             np.r_[w1, w2] if protocol.double else np.r_[w1])
+    observed = np.r_[w1, w2] if protocol.double else np.r_[w1]
+    sigma = dev.noise_sigma
+    noise = (rng.normal(0.0, sigma, size=(reps, observed.size))
+             if sigma > 0 else np.zeros((reps, observed.size)))
+    state = (rng.random(reps) < dev.p_therm).astype(np.uint8)
+
+    gamma_down = dev.decay_rate()
+    gamma_up = dev.excitation_rate()
+    filler = _EnvelopeFiller(dev, reps, observed)
 
     for seg_idx, (a, b, on) in enumerate(_phase_a_segments(cfg)):
         if seg_idx == 1:
@@ -460,7 +464,7 @@ def _run_chunk(cfg: ExperimentConfig, protocol: _Protocol, stream_id: int,
 
     # first readout: the whole first window precedes the conditional pi,
     # and fb_time is high at its evaluation tick by construction
-    it1, qt1, sat = _read_window(cfg, filler.out[:, :l], noise, w1)
+    it1, qt1, sat = _read_window(cfg, filler.out[:, :l], noise[:, :l], w1)
     fb1 = lut_bits(pipe.lut1, it1, qt1)
 
     if not protocol.double:
@@ -480,7 +484,7 @@ def _run_chunk(cfg: ExperimentConfig, protocol: _Protocol, stream_id: int,
         for a, b, on in segments_b:
             cols = _sample_jump_columns(rng, arm_state, a, b, gamma_down, gamma_up)
             arm_state = filler.run_segment(arm_state, a, b, on, cols)
-        it2, qt2, sat2 = _read_window(cfg, filler.out[:, l:], noise, w2)
+        it2, qt2, sat2 = _read_window(cfg, filler.out[:, l:], noise[:, l:], w2)
         arms.append((it1, qt1, fb1, it2, qt2, sat + sat2))
     return tuple(arms)
 

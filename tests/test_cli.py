@@ -407,6 +407,31 @@ def test_simulate_pipeline_csv_roundtrip(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_simulate_pipeline_warns_of_a_preprocessor_clip(tmp_path, capsys):
+    cfg_path = _write_small_cfg(tmp_path)
+    # full-scale samples in phase with the mixer's cosine: the in-phase
+    # average reaches -4096, which the offset and the 2**3 scaling push
+    # past the 16-bit preprocessed range
+    pattern = (-8192, 0, 8191, 0)
+    adc = tmp_path / "adc.csv"
+    adc.write_text("t_ns,raw,tr\n" + "\n".join(
+        f"{n * 10},{pattern[n % 4]},{int(n == 8)}" for n in range(48)) + "\n")
+    args = ["simulate-pipeline", "--config", cfg_path, "--input", str(adc)]
+    assert cli.main([*args, "--out", str(tmp_path / "trace.csv")]) == 0
+    capsys.readouterr()
+    assert cli.main(args) == 0
+    out, err = capsys.readouterr()
+    assert out == (tmp_path / "trace.csv").read_text()
+    assert err == "warning: preprocessed i_t saturated; its overflow flag latched\n"
+
+
+def test_simulate_pipeline_without_a_clip_warns_of_nothing(tmp_path, capsys):
+    cfg_path = _write_small_cfg(tmp_path)
+    assert cli.main(["simulate-pipeline", "--config", cfg_path,
+                     "--state", "e"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_simulate_pipeline_empty_input_is_usage_error(tmp_path, capsys):
     cfg_path = _write_small_cfg(tmp_path)
     empty = tmp_path / "empty.csv"

@@ -45,8 +45,8 @@ from qfbsim.sigmodel import (
 ADC_LO, ADC_HI = raw_bounds(14)
 FILTER_LO, FILTER_HI = raw_bounds(FILTER_WIDTH)
 # clipped samples of 4096 forced-clipping repetitions (seed 11) inside
-# the two integration windows; the whole 66-sample window clips 8754
-ADC_SATURATED_SIGMA_0_4 = 1612
+# the two integration windows, the only samples that get noise
+ADC_SATURATED_SIGMA_0_4 = 1680
 
 # ---------------------------------------------------------------------------
 # one tick from its window == the whole-stream batch pipeline
@@ -181,14 +181,16 @@ def test_envelope_filler_matches_scalar_envelope(initial, p_therm):
 
 
 def _dense_jump_columns(rng, state, a, b, gamma_down, gamma_up):
-    """Reference sampler: every repetition's arithmetic in every iteration."""
+    """Reference sampler: every repetition's arithmetic in every iteration,
+    with one draw per still-active repetition scattered into place."""
     cols = []
     state = state.copy()
     t = np.full(state.shape, a)
     active = np.ones(state.shape, dtype=bool)
     while True:
         rates = np.where(state == STATE_E, gamma_down, gamma_up)
-        u = rng.exponential(1.0, size=state.shape)
+        u = np.zeros(state.shape)
+        u[active] = rng.exponential(1.0, size=active.sum())
         with np.errstate(divide="ignore"):
             dt = np.where(rates > 0, u / np.maximum(rates, 1e-300), np.inf)
         t_next = t + dt
@@ -337,13 +339,21 @@ def test_jump_sampler_matches_dense_loop_bitwise(seed, reps, gamma_down,
 def _reference_chunk(cfg, protocol, stream_id, chunk_idx, reps):
     """The chunk as the whole window would compute it: every segment of
     the envelope propagated, every sample synthesized, every tick of the
-    72-tick stream run, same draws, one feedback setting."""
+    72-tick stream run, same draws, one feedback setting.  The noise is
+    drawn for the observed columns only and scattered into a zero
+    (reps, N_SOURCE) array, so any draw for another column would shift
+    every later one."""
     rng = np.random.default_rng(
         np.random.SeedSequence([cfg.master_seed & 0xFFFFFFFFFFFFFFFF,
                                 stream_id, chunk_idx]))
     dev = cfg.device
-    noise = (rng.normal(0.0, dev.noise_sigma, size=(reps, ex.N_SOURCE))
-             if dev.noise_sigma > 0 else np.zeros((reps, ex.N_SOURCE)))
+    triggers = [ex.TRIG1_TICK] + ([ex.TRIG2_TICK] if protocol.double else [])
+    windows = [filter_window(cfg.pipeline, cfg.eval_tick(t)) for t in triggers]
+    observed = np.concatenate([np.arange(w.start, w.stop) for w in windows]) - SYNC_DEPTH
+    noise = np.zeros((reps, ex.N_SOURCE))
+    if dev.noise_sigma > 0:
+        noise[:, observed] = rng.normal(0.0, dev.noise_sigma,
+                                        size=(reps, observed.size))
     state = (rng.random(reps) < dev.p_therm).astype(np.uint8)
     filler = ex._EnvelopeFiller(dev, reps, np.arange(ex.N_SOURCE))
 
@@ -363,6 +373,14 @@ def _reference_chunk(cfg, protocol, stream_id, chunk_idx, reps):
                                 ex._trigger_lane(double, ex.N_TICKS))
 
     a_segs, b_segs = _full_segments(cfg)
+    if protocol.double:
+        # a segment draws one exponential per repetition still jumping,
+        # so the second pulse is split where the chunk's second phase
+        # stops, at the end of the second window, to draw the same numbers
+        t_w2 = (ex.GRID_START_NS
+                + CLOCK_PERIOD_NS * (windows[-1].stop - SYNC_DEPTH)) * ex.NS
+        (m2_start, m2_end, on) = b_segs[1]
+        b_segs = [b_segs[0], (m2_start, t_w2, on), (t_w2, m2_end, on), b_segs[2]]
     state = segments(a_segs[:1], state)
     if protocol.init_gate == "pi_half":
         state = (rng.random(reps) < 0.5).astype(np.uint8)
@@ -382,10 +400,8 @@ def _reference_chunk(cfg, protocol, stream_id, chunk_idx, reps):
 
     v = volts()
     bt = pipeline(quantize_array(v)[0], protocol.double)
-    windows = [ex.TRIG1_TICK] + ([ex.TRIG2_TICK] if protocol.double else [])
     clipped = 0
-    for trig in windows:
-        ticks = filter_window(cfg.pipeline, cfg.eval_tick(trig))
+    for ticks in windows:
         clipped += quantize_array(v[:, ticks.start - SYNC_DEPTH:
                                     ticks.stop - SYNC_DEPTH])[1]
     it1, qt1 = bt.i_t[:, m1], bt.q_t[:, m1]

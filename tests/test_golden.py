@@ -30,23 +30,23 @@ SEED = 7
 GOLDEN = {
     "scenario_pi_half.cfg": {
         "report_feedback_off.json":
-            "b4875c91aa4313e4a9c74c24f91f61bb948e4b109201c7b508c2b617e830d880",
+            "58b6f2cd470da88e0c12a35a8254b99864ec290108805957d37e6140ec47e4b3",
         "report_feedback_on.json":
-            "37521819a62efc2964a20940576c2280a2a73209ec6e45473586891738254cc1",
+            "aff6cd993c1b0aeacf5310f2c2b0dbce9ced2cbfc9b6d4948f3ab8d47771154a",
         "histogram.bin":
-            "c3a90c17b64e84ebb7259d9dc2dd16acc8ea4c397426342648560c02589f42f4",
+            "0611c313f443e0cb9de7449e88fca6523505664f8b2a9b443efbc36b7594131e",
         "readout_fidelity.json":
-            "0c21af3323e02028d46111c96d9e9c8863d4d6c4589fde2893edf30074cabe0c",
+            "8c06585311d2d43639f0a201a51b03e84ea28324bcb533093f39d0a249bb6838",
     },
     "scenario_thermal.cfg": {
         "report_feedback_off.json":
-            "3dd37b12605b4fc16bc44cb7876708ced0bf9b07746ccafad23f2d28f8e771b0",
+            "393d9863dafe12cdea9034794e41a4ff70ff4f3cdcadbc7c5c38f06b25730c41",
         "report_feedback_on.json":
-            "d959f39c884dfc83be5752a8ba544ebcf51d81f890000c1d0e40b30a3beff807",
+            "3c4e1b733ae1c60aac45bb73598d3fc47ca1fe5a45ef1d3f57afdcffa82f06cb",
         "histogram.bin":
-            "fb412d326e01332a45d209377158671039008a7dd8e0484c8a1aa714b2ff837a",
+            "0521cdbda80e5c73b1f243bdcd42b74191acf691ba186d488df4a378560c9c94",
         "readout_fidelity.json":
-            "0c21af3323e02028d46111c96d9e9c8863d4d6c4589fde2893edf30074cabe0c",
+            "8c06585311d2d43639f0a201a51b03e84ea28324bcb533093f39d0a249bb6838",
     },
 }
 
@@ -58,7 +58,7 @@ JSON_OUTPUTS = {
     "calibrate-noise":
         "b53bb231c03fa8e5d1bebecdfa4919e6de01964c310aef2c097cd63d85622700",
     "optimize-threshold":
-        "494ff8fbf8abedc8837057aebfa86c3744540c52157b59326a9f1fd29fcc3da9",
+        "ed19980b32662a888a37ca5b76e6718dcfe29fcd11c972b3b5081e3d87c3535c",
     "latency-report":
         "ff7e17e3a7083610c2af02ea49d07d6eec361345e95711c2c866da247c967ad3",
 }
@@ -66,17 +66,17 @@ JSON_OUTPUTS = {
 # run-experiment --feedback both on the pi/2 scenario at REPS and SEED
 HISTOGRAM_CSVS = {
     "marginal_i1_feedback_off.csv":
-        "50102652fb255e4b3ff3dd199a230d9a37150f26065ada5db314e6201c76f286",
+        "94c7d627b5788363d9fa94a55865773320b1c75690edd94c71cfa3945c5227dd",
     "marginal_i1_feedback_on.csv":
-        "50102652fb255e4b3ff3dd199a230d9a37150f26065ada5db314e6201c76f286",
+        "94c7d627b5788363d9fa94a55865773320b1c75690edd94c71cfa3945c5227dd",
     "marginal_i2_feedback_off.csv":
-        "c1f48561c3bc02854f26ceeabe9498fedd5e47c80a12ce1b416b208a5af52627",
+        "b9f928ab2b0fc2ea33071c7a3f54e6e4bb7d81bed322017652630c315e653cd3",
     "marginal_i2_feedback_on.csv":
-        "e61653a3c42a3fe2d963f324bc9097036727a04935d3605adc732c26f1837808",
+        "62137e63e4744ebd129f43b707ee03a750349e6d782be4f97c182bae6d77491c",
     "joint_i1_i2_feedback_off.csv":
-        "c9c2eff6eb7f06d7550ae173af254e7094812462dd973cb185194cc35b1f2f26",
+        "c76d514bb7fde325c78d0d3f5bd3821386a164242d3d0f85395bb463db5e7d34",
     "joint_i1_i2_feedback_on.csv":
-        "d956b162f07f77de91ff8e01aa77363a05ca369935b81683718723971bc3e8e7",
+        "ab764212d872d32495926c7946c2ed0ebda9ed0fec23d9f320c19f8b579ab621",
 }
 
 
