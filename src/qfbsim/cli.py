@@ -84,7 +84,7 @@ def _build_parser() -> _Parser:
     run.add_argument("--out-dir", required=True)
     run.add_argument("--repetitions", type=int, help="override the document")
     run.add_argument("--feedback", choices=("off", "on", "both"),
-                     default="both")
+                     default="both", help="feedback arms to run")
     run.add_argument("--jobs", type=_worker_count, default=os.cpu_count() or 1)
 
     lat = sub.add_parser("latency-report", help="print the latency budget")
@@ -178,8 +178,7 @@ def cmd_run_experiment(args) -> int:
         print(_summary_line(comp.off))
         print(_summary_line(comp.on))
     else:
-        cfg = replace(cfg, feedback_enabled=args.feedback == "on")
-        rep = run_experiment(cfg, jobs=args.jobs)
+        rep = run_experiment(cfg, feedback=args.feedback == "on", jobs=args.jobs)
         _write_text(out_dir / "report.json", rep.to_json() + "\n")
         (out_dir / "histogram.bin").write_bytes(rep.histogram.dump_bytes())
         _write_marginals(out_dir, rep.histogram, 0, "")

@@ -23,8 +23,6 @@ VOLTAGE_UNITS = {"V": 1.0, "mV": 1e-3}
 TEMPERATURE_UNITS = {"K": 1.0, "mK": 1e-3}
 FRACTION_UNITS = {"%": 1e-2}
 
-_BOOL_WORDS = {"on": True, "true": True, "off": False, "false": False}
-
 
 class ConfigFileError(ValueError):
     """Carries the full list of problems found in a config document."""
@@ -37,7 +35,7 @@ class ConfigFileError(ValueError):
 @dataclass(frozen=True)
 class _Field:
     units: dict | None = None      # unit table for dimensioned quantities
-    kind: str = "quantity"         # quantity | int | bool | choice
+    kind: str = "quantity"         # quantity | int | choice
     choices: tuple = ()
 
 
@@ -56,7 +54,6 @@ SCHEMA = {
     "pipeline.delay": _Field(kind="int"),
     "pipeline.scale_shift": _Field(kind="int"),
     "experiment.scenario": _Field(kind="choice", choices=SCENARIOS),
-    "experiment.feedback": _Field(kind="bool"),
     "experiment.repetitions": _Field(kind="int"),
     "experiment.master_seed": _Field(kind="int"),
     "experiment.threshold": _Field(VOLTAGE_UNITS),
@@ -66,7 +63,6 @@ _DEVICE_SCALE = {"device.kappa": 2.0 * math.pi, "device.chi": 2.0 * math.pi}
 
 # ExperimentConfig arguments a document may set; the rest keep their defaults
 _EXPERIMENT_ARGS = {
-    "experiment.feedback": "feedback_enabled",
     "experiment.repetitions": "repetitions",
     "experiment.master_seed": "master_seed",
     "experiment.threshold": "threshold_volts",
@@ -113,11 +109,6 @@ def parse_document(text: str) -> dict[str, tuple[int, str]]:
 def _convert(key: str, lineno: int, value: str, errors: list):
     field = SCHEMA[key]
     tokens = _split_tokens(value)
-    if field.kind == "bool":
-        flag = _BOOL_WORDS.get(value.lower())
-        if flag is None:
-            errors.append(f"line {lineno}: '{key}' expects on/off/true/false")
-        return flag
     if field.kind == "choice":
         if value not in field.choices:
             errors.append(f"line {lineno}: '{key}' must be one of "

@@ -8,7 +8,7 @@ One repetition spans a 660 ns window sampled once per pipeline clock
     t = tau_RO   first integration window (l samples) ends; threshold
                  comparison produces the feedback bit
     t = t_pi     conditional pi pulse center: applied iff the feedback
-                 bit fired and feedback is enabled
+                 bit fired and the run's arm has feedback on
     t = 360 ns   second readout pulse M2, second integration window
 
 The ADC stream reaching the pipeline lags the trigger lane by the ADC
@@ -16,11 +16,12 @@ link's transport skew of pipeline.SYNC_DEPTH samples, the depth of the
 trigger synchronizer that matches it; that is what lines the
 integration window up with the readout pulse.
 
-run_experiment drives a vectorized Monte Carlo of the full loop (exact
-exponential jump times from _sample_jump_columns, the package's one jump
-sampler; closed-form cavity envelope propagation; the bit-exact
-pipeline) and reports quadrant statistics next to an independent
-analytic rate-equation prediction.  The Monte Carlo only draws noise
+run_experiment (one feedback arm, chosen by the run) and
+run_feedback_comparison (both arms) drive a vectorized Monte Carlo of
+the full loop (exact exponential jump times from _sample_jump_columns,
+the package's one jump sampler; closed-form cavity envelope
+propagation; the bit-exact pipeline) and report quadrant statistics
+next to an independent analytic rate-equation prediction.  The Monte Carlo only draws noise
 for, and synthesizes, the 2 l samples inside the two integration
 windows, draws jump times only for the repetitions still jumping, and
 evaluates the pipeline only at the two readout ticks (scaled_iq_at),
@@ -53,7 +54,6 @@ from .fxp import (
     SHIFT_MIN,
     ConfigError,
     FxpSample,
-    quantize,
     quantize_flagged,
 )
 from .histo import HistogramRam, correlation_addresses
@@ -98,11 +98,6 @@ class CalibrationError(RuntimeError):
     """A calibration target cannot be reached with this configuration."""
 
 
-def threshold_sample(threshold_volts: float) -> FxpSample:
-    """Threshold quantized onto the filtered-signal grid."""
-    return quantize(threshold_volts, FILTER_WIDTH)
-
-
 def _filter_offset(volts: float, name: str) -> FxpSample:
     """An offset quantized onto the filtered-signal grid, which it must fit."""
     sample, clipped = quantize_flagged(volts, FILTER_WIDTH)
@@ -121,11 +116,13 @@ class ExperimentConfig:
     threshold becomes the in-phase offset (so the sign bit of the scaled
     output is the state decision) and the quadrature offset cancels the
     state-independent component of the filtered signal.
+
+    Feedback is not a setting: each run names its arms (the feedback
+    argument of run_experiment; run_feedback_comparison runs both).
     """
 
     device: DeviceParams
     scenario: str
-    feedback_enabled: bool = True
     repetitions: int = 1 << 17
     master_seed: int = 1
     threshold_volts: float = 0.016
@@ -514,16 +511,9 @@ def _run_chunks(cfg: ExperimentConfig, protocol: _Protocol, stream_id: int,
     return list(zip(*chunks))
 
 
-def _run_mc(cfg: ExperimentConfig, protocol: _Protocol, *, stream_id: int = 0,
-            jobs: int = 1, parts: list | None = None) -> _McResult:
-    """One Monte Carlo ensemble at cfg's feedback setting.
-
-    parts, when given, holds the per-chunk outputs _run_chunks already
-    computed for this setting; otherwise the chunks run here.
-    """
-    if parts is None:
-        (parts,) = _run_chunks(cfg, protocol, stream_id, jobs,
-                               (cfg.feedback_enabled,))
+def _run_mc(protocol: _Protocol, parts: list) -> _McResult:
+    """One arm's Monte Carlo ensemble from its per-chunk outputs, as
+    _run_chunks returns them for that arm."""
     it1 = np.concatenate([p[0] for p in parts])
     qt1 = np.concatenate([p[1] for p in parts])
     fb1 = np.concatenate([p[2] for p in parts])
@@ -532,7 +522,7 @@ def _run_mc(cfg: ExperimentConfig, protocol: _Protocol, *, stream_id: int = 0,
         it2 = np.concatenate([p[3] for p in parts])
         qt2 = np.concatenate([p[4] for p in parts])
     saturated = sum(p[5] for p in parts)
-    return _McResult(n=cfg.repetitions, it1=it1, qt1=qt1, fb1=fb1,
+    return _McResult(n=it1.size, it1=it1, qt1=qt1, fb1=fb1,
                      it2=it2, qt2=qt2, saturated=saturated)
 
 
@@ -641,19 +631,19 @@ def calibrate_noise(target_overlap: float, cfg: ExperimentConfig) -> float:
     return sigma
 
 
-def oracle_probabilities(cfg: ExperimentConfig,
-                         overlap: float | None = None) -> dict:
+def oracle_probabilities(cfg: ExperimentConfig, feedback: bool,
+                         overlap: float) -> dict:
     """Rate-equation prediction of the report probabilities.
 
     Populations propagate with the total relaxation rate toward the
     thermal equilibrium, the first measurement projects the state at the
     integration-window center, readout misidentification enters as a
     symmetric flip with probability overlap/2, and the conditional pi
-    acts as an ideal population swap on feedback-on records.  overlap,
-    when given, is overlap_probability(cfg) computed by the caller.
+    acts as an ideal population swap when feedback is on.  overlap is
+    overlap_probability(cfg), computed by the caller.
     """
     dev = cfg.device
-    eps = (overlap_probability(cfg) if overlap is None else overlap) / 2.0
+    eps = overlap / 2.0
     c1 = cfg.window_center_ns * NS
     c2 = (M2_START_NS + cfg.window_center_ns) * NS
     t_pi = cfg.t_pi_ns * NS
@@ -670,7 +660,7 @@ def oracle_probabilities(cfg: ExperimentConfig,
                 continue
             pe = 1.0 if actual_e else 0.0
             pe = _propagate_excited(pe, t_pi - c1, dev)
-            if cfg.feedback_enabled and read_e:
+            if feedback and read_e:
                 pe = 1.0 - pe
             pe = _propagate_excited(pe, c2 - t_pi, dev)
             # both read probabilities are formed the same way so that the
@@ -759,8 +749,8 @@ def _protocol_for(cfg: ExperimentConfig) -> _Protocol:
     return _Protocol(init_gate=gate, double=True)
 
 
-def _assemble_report(cfg: ExperimentConfig, res: _McResult, ram: HistogramRam,
-                     overlap: float) -> ExperimentReport:
+def _assemble_report(cfg: ExperimentConfig, feedback: bool, res: _McResult,
+                     ram: HistogramRam, overlap: float) -> ExperimentReport:
     n = res.n
     e1 = res.it1 >= 0
     e2 = res.it2 >= 0
@@ -775,7 +765,7 @@ def _assemble_report(cfg: ExperimentConfig, res: _McResult, ram: HistogramRam,
     p_e2 = quadrants["ge"] + quadrants["ee"]
     return ExperimentReport(
         scenario=cfg.scenario,
-        feedback_enabled=cfg.feedback_enabled,
+        feedback_enabled=feedback,
         repetitions=n,
         master_seed=cfg.master_seed,
         p_e1=p_e1,
@@ -784,7 +774,7 @@ def _assemble_report(cfg: ExperimentConfig, res: _McResult, ram: HistogramRam,
         p_e2_err=_binomial_err(p_e2, n),
         quadrants=quadrants,
         quadrant_errs={k: _binomial_err(quadrants[k], n) for k in QUADRANT_KEYS},
-        oracle=oracle_probabilities(cfg, overlap),
+        oracle=oracle_probabilities(cfg, feedback, overlap),
         latency=_latency_echo(cfg),
         config_echo=_config_echo(cfg),
         adc_saturated=res.saturated,
@@ -792,12 +782,34 @@ def _assemble_report(cfg: ExperimentConfig, res: _McResult, ram: HistogramRam,
     )
 
 
-def run_experiment(cfg: ExperimentConfig, *, jobs: int = 1) -> ExperimentReport:
-    """Simulate the full two-measurement feedback protocol."""
-    res = _run_mc(cfg, _protocol_for(cfg), stream_id=0, jobs=jobs)
-    ram = HistogramRam(segment_count=1)
-    ram.update_addresses(correlation_addresses(res.it1, res.it2, res.qt2, seg=0))
-    return _assemble_report(cfg, res, ram, overlap_probability(cfg))
+def _run_arms(cfg: ExperimentConfig, feedback: tuple,
+              jobs: int) -> list[ExperimentReport]:
+    """One report per feedback arm, all sharing one histogram RAM in
+    which arm k fills segment k.
+
+    Every arm comes out of one pass over the chunks: each chunk's first
+    phase runs once and branches into the arms, so an arm's report is
+    the same whichever arms run beside it.  The readout overlap does not
+    depend on the arm, so every oracle shares one computation of it.
+    """
+    protocol = _protocol_for(cfg)
+    per_arm = _run_chunks(cfg, protocol, 0, jobs, feedback)
+    overlap = overlap_probability(cfg)
+    ram = HistogramRam(segment_count=len(feedback))
+    reports = []
+    for seg, (enabled, parts) in enumerate(zip(feedback, per_arm)):
+        res = _run_mc(protocol, parts)
+        ram.update_addresses(correlation_addresses(res.it1, res.it2, res.qt2,
+                                                   seg=seg))
+        reports.append(_assemble_report(cfg, enabled, res, ram, overlap))
+    return reports
+
+
+def run_experiment(cfg: ExperimentConfig, *, feedback: bool = True,
+                   jobs: int = 1) -> ExperimentReport:
+    """Simulate the two-measurement protocol with feedback on or off."""
+    (report,) = _run_arms(cfg, (feedback,), jobs)
+    return report
 
 
 @dataclass
@@ -809,27 +821,10 @@ class FeedbackComparison:
 
 def run_feedback_comparison(cfg: ExperimentConfig, *,
                             jobs: int = 1) -> FeedbackComparison:
-    """Same-seed feedback-off and feedback-on runs sharing one histogram.
-
-    Both arms come out of one pass over the chunks: each chunk's first
-    phase runs once and branches into the two arms, which are
-    byte-identical to two separate run_experiment calls.  The readout
-    overlap does not depend on the feedback setting, so both arms'
-    oracles share one computation of it.
-    """
-    protocol = _protocol_for(cfg)
-    arms = (False, True)
-    per_arm = _run_chunks(cfg, protocol, 0, jobs, arms)
-    overlap = overlap_probability(cfg)
-    ram = HistogramRam(segment_count=2)
-    reports = []
-    for seg, (enabled, parts) in enumerate(zip(arms, per_arm)):
-        sub = replace(cfg, feedback_enabled=enabled)
-        res = _run_mc(sub, protocol, parts=parts)
-        ram.update_addresses(correlation_addresses(res.it1, res.it2, res.qt2,
-                                                   seg=seg))
-        reports.append(_assemble_report(sub, res, ram, overlap))
-    return FeedbackComparison(off=reports[0], on=reports[1], histogram=ram)
+    """Same-seed feedback-off and feedback-on runs sharing one histogram;
+    each arm is byte-identical to run_experiment with that feedback."""
+    off, on = _run_arms(cfg, (False, True), jobs)
+    return FeedbackComparison(off=off, on=on, histogram=off.histogram)
 
 
 # ---------------------------------------------------------------------------
@@ -854,10 +849,15 @@ class ReadoutFidelity:
 def _calibration_ensembles(cfg: ExperimentConfig,
                            jobs: int) -> tuple[_McResult, _McResult]:
     """The single-readout ensembles both calibrations read: no pulse
-    (stream id 1) and a pi pulse at the first pulse's start (stream id 2)."""
-    res_g = _run_mc(cfg, _Protocol("none", double=False), stream_id=1, jobs=jobs)
-    res_e = _run_mc(cfg, _Protocol("pi", double=False), stream_id=2, jobs=jobs)
-    return res_g, res_e
+    (stream id 1) and a pi pulse at the first pulse's start (stream id 2).
+    Nothing after the conditional pi is read, so each runs one arm with
+    feedback off; feedback on would give the same."""
+    ensembles = []
+    for stream_id, gate in ((1, "none"), (2, "pi")):
+        protocol = _Protocol(gate, double=False)
+        (parts,) = _run_chunks(cfg, protocol, stream_id, jobs, (False,))
+        ensembles.append(_run_mc(protocol, parts))
+    return tuple(ensembles)
 
 
 def readout_fidelity(cfg: ExperimentConfig, *, jobs: int = 1) -> ReadoutFidelity:

@@ -67,9 +67,6 @@ class FxpSample:
         if not self.lsb_volts > 0.0:
             raise ValueError("lsb_volts must be positive")
 
-    def to_volts(self) -> float:
-        return self.raw * self.lsb_volts
-
 
 def quantize(volts: float, width: int, lsb_volts: float = ADC_LSB_VOLTS) -> FxpSample:
     """Quantize a voltage: round half away from zero, then saturate."""

@@ -99,9 +99,6 @@ class HistogramRam:
 
     # -- analysis -------------------------------------------------------------
 
-    def saturated_addresses(self) -> np.ndarray:
-        return np.flatnonzero(self.words == WORD_MAX)
-
     def correlation_counts(self) -> np.ndarray:
         """Shadow counts reshaped to (i2, q, i1, seg)."""
         return self.shadow.reshape(128, 32, 128, 4)

@@ -1,8 +1,7 @@
 """Feedback-latency bookkeeping.
 
-Composes the end-to-end feedback latency out of its contributions and
-converts cable group delay to physical length.  All durations are in
-nanoseconds.  The digital terms and the trigger-to-feedback delay come
+Composes the end-to-end feedback latency out of its contributions.  All
+durations are in nanoseconds.  The digital terms and the trigger-to-feedback delay come
 from the cycle-accurate machine in qfbsim.pipeline; the converter
 latency tau_adc is the one analog term of the digital chain.
 """
@@ -19,9 +18,6 @@ from .pipeline import (
     PipelineConfig,
     trigger_to_eval_cycles,
 )
-
-SPEED_OF_LIGHT = 299792458.0  # m/s
-
 
 @dataclass(frozen=True)
 class LatencyBudget:
@@ -117,15 +113,6 @@ def trigger_to_fb_delay(pipeline: PipelineConfig,
     if budget is None:
         budget = LatencyBudget()
     return budget.tau_adc + (trigger_to_eval_cycles(pipeline) + 1) * CLOCK_PERIOD_NS
-
-
-def cable_length(tau_g_ns: float, eps_eff: float) -> float:
-    """Cable length (m) from group delay and effective dielectric constant."""
-    if eps_eff < 1.0:
-        raise ValueError("eps_eff must be at least 1")
-    if tau_g_ns < 0:
-        raise ValueError("group delay must be non-negative")
-    return tau_g_ns * 1e-9 * SPEED_OF_LIGHT / math.sqrt(eps_eff)
 
 
 def integration_delay_setting(tau_ro_ns: float) -> int:

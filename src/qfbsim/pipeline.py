@@ -158,19 +158,17 @@ class TickOutput:
     fb2: int
 
 
-def mixer_fs4(sample: FxpSample, phase: int) -> tuple[FxpSample, FxpSample]:
-    """Multiplier-less fs/4 down-conversion of one sample.
+def mixer_fs4(raw: int, phase: int) -> tuple[int, int]:
+    """Multiplier-less fs/4 down-conversion of one raw ADC sample.
 
     The cosine sequence (1, 0, -1, 0) and negated sine sequence
     (0, -1, 0, 1) take only values in {-1, 0, 1}, so the product reduces
-    to selection and negation.  Output width grows to 15 bits because
-    -(-8192) is not a 14-bit value.
+    to selection and negation.  The outputs are MIXER_WIDTH (15) bits
+    wide because -(-8192) is not a 14-bit value.
     """
     if phase not in (0, 1, 2, 3):
         raise ValueError(f"phase {phase} outside 0..3")
-    re = FxpSample(sample.raw * COS_SEQ[phase], MIXER_WIDTH, sample.lsb_volts)
-    im = FxpSample(sample.raw * NSIN_SEQ[phase], MIXER_WIDTH, sample.lsb_volts)
-    return re, im
+    return raw * COS_SEQ[phase], raw * NSIN_SEQ[phase]
 
 
 class MovingAverageBranch:
@@ -242,8 +240,8 @@ def tick(config: PipelineConfig, state: PipelineState, adc_sample: FxpSample,
     y = sign_bit(q_t)
     edge = state.tr_b & (1 - state.tr_b_prev)
     fbt_comb = state.dline[-1] if config.delay else edge
-    fb_comb = config.lut1[(x << 1) | y] & fbt_comb
-    fb2_comb = config.lut2[(x << 1) | y] & fbt_comb
+    fb_comb = discriminate(x, y, config.lut1) & fbt_comb
+    fb2_comb = discriminate(x, y, config.lut2) & fbt_comb
 
     out = TickOutput(
         cycle=cycle,
@@ -271,8 +269,7 @@ def tick(config: PipelineConfig, state: PipelineState, adc_sample: FxpSample,
     state.q_reg = state.ma_im.step_raw(state.mix_im)
 
     # Mixer consumes the current ADC register and its captured phase.
-    state.mix_re = state.adc_raw * COS_SEQ[state.adc_phase]
-    state.mix_im = state.adc_raw * NSIN_SEQ[state.adc_phase]
+    state.mix_re, state.mix_im = mixer_fs4(state.adc_raw, state.adc_phase)
 
     # ADC register captures the new sample, stamped with the running phase.
     state.adc_raw = adc_sample.raw

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import fxp
 from .fxp import ADC_WIDTH, ConfigError, FxpSample
-from .pipeline import CLOCK_PERIOD_NS
+from .pipeline import CLOCK_PERIOD_NS, COS_SEQ, NSIN_SEQ
 
 PLANCK = 6.62607015e-34      # J s
 BOLTZMANN = 1.380649e-23     # J / K
@@ -203,10 +203,11 @@ def envelope_at_times(params: DeviceParams, schedule: PulseSchedule,
 
 
 def carrier_tables(n: int, phase_offset: int) -> tuple[np.ndarray, np.ndarray]:
-    """cos/sin of the quarter-rate carrier at sample indices 0..n-1."""
+    """cos/sin of the quarter-rate carrier at sample indices 0..n-1: the
+    demodulator's local oscillator, pipeline.COS_SEQ and -NSIN_SEQ."""
     idx = (np.arange(n) + phase_offset) & 3
-    cos = np.array([1, 0, -1, 0])[idx]
-    sin = np.array([0, 1, 0, -1])[idx]
+    cos = np.array(COS_SEQ)[idx]
+    sin = -np.array(NSIN_SEQ)[idx]
     return cos, sin
 
 

@@ -75,9 +75,9 @@ def test_criterion_01_mixer_equivalence_exhaustive():
         nsin_ref = round(-math.sin(math.pi * phase / 2))
         assert (cos_ref, nsin_ref) == (COS_SEQ[phase], NSIN_SEQ[phase])
         for raw in range(-8192, 8192):
-            re, im = mixer_fs4(FxpSample(raw, 14), phase)
-            assert re.raw == raw * cos_ref
-            assert im.raw == raw * nsin_ref
+            re, im = mixer_fs4(raw, phase)
+            assert re == raw * cos_ref
+            assert im == raw * nsin_ref
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     print(f"[criterion 1] PASS mixer == multiplier reference on 2^14 x 4 "

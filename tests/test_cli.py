@@ -25,7 +25,6 @@ device.amp_ss = 600 mV
 device.offset_i = 13 mV
 
 experiment.scenario = thermal_init
-experiment.feedback = off
 experiment.repetitions = 4096
 experiment.master_seed = 42
 experiment.threshold = 16 mV
@@ -50,7 +49,6 @@ def test_parse_good_document():
     assert cfg.device.p_therm == pytest.approx(
         thermal_population(0.114, 6.148e9), abs=1e-12)
     assert cfg.scenario == THERMAL_INIT
-    assert cfg.feedback_enabled is False
     assert cfg.repetitions == 4096
     assert cfg.master_seed == 42
     assert target == pytest.approx(0.03)
@@ -88,8 +86,6 @@ def test_unit_enforcement():
         load_text("device.t1 = fast us\n")
     with pytest.raises(ConfigFileError, match="expects an integer"):
         load_text("experiment.repetitions = 10 ns\n")
-    with pytest.raises(ConfigFileError, match="on/off/true/false"):
-        load_text("experiment.feedback = maybe\n")
     with pytest.raises(ConfigFileError, match="must be one of"):
         load_text("experiment.scenario = superposition\n")
 
@@ -208,13 +204,20 @@ def test_bad_config_lists_every_error(tmp_path, capsys):
     assert "unknown key 'device.nope'" in err
 
 
-@pytest.mark.parametrize("key", ["device.f_s = 200 MHz", "device.f_if = 50 MHz"])
+@pytest.mark.parametrize("key", ["device.f_s = 200 MHz", "device.f_if = 50 MHz",
+                                 "experiment.feedback = off"])
 def test_sample_rate_is_not_a_config_key(tmp_path, capsys, key):
-    # the sample rate is the pipeline clock; a document cannot set it
+    # the sample rate is the pipeline clock and feedback is chosen by
+    # --feedback; a document can set neither
     doc = tmp_path / "rate.cfg"
     doc.write_text(key + "\n")
     assert cli.main(["calibrate-noise", "--config", str(doc)]) == 1
     assert f"unknown key '{key.split()[0]}'" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert cli.main(["run-experiment", "--config", str(doc), "--repetitions",
+                     "64", "--out-dir", str(out)]) == 1
+    assert f"unknown key '{key.split()[0]}'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("delay,rc", [(12, 0), (13, 1)])

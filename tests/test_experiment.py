@@ -14,6 +14,7 @@ from qfbsim.experiment import (
     ExperimentConfig,
     _Protocol,
     _config_echo,
+    _run_chunks,
     _run_mc,
     calibrate_noise,
     noiseless_filtered_means,
@@ -23,9 +24,9 @@ from qfbsim.experiment import (
     readout_fidelity,
     run_experiment,
     run_feedback_comparison,
-    threshold_sample,
 )
-from qfbsim.fxp import ADC_LSB_VOLTS, ConfigError
+from qfbsim.fxp import ADC_LSB_VOLTS, ConfigError, quantize
+from qfbsim.pipeline import FILTER_WIDTH
 from qfbsim.sigmodel import DeviceParams, thermal_population
 
 P_THERM = thermal_population(0.114, 6.148e9)
@@ -37,11 +38,15 @@ def bench_device(**kw):
     return DeviceParams(**base)
 
 
-def make_config(scenario=PI_HALF_INIT, *, device=None, feedback=False,
-                reps=8192, seed=11, threshold=0.016):
+def make_config(scenario=PI_HALF_INIT, *, device=None, reps=8192, seed=11,
+                threshold=0.016):
     return ExperimentConfig(device=device or bench_device(), scenario=scenario,
-                            feedback_enabled=feedback, repetitions=reps,
-                            master_seed=seed, threshold_volts=threshold)
+                            repetitions=reps, master_seed=seed,
+                            threshold_volts=threshold)
+
+
+def oracle(cfg, feedback=False):
+    return oracle_probabilities(cfg, feedback, overlap_probability(cfg))
 
 
 def calibrated(cfg, target=0.03):
@@ -64,7 +69,7 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         replace(good, delay=2)
     # the pipeline follows the threshold instead of contradicting it
-    assert replace(good, threshold_volts=0.05).pipeline.c_i == threshold_sample(0.05)
+    assert replace(good, threshold_volts=0.05).pipeline.c_i == quantize(0.05, FILTER_WIDTH)
 
 
 @pytest.mark.parametrize("change", [
@@ -102,8 +107,9 @@ def test_offsets_must_fit_the_filtered_signal_grid():
 
 
 def test_threshold_quantization():
-    assert threshold_sample(0.016).raw == 131
-    assert threshold_sample(0.016).to_volts() == pytest.approx(0.016, abs=1e-4)
+    c_i = make_config(threshold=0.016).pipeline.c_i
+    assert c_i.raw == 131
+    assert c_i.raw * c_i.lsb_volts == pytest.approx(0.016, abs=1e-4)
 
 
 def test_default_pipeline_shape():
@@ -113,7 +119,7 @@ def test_default_pipeline_shape():
     assert pipe.lut1 == (1, 1, 0, 0)
     assert _config_echo(cfg)["pipeline"]["sync_depth"] == 6
     q_mean = 0.3 * bench_device().steady_alpha(0).real
-    assert pipe.c_q.to_volts() == pytest.approx(q_mean, abs=1e-4)
+    assert pipe.c_q.raw * pipe.c_q.lsb_volts == pytest.approx(q_mean, abs=1e-4)
 
 
 def test_timing_properties():
@@ -185,14 +191,14 @@ def test_calibrate_noise_rejects_bad_targets():
 
 def test_oracle_frozen_perfect_readout():
     dev = bench_device(t1=math.inf, p_therm=0.0, noise_sigma=0.0)
-    orc = oracle_probabilities(make_config(device=dev))
+    orc = oracle(make_config(device=dev))
     assert orc["quadrants"] == {"gg": 0.5, "ge": 0.0, "eg": 0.0, "ee": 0.5}
     assert orc["p_e1"] == 0.5 and orc["p_e2"] == 0.5
 
 
 def test_oracle_thermal_first_measurement():
     cfg = calibrated(make_config(THERMAL_INIT))
-    orc = oracle_probabilities(cfg)
+    orc = oracle(cfg)
     eps = orc["readout_flip"]
     p = cfg.device.p_therm
     expect = p * (1 - eps) + (1 - p) * eps
@@ -204,8 +210,8 @@ def test_oracle_swap_identity_without_decay():
     # the two first-excited quadrants exactly
     for sigma in (0.02, 0.05, 0.09):
         dev = bench_device(t1=math.inf, p_therm=0.0, noise_sigma=sigma)
-        off = oracle_probabilities(make_config(device=dev, feedback=False))
-        on = oracle_probabilities(make_config(device=dev, feedback=True))
+        off = oracle(make_config(device=dev), feedback=False)
+        on = oracle(make_config(device=dev), feedback=True)
         assert on["quadrants"]["ee"] == off["quadrants"]["eg"]
         assert on["quadrants"]["eg"] == off["quadrants"]["ee"]
         assert on["quadrants"]["gg"] == off["quadrants"]["gg"]
@@ -216,8 +222,8 @@ def test_oracle_swap_identity_without_decay():
 def test_oracle_quadrants_sum_to_one():
     for scenario in (PI_HALF_INIT, THERMAL_INIT):
         for feedback in (False, True):
-            cfg = calibrated(make_config(scenario, feedback=feedback))
-            orc = oracle_probabilities(cfg)
+            cfg = calibrated(make_config(scenario))
+            orc = oracle(cfg, feedback)
             assert sum(orc["quadrants"].values()) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -227,7 +233,7 @@ def test_oracle_quadrants_sum_to_one():
 
 def test_perfect_feedback_removes_excited_population():
     dev = bench_device(t1=math.inf, p_therm=0.0, noise_sigma=0.0)
-    rep = run_experiment(make_config(device=dev, feedback=True, reps=4096))
+    rep = run_experiment(make_config(device=dev, reps=4096), feedback=True)
     assert rep.p_e2 == 0.0
     assert rep.quadrants["ge"] == 0.0 and rep.quadrants["ee"] == 0.0
     assert rep.p_e1 == pytest.approx(0.5, abs=0.03)
@@ -238,7 +244,9 @@ def test_noiseless_outputs_match_reference_synthesis():
     # the two levels predicted by the standalone waveform model
     dev = bench_device(t1=math.inf, p_therm=0.0, noise_sigma=0.0)
     cfg = make_config(device=dev, reps=512)
-    res = _run_mc(cfg, _Protocol("pi_half", double=True))
+    protocol = _Protocol("pi_half", double=True)
+    (parts,) = _run_chunks(cfg, protocol, 0, 1, (False,))
+    res = _run_mc(protocol, parts)
     mu_g, mu_e = noiseless_filtered_means(cfg)
     lvl_g = (round(mu_g / ADC_LSB_VOLTS) - 131) << 3
     lvl_e = (round(mu_e / ADC_LSB_VOLTS) - 131) << 3
@@ -354,7 +362,7 @@ def test_optimize_threshold_below_configured_value():
     assert best < 0.016
     assert best > 0.0
     # the optimized threshold applies to the configuration it came from
-    assert replace(cfg, threshold_volts=best).pipeline.c_i == threshold_sample(best)
+    assert replace(cfg, threshold_volts=best).pipeline.c_i == quantize(best, FILTER_WIDTH)
 
 
 def test_optimize_threshold_midpoint_for_symmetric_ensembles():

@@ -336,10 +336,10 @@ def test_jump_sampler_matches_dense_loop_bitwise(seed, reps, gamma_down,
     assert np.array_equal(state, before)
 
 
-def _reference_chunk(cfg, protocol, stream_id, chunk_idx, reps):
+def _reference_chunk(cfg, protocol, stream_id, chunk_idx, reps, feedback):
     """The chunk as the whole window would compute it: every segment of
     the envelope propagated, every sample synthesized, every tick of the
-    72-tick stream run, same draws, one feedback setting.  The noise is
+    72-tick stream run, same draws, the one feedback setting given.  The noise is
     drawn for the observed columns only and scattered into a zero
     (reps, N_SOURCE) array, so any draw for another column would shift
     every later one."""
@@ -393,7 +393,7 @@ def _reference_chunk(cfg, protocol, stream_id, chunk_idx, reps):
     m1 = cfg.eval_tick(ex.TRIG1_TICK)
     fb1 = pipeline(quantize_array(volts())[0], False).fb[:, m1 + 1]
 
-    if protocol.double and cfg.feedback_enabled:
+    if protocol.double and feedback:
         state = np.where(fb1.astype(bool), state ^ 1, state)
     segments(b_segs if protocol.double
              else [(b_segs[0][0], b_segs[-1][1], False)], state)
@@ -426,15 +426,15 @@ CASES = [
 ]
 
 
-def _chunk_both_ways(cfg, protocol, stream_id, chunk_idx, reps):
-    """The chunk run for cfg's feedback setting alone, and branched from
+def _chunk_both_ways(cfg, protocol, stream_id, chunk_idx, reps, feedback):
+    """The chunk run for one feedback setting alone, and branched from
     one first phase into both settings; both must give the same output."""
     (alone,) = ex._run_chunk(cfg, protocol, stream_id, chunk_idx, reps,
-                             (cfg.feedback_enabled,))
+                             (feedback,))
     branched = ex._run_chunk(cfg, protocol, stream_id, chunk_idx, reps,
                              (False, True))
     assert len(branched) == 2
-    return alone, branched[cfg.feedback_enabled]
+    return alone, branched[feedback]
 
 
 def _assert_chunk_equal(got, want):
@@ -450,12 +450,11 @@ def _assert_chunk_equal(got, want):
 @pytest.mark.parametrize("feedback", [False, True])
 def test_chunk_matches_full_window_reference(scenario, dev_kw, protocol, feedback):
     cfg = ex.ExperimentConfig(device=_device(**dev_kw), scenario=scenario,
-                              feedback_enabled=feedback, repetitions=300,
-                              master_seed=5)
+                              repetitions=300, master_seed=5)
     if protocol == DOUBLE:
         protocol = ex._protocol_for(cfg)
-    want = _reference_chunk(cfg, protocol, 3, 1, 300)
-    for got in _chunk_both_ways(cfg, protocol, 3, 1, 300):
+    want = _reference_chunk(cfg, protocol, 3, 1, 300, feedback)
+    for got in _chunk_both_ways(cfg, protocol, 3, 1, 300, feedback):
         _assert_chunk_equal(got, want)
         if dev_kw.get("noise_sigma") == 0.4:
             assert got[5] > 0
@@ -463,12 +462,11 @@ def test_chunk_matches_full_window_reference(scenario, dev_kw, protocol, feedbac
 
 def test_chunk_with_wider_window_and_longer_delay():
     cfg = ex.ExperimentConfig(device=_device(), scenario=ex.PI_HALF_INIT,
-                              feedback_enabled=True, repetitions=200,
-                              master_seed=9)
+                              repetitions=200, master_seed=9)
     cfg = replace(cfg, window_len=8, delay=12)
     protocol = ex._protocol_for(cfg)
-    want = _reference_chunk(cfg, protocol, 0, 0, 200)
-    for got in _chunk_both_ways(cfg, protocol, 0, 0, 200):
+    want = _reference_chunk(cfg, protocol, 0, 0, 200, True)
+    for got in _chunk_both_ways(cfg, protocol, 0, 0, 200, True):
         _assert_chunk_equal(got, want)
 
 
@@ -496,8 +494,7 @@ def test_comparison_equals_two_separate_runs(scenario, dev_kw, jobs):
                               repetitions=ex.CHUNK_REPS + 1000, master_seed=13)
     comp = ex.run_feedback_comparison(cfg, jobs=jobs)
     for seg, rep in enumerate((comp.off, comp.on)):
-        alone = ex.run_experiment(replace(cfg, feedback_enabled=bool(seg)),
-                                  jobs=jobs)
+        alone = ex.run_experiment(cfg, feedback=bool(seg), jobs=jobs)
         assert rep.to_json() == alone.to_json()
         for marginal in ("marginal_i1", "marginal_i2", "joint_i1_i2"):
             np.testing.assert_array_equal(
@@ -629,4 +626,4 @@ def test_feedback_comparison_computes_the_overlap_once(monkeypatch):
     monkeypatch.setattr(ex, "oracle_probabilities", counted_oracle)
     comp = ex.run_feedback_comparison(cfg)
     assert calls == {"means": 1, "oracle": 2}
-    assert comp.on.oracle == oracle(replace(cfg, feedback_enabled=True))
+    assert comp.on.oracle == oracle(cfg, True, ex.overlap_probability(cfg))

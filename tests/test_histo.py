@@ -171,7 +171,7 @@ def test_update_2d_saturates_at_word_max():
     ram.update_addresses(np.full(65536, addr))
     assert ram.words[addr] == 65535
     assert ram.shadow[addr] == 65536
-    assert ram.saturated_addresses().tolist() == [addr]
+    assert np.flatnonzero(ram.words == histo.WORD_MAX).tolist() == [addr]
 
 
 def test_update_2d_conservation():

@@ -8,7 +8,6 @@ from qfbsim.fxp import ConfigError, FxpSample
 from qfbsim.latency import (
     LatencyBudget,
     budget_report,
-    cable_length,
     integration_delay_setting,
     tau_eltot,
     total_feedback_latency,
@@ -73,21 +72,6 @@ def test_monotone_in_every_component():
     for name in ("tau_adc", "tau_awg", "tau_g", "tau_ro", "tau_ap"):
         b = LatencyBudget(**{name: getattr(LatencyBudget(), name) + 1.0})
         assert total_feedback_latency(b)[0] > base
-
-
-def test_cable_length_values():
-    assert cable_length(69.0, 2.0) == pytest.approx(14.6, abs=0.05)
-    assert round(cable_length(69.0, 2.0)) == 15 or round(cable_length(69.0, 2.0)) == 14
-    assert abs(cable_length(69.0, 2.0) - 14.0) < 1.0
-    assert cable_length(0.0, 2.0) == 0.0
-    assert cable_length(10.0, 1.0) == pytest.approx(2.998, abs=0.002)
-
-
-def test_cable_length_validation():
-    with pytest.raises(ValueError):
-        cable_length(10.0, 0.5)
-    with pytest.raises(ValueError):
-        cable_length(-1.0, 2.0)
 
 
 def test_budget_validation():
