@@ -19,7 +19,6 @@ from .experiment import (
     oracle_probabilities,
     overlap_probability,
     readout_fidelity,
-    run_experiment,
     run_feedback_comparison,
 )
 from .fxp import ADC_LSB_VOLTS, ADC_WIDTH, ConfigError, FxpSample, quantize
@@ -59,7 +58,6 @@ __all__ = [
     "overlap_probability",
     "quantize",
     "readout_fidelity",
-    "run_experiment",
     "run_feedback_comparison",
     "run_stream",
     "run_stream_batch",

@@ -26,7 +26,6 @@ from .experiment import (
     optimize_threshold,
     overlap_probability,
     readout_fidelity,
-    run_experiment,
     run_feedback_comparison,
 )
 from .fxp import ADC_WIDTH, ConfigError, FxpSample
@@ -41,6 +40,8 @@ from .pipeline import SYNC_DEPTH, PipelineConfig, PipelineState, dump_trace, run
 from .sigmodel import STATE_E, STATE_G, synthesize_adc_stream
 
 SEED_ENV = "QFB_SEED"
+# the feedback arms each --feedback value runs, in histogram segment order
+_FEEDBACK_ARMS = {"off": (False,), "on": (True,), "both": (False, True)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -83,7 +84,7 @@ def _build_parser() -> _Parser:
     run.add_argument("--config", required=True)
     run.add_argument("--out-dir", required=True)
     run.add_argument("--repetitions", type=int, help="override the document")
-    run.add_argument("--feedback", choices=("off", "on", "both"),
+    run.add_argument("--feedback", choices=tuple(_FEEDBACK_ARMS),
                      default="both", help="feedback arms to run")
     run.add_argument("--jobs", type=_worker_count, default=os.cpu_count() or 1)
 
@@ -152,9 +153,12 @@ def _write_marginals(out_dir: Path, ram, seg, suffix: str) -> None:
     _write_text(out_dir / f"joint_i1_i2{suffix}.csv", _joint_csv(joint))
 
 
+def _arm(rep) -> str:
+    return "on" if rep.feedback_enabled else "off"
+
+
 def _summary_line(rep) -> str:
-    state = "on" if rep.feedback_enabled else "off"
-    return (f"feedback {state}: P[E1] = {100 * rep.p_e1:.3f}%  "
+    return (f"feedback {_arm(rep)}: P[E1] = {100 * rep.p_e1:.3f}%  "
             f"P[E2] = {100 * rep.p_e2:.3f}%")
 
 
@@ -166,22 +170,13 @@ def cmd_run_experiment(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    if args.feedback == "both":
-        comp = run_feedback_comparison(cfg, jobs=args.jobs)
-        _write_text(out_dir / "report_feedback_off.json",
-                    comp.off.to_json() + "\n")
-        _write_text(out_dir / "report_feedback_on.json",
-                    comp.on.to_json() + "\n")
-        (out_dir / "histogram.bin").write_bytes(comp.histogram.dump_bytes())
-        _write_marginals(out_dir, comp.histogram, 0, "_feedback_off")
-        _write_marginals(out_dir, comp.histogram, 1, "_feedback_on")
-        print(_summary_line(comp.off))
-        print(_summary_line(comp.on))
-    else:
-        rep = run_experiment(cfg, feedback=args.feedback == "on", jobs=args.jobs)
-        _write_text(out_dir / "report.json", rep.to_json() + "\n")
-        (out_dir / "histogram.bin").write_bytes(rep.histogram.dump_bytes())
-        _write_marginals(out_dir, rep.histogram, 0, "")
+    arms = _FEEDBACK_ARMS[args.feedback]
+    comp = run_feedback_comparison(cfg, feedback=arms, jobs=args.jobs)
+    (out_dir / "histogram.bin").write_bytes(comp.histogram.dump_bytes())
+    for seg, rep in enumerate(comp.reports):
+        suffix = f"_feedback_{_arm(rep)}" if len(arms) > 1 else ""
+        _write_text(out_dir / f"report{suffix}.json", rep.to_json() + "\n")
+        _write_marginals(out_dir, comp.histogram, seg, suffix)
         print(_summary_line(rep))
     print(f"wrote {out_dir}")
     return 0

@@ -16,26 +16,25 @@ link's transport skew of pipeline.SYNC_DEPTH samples, the depth of the
 trigger synchronizer that matches it; that is what lines the
 integration window up with the readout pulse.
 
-run_experiment (one feedback arm, chosen by the run) and
-run_feedback_comparison (both arms) drive a vectorized Monte Carlo of
-the full loop (exact exponential jump times from _sample_jump_columns,
-the package's one jump sampler; closed-form cavity envelope
-propagation; the bit-exact pipeline) and report quadrant statistics
-next to an independent analytic rate-equation prediction.  The Monte Carlo only draws noise
-for, and synthesizes, the 2 l samples inside the two integration
-windows, draws jump times only for the repetitions still jumping, and
-evaluates the pipeline only at the two readout ticks (scaled_iq_at),
-which lie pipeline.trigger_to_eval_cycles after the triggers, so the
-feedback bit needs no trigger-chain simulation; the scalar tick()
-machine and run_stream_batch stay the reference models it is tested
-against, and the noiseless calibration still runs the whole stream
-through run_stream_batch.
+run_feedback_comparison drives a vectorized Monte Carlo of the full
+loop, once for each feedback arm the run names (exact exponential jump
+times from _sample_jump_columns, the package's one jump sampler;
+closed-form cavity envelope propagation; the bit-exact pipeline), and
+reports quadrant statistics per arm next to an independent analytic
+rate-equation prediction.  The Monte Carlo only draws noise for, and
+synthesizes, the 2 l samples inside the two integration windows, draws
+jump times only for the repetitions still jumping, and evaluates the
+pipeline only at the two readout ticks (scaled_iq_at), which lie
+pipeline.trigger_to_eval_cycles after the triggers, so the feedback bit
+needs no trigger-chain simulation; the scalar tick() machine and
+run_stream_batch stay the reference models it is tested against, and
+the noiseless calibration still runs the whole stream through
+run_stream_batch.
 
 The envelope is not propagated before the first pulse (it is exactly
 zero there), the second phase stops at the end of the second integration
-window, and a feedback comparison runs each chunk's first phase once and
-branches into the feedback-off and feedback-on arms from a snapshot of
-it.
+window, and each chunk's first phase runs once and branches into the
+run's feedback arms from a snapshot of it.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -118,7 +117,7 @@ class ExperimentConfig:
     state-independent component of the filtered signal.
 
     Feedback is not a setting: each run names its arms (the feedback
-    argument of run_experiment; run_feedback_comparison runs both).
+    argument of run_feedback_comparison).
     """
 
     device: DeviceParams
@@ -609,6 +608,8 @@ def calibrate_noise(target_overlap: float, cfg: ExperimentConfig) -> float:
     Bisection against the analytic overlap; the result reproduces the
     target within 0.001 absolute.
     """
+    if not math.isfinite(target_overlap):
+        raise ValueError(f"target overlap must be finite, got {target_overlap!r}")
     if target_overlap <= 0:
         raise ValueError("target overlap must be positive")
     if target_overlap >= 0.5:
@@ -700,13 +701,9 @@ class ExperimentReport:
     # ADC samples clipped by the quantizer, counted over the 2 l samples
     # of the two integration windows: the only samples a result reads
     adc_saturated: int
-    histogram: HistogramRam = field(repr=False, default=None)
 
     def to_json(self) -> str:
-        # field by field: asdict would deep-copy the histogram RAM first
-        doc = {f.name: getattr(self, f.name) for f in fields(self)
-               if f.name != "histogram"}
-        return json.dumps(doc, sort_keys=True, indent=2)
+        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
 
 def _binomial_err(p: float, n: int) -> float:
@@ -750,7 +747,7 @@ def _protocol_for(cfg: ExperimentConfig) -> _Protocol:
 
 
 def _assemble_report(cfg: ExperimentConfig, feedback: bool, res: _McResult,
-                     ram: HistogramRam, overlap: float) -> ExperimentReport:
+                     overlap: float) -> ExperimentReport:
     n = res.n
     e1 = res.it1 >= 0
     e2 = res.it2 >= 0
@@ -778,14 +775,23 @@ def _assemble_report(cfg: ExperimentConfig, feedback: bool, res: _McResult,
         latency=_latency_echo(cfg),
         config_echo=_config_echo(cfg),
         adc_saturated=res.saturated,
-        histogram=ram,
     )
 
 
-def _run_arms(cfg: ExperimentConfig, feedback: tuple,
-              jobs: int) -> list[ExperimentReport]:
-    """One report per feedback arm, all sharing one histogram RAM in
-    which arm k fills segment k.
+@dataclass
+class FeedbackComparison:
+    """One report per feedback arm of a run, and the one histogram RAM
+    they fill: reports[k] is arm feedback[k] and fills segment k."""
+
+    reports: tuple[ExperimentReport, ...]
+    histogram: HistogramRam
+
+
+def run_feedback_comparison(cfg: ExperimentConfig, *,
+                            feedback: tuple[bool, ...] = (False, True),
+                            jobs: int = 1) -> FeedbackComparison:
+    """Simulate the two-measurement protocol once per feedback arm
+    (True: the conditional pi fires on the first readout's feedback bit).
 
     Every arm comes out of one pass over the chunks: each chunk's first
     phase runs once and branches into the arms, so an arm's report is
@@ -801,30 +807,8 @@ def _run_arms(cfg: ExperimentConfig, feedback: tuple,
         res = _run_mc(protocol, parts)
         ram.update_addresses(correlation_addresses(res.it1, res.it2, res.qt2,
                                                    seg=seg))
-        reports.append(_assemble_report(cfg, enabled, res, ram, overlap))
-    return reports
-
-
-def run_experiment(cfg: ExperimentConfig, *, feedback: bool = True,
-                   jobs: int = 1) -> ExperimentReport:
-    """Simulate the two-measurement protocol with feedback on or off."""
-    (report,) = _run_arms(cfg, (feedback,), jobs)
-    return report
-
-
-@dataclass
-class FeedbackComparison:
-    off: ExperimentReport
-    on: ExperimentReport
-    histogram: HistogramRam   # segment 0: feedback off, segment 1: on
-
-
-def run_feedback_comparison(cfg: ExperimentConfig, *,
-                            jobs: int = 1) -> FeedbackComparison:
-    """Same-seed feedback-off and feedback-on runs sharing one histogram;
-    each arm is byte-identical to run_experiment with that feedback."""
-    off, on = _run_arms(cfg, (False, True), jobs)
-    return FeedbackComparison(off=off, on=on, histogram=off.histogram)
+        reports.append(_assemble_report(cfg, enabled, res, overlap))
+    return FeedbackComparison(reports=tuple(reports), histogram=ram)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Signed fixed-point arithmetic with explicit widths, saturation and rounding.
 
 Every digital signal in the pipeline is carried as a two's-complement
-integer of a declared bit width together with a volts-per-LSB scale.
+integer of a declared bit width; quantize maps volts onto it in steps
+of one ADC LSB (ADC_LSB_VOLTS).
 All width boundaries saturate (never wrap); saturation events are
 reported to the caller so that stream-level overflow flags can latch.
 """
@@ -54,38 +55,31 @@ def round_half_away(x: float) -> int:
 
 @dataclass(frozen=True)
 class FxpSample:
-    """A signed fixed-point value: raw two's-complement integer + scale."""
+    """A signed fixed-point value: raw two's-complement integer in ADC LSBs."""
 
     raw: int
     width: int
-    lsb_volts: float = ADC_LSB_VOLTS
 
     def __post_init__(self) -> None:
         lo, hi = raw_bounds(self.width)
         if not lo <= self.raw <= hi:
             raise ValueError(f"raw {self.raw} does not fit in {self.width} bits")
-        if not self.lsb_volts > 0.0:
-            raise ValueError("lsb_volts must be positive")
 
 
-def quantize(volts: float, width: int, lsb_volts: float = ADC_LSB_VOLTS) -> FxpSample:
+def quantize(volts: float, width: int) -> FxpSample:
     """Quantize a voltage: round half away from zero, then saturate."""
-    sample, _ = quantize_flagged(volts, width, lsb_volts)
+    sample, _ = quantize_flagged(volts, width)
     return sample
 
 
-def quantize_flagged(
-    volts: float, width: int, lsb_volts: float = ADC_LSB_VOLTS
-) -> tuple[FxpSample, bool]:
+def quantize_flagged(volts: float, width: int) -> tuple[FxpSample, bool]:
     """Like quantize() but also reports whether the value saturated."""
     if width < 2:
         raise ConfigError(f"width {width} too small to quantize into")
     if not math.isfinite(volts):
         raise ValueError(f"cannot quantize non-finite voltage {volts!r}")
-    if not lsb_volts > 0.0:
-        raise ValueError("lsb_volts must be positive")
-    raw, clipped = saturate(round_half_away(volts / lsb_volts), width)
-    return FxpSample(raw, width, lsb_volts), clipped
+    raw, clipped = saturate(round_half_away(volts / ADC_LSB_VOLTS), width)
+    return FxpSample(raw, width), clipped
 
 
 def shift_raw(raw: int, s: int, width: int) -> tuple[int, bool]:

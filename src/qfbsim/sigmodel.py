@@ -25,7 +25,7 @@ from __future__ import annotations
 import bisect
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -63,6 +63,11 @@ class DeviceParams:
     offset_q: float = 0.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # t1 = +inf is a qubit that never decays
+            if not (math.isfinite(value) or (f.name == "t1" and value == math.inf)):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if not 0.0 <= self.p_therm < 0.5:
             raise ConfigError("p_therm must be within [0, 0.5)")
         if not self.t1 > 0:

@@ -18,7 +18,6 @@ from qfbsim.experiment import (
     PI_HALF_INIT,
     ExperimentConfig,
     readout_fidelity,
-    run_experiment,
     run_feedback_comparison,
 )
 from qfbsim.fxp import ADC_LSB_VOLTS, FxpSample, quantize
@@ -182,36 +181,36 @@ def test_criterion_06_thermal_population():
 def test_criterion_07_pi_half_scenario(pi_half_cfg):
     assert pi_half_cfg.repetitions == 1 << 17
     start = time.perf_counter()
-    comp = run_feedback_comparison(pi_half_cfg, jobs=1)
+    off, on = run_feedback_comparison(pi_half_cfg, jobs=1).reports
     elapsed = time.perf_counter() - start
     assert elapsed < 300.0
 
     reference = {"gg": 0.5074, "ge": 0.0218, "eg": 0.1137, "ee": 0.3571}
     for key, ref in reference.items():
-        assert comp.off.quadrants[key] == pytest.approx(ref, abs=0.03), key
-    assert 0.08 <= comp.on.p_e2 <= 0.16
-    assert comp.on.p_e1 == comp.off.p_e1
-    _assert_oracle_gate(comp.off)
-    _assert_oracle_gate(comp.on)
-    off = {k: f"{100 * v:.2f}" for k, v in comp.off.quadrants.items()}
+        assert off.quadrants[key] == pytest.approx(ref, abs=0.03), key
+    assert 0.08 <= on.p_e2 <= 0.16
+    assert on.p_e1 == off.p_e1
+    _assert_oracle_gate(off)
+    _assert_oracle_gate(on)
+    quadrants = {k: f"{100 * v:.2f}" for k, v in off.quadrants.items()}
     print(f"[criterion 7] PASS superposition scenario: feedback-off "
-          f"quadrants {off}% within +/-3% of reference; feedback-on "
-          f"P[E2] = {100 * comp.on.p_e2:.2f}% in [8, 16]% ({elapsed:.1f} s)")
+          f"quadrants {quadrants}% within +/-3% of reference; feedback-on "
+          f"P[E2] = {100 * on.p_e2:.2f}% in [8, 16]% ({elapsed:.1f} s)")
 
 
 def test_criterion_08_thermal_scenario(thermal_cfg):
     start = time.perf_counter()
-    comp = run_feedback_comparison(thermal_cfg, jobs=1)
+    off, on = run_feedback_comparison(thermal_cfg, jobs=1).reports
     elapsed = time.perf_counter() - start
     assert elapsed < 300.0
 
-    assert comp.off.p_e1 == pytest.approx(0.082, abs=0.015)
-    assert -0.0005 <= comp.on.quadrants["ee"] <= 0.0429
-    _assert_oracle_gate(comp.off)
-    _assert_oracle_gate(comp.on)
+    assert off.p_e1 == pytest.approx(0.082, abs=0.015)
+    assert -0.0005 <= on.quadrants["ee"] <= 0.0429
+    _assert_oracle_gate(off)
+    _assert_oracle_gate(on)
     print(f"[criterion 8] PASS thermal scenario: feedback-off "
-          f"P[E1] = {100 * comp.off.p_e1:.2f}% within 8.2 +/- 1.5%; "
-          f"feedback-on P[EE] = {100 * comp.on.quadrants['ee']:.2f}% within "
+          f"P[E1] = {100 * off.p_e1:.2f}% within 8.2 +/- 1.5%; "
+          f"feedback-on P[EE] = {100 * on.quadrants['ee']:.2f}% within "
           f"band ({elapsed:.1f} s)")
 
 
@@ -261,9 +260,9 @@ def test_criterion_10_histogram_integrity():
 
 def test_criterion_11_determinism(pi_half_cfg):
     cfg = replace(pi_half_cfg, repetitions=1 << 14)
-    first = run_experiment(cfg)
-    second = run_experiment(cfg)
-    json_a, json_b = first.to_json(), second.to_json()
+    first = run_feedback_comparison(cfg, feedback=(True,))
+    second = run_feedback_comparison(cfg, feedback=(True,))
+    json_a, json_b = first.reports[0].to_json(), second.reports[0].to_json()
     assert json_a.encode("ascii") == json_b.encode("ascii")
     assert first.histogram.dump_bytes() == second.histogram.dump_bytes()
     assert json.loads(json_a)["master_seed"] == cfg.master_seed

@@ -263,6 +263,29 @@ def test_offset_beyond_the_filter_range_is_usage_error(tmp_path, capsys, line,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line,target,name", [
+    ("device.noise_sigma = nan mV", None, "noise_sigma"),
+    ("device.offset_i = nan mV", None, "offset_i"),
+    ("device.kappa = inf MHz", None, "kappa"),
+    ("device.t1 = -inf us", None, "t1"),
+    ("calibration.noise_overlap_target = nan %", None, "target overlap"),
+    ("device.noise_sigma = 0 mV", "nan", "target overlap"),
+    ("device.noise_sigma = 0 mV", "inf", "target overlap"),
+])
+def test_non_finite_values_are_usage_errors(tmp_path, capsys, line, target,
+                                            name):
+    # NaN passes range checks written as ordered comparisons; it is
+    # rejected by name instead of running noiseless or failing later
+    doc = tmp_path / "nonfinite.cfg"
+    doc.write_text(line + "\n")
+    argv = ["calibrate-noise", "--config", str(doc)]
+    if target is not None:
+        argv += ["--target", target]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert name in err and "runtime error" not in err
+
+
 @pytest.mark.parametrize("command", ["run-experiment", "optimize-threshold",
                                      "readout-fidelity"])
 @pytest.mark.parametrize("jobs", ["0", "-2", "two"])
@@ -303,28 +326,53 @@ def _write_small_cfg(tmp_path, **extra):
     return str(path)
 
 
-def test_run_experiment_writes_reports_and_histograms(tmp_path, capsys):
+def _csv_rows(path):
+    with open(path) as fh:
+        return list(csv.DictReader(fh))
+
+
+@pytest.mark.parametrize("feedback", ["off", "on", "both"])
+def test_run_experiment_writes_reports_and_histograms(tmp_path, capsys,
+                                                      feedback):
     cfg_path = _write_small_cfg(tmp_path)
     out = tmp_path / "out"
     rc = cli.main(["run-experiment", "--config", cfg_path,
-                   "--out-dir", str(out), "--jobs", "1"])
+                   "--out-dir", str(out), "--feedback", feedback,
+                   "--jobs", "1"])
     assert rc == 0
-    for name in ("report_feedback_off.json", "report_feedback_on.json",
-                 "histogram.bin", "marginal_i1_feedback_off.csv",
-                 "marginal_i2_feedback_on.csv", "joint_i1_i2_feedback_on.csv"):
-        assert (out / name).exists(), name
-    off = json.loads((out / "report_feedback_off.json").read_text())
-    on = json.loads((out / "report_feedback_on.json").read_text())
-    assert off["repetitions"] == 4096
-    assert off["p_e1"] == on["p_e1"]
-    assert on["p_e2"] < off["p_e2"]
+    arms = ("off", "on") if feedback == "both" else (feedback,)
+    suffixes = {arm: f"_feedback_{arm}" if feedback == "both" else ""
+                for arm in arms}
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        ["histogram.bin"]
+        + [f"{stem}{suffix}.{ext}" for suffix in suffixes.values()
+           for stem, ext in (("report", "json"), ("marginal_i1", "csv"),
+                             ("marginal_i2", "csv"), ("joint_i1_i2", "csv"))])
     stdout = capsys.readouterr().out
-    assert "feedback off" in stdout and "feedback on" in stdout
-
-    # marginal CSV counts must add up to the repetition count
-    with open(out / "marginal_i1_feedback_off.csv") as fh:
-        rows = list(csv.DictReader(fh))
-    assert sum(int(r["count"]) for r in rows) == 4096
+    reports = {}
+    for arm, suffix in suffixes.items():
+        rep = json.loads((out / f"report{suffix}.json").read_text())
+        reps = rep["repetitions"]
+        assert reps == 4096
+        assert rep["feedback_enabled"] == (arm == "on")
+        assert f"feedback {arm}:" in stdout
+        # each report's histogram is its own: bin 64 is the sign boundary
+        # of the scaled output, so its joint (i1, i2) counts split there
+        # reproduce its quadrants
+        counts = dict.fromkeys(rep["quadrants"], 0)
+        for row in _csv_rows(out / f"joint_i1_i2{suffix}.csv"):
+            key = ("ge"[int(row["i1_bin"]) >= 64]
+                   + "ge"[int(row["i2_bin"]) >= 64])
+            counts[key] += int(row["count"])
+        assert counts == {k: q * reps for k, q in rep["quadrants"].items()}
+        # marginal CSV counts must add up to the repetition count
+        for marginal in ("marginal_i1", "marginal_i2"):
+            rows = _csv_rows(out / f"{marginal}{suffix}.csv")
+            assert sum(int(r["count"]) for r in rows) == reps
+        reports[arm] = rep
+    if feedback == "both":
+        assert reports["off"]["p_e1"] == reports["on"]["p_e1"]
+        assert reports["on"]["p_e2"] < reports["off"]["p_e2"]
 
 
 def test_run_experiment_single_mode_and_determinism(tmp_path, capsys):

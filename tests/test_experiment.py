@@ -22,7 +22,6 @@ from qfbsim.experiment import (
     oracle_probabilities,
     overlap_probability,
     readout_fidelity,
-    run_experiment,
     run_feedback_comparison,
 )
 from qfbsim.fxp import ADC_LSB_VOLTS, ConfigError, quantize
@@ -109,7 +108,7 @@ def test_offsets_must_fit_the_filtered_signal_grid():
 def test_threshold_quantization():
     c_i = make_config(threshold=0.016).pipeline.c_i
     assert c_i.raw == 131
-    assert c_i.raw * c_i.lsb_volts == pytest.approx(0.016, abs=1e-4)
+    assert c_i.raw * ADC_LSB_VOLTS == pytest.approx(0.016, abs=1e-4)
 
 
 def test_default_pipeline_shape():
@@ -119,7 +118,7 @@ def test_default_pipeline_shape():
     assert pipe.lut1 == (1, 1, 0, 0)
     assert _config_echo(cfg)["pipeline"]["sync_depth"] == 6
     q_mean = 0.3 * bench_device().steady_alpha(0).real
-    assert pipe.c_q.raw * pipe.c_q.lsb_volts == pytest.approx(q_mean, abs=1e-4)
+    assert pipe.c_q.raw * ADC_LSB_VOLTS == pytest.approx(q_mean, abs=1e-4)
 
 
 def test_timing_properties():
@@ -179,6 +178,9 @@ def test_calibrate_noise_rejects_bad_targets():
     cfg = make_config()
     with pytest.raises(ValueError):
         calibrate_noise(0.0, cfg)
+    for target in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            calibrate_noise(target, cfg)
     with pytest.raises(CalibrationError):
         calibrate_noise(0.5, cfg)
     with pytest.raises(CalibrationError):
@@ -233,7 +235,8 @@ def test_oracle_quadrants_sum_to_one():
 
 def test_perfect_feedback_removes_excited_population():
     dev = bench_device(t1=math.inf, p_therm=0.0, noise_sigma=0.0)
-    rep = run_experiment(make_config(device=dev, reps=4096), feedback=True)
+    (rep,) = run_feedback_comparison(make_config(device=dev, reps=4096),
+                                     feedback=(True,)).reports
     assert rep.p_e2 == 0.0
     assert rep.quadrants["ge"] == 0.0 and rep.quadrants["ee"] == 0.0
     assert rep.p_e1 == pytest.approx(0.5, abs=0.03)
@@ -256,47 +259,55 @@ def test_noiseless_outputs_match_reference_synthesis():
 
 def test_report_identities_and_histogram_consistency():
     cfg = calibrated(make_config(reps=8192))
-    rep = run_experiment(cfg)
+    comp = run_feedback_comparison(cfg, feedback=(True,))
+    (rep,) = comp.reports
     assert rep.p_e1 == rep.quadrants["eg"] + rep.quadrants["ee"]
     assert rep.p_e2 == rep.quadrants["ge"] + rep.quadrants["ee"]
     assert sum(rep.quadrants.values()) == pytest.approx(1.0, abs=1e-12)
     # bin 64 is the sign boundary of the scaled output, so the blocks of
     # the joint (i1, i2) histogram split there reproduce the report exactly
-    joint = rep.histogram.joint_i1_i2()
+    joint = comp.histogram.joint_i1_i2()
     blocks = {"gg": joint[:64, :64], "ge": joint[:64, 64:],
               "eg": joint[64:, :64], "ee": joint[64:, 64:]}
     assert {k: int(b.sum()) / rep.repetitions for k, b in blocks.items()} \
         == rep.quadrants
-    assert int(rep.histogram.marginal_i1().sum()) == rep.repetitions
+    assert int(comp.histogram.marginal_i1().sum()) == rep.repetitions
 
 
 def test_determinism_and_worker_independence():
     cfg = calibrated(make_config(reps=12288, seed=5))
-    a = run_experiment(cfg)
-    b = run_experiment(cfg)
-    c = run_experiment(cfg, jobs=2)
-    assert a.to_json() == b.to_json() == c.to_json()
+    a = run_feedback_comparison(cfg, feedback=(True,))
+    b = run_feedback_comparison(cfg, feedback=(True,))
+    c = run_feedback_comparison(cfg, feedback=(True,), jobs=2)
+    assert a.reports[0].to_json() == b.reports[0].to_json() == c.reports[0].to_json()
     assert a.histogram.dump_bytes() == b.histogram.dump_bytes()
     assert a.histogram.dump_bytes() == c.histogram.dump_bytes()
-    d = run_experiment(replace(cfg, master_seed=6))
-    assert d.to_json() != a.to_json()
+    d = run_feedback_comparison(replace(cfg, master_seed=6), feedback=(True,))
+    assert d.reports[0].to_json() != a.reports[0].to_json()
 
 
 def test_feedback_does_not_touch_first_measurement():
     cfg = calibrated(make_config(reps=8192, seed=3))
     comp = run_feedback_comparison(cfg)
-    assert comp.off.p_e1 == comp.on.p_e1
-    assert comp.off.quadrant_errs.keys() == comp.on.quadrant_errs.keys()
+    off, on = comp.reports
+    assert off.p_e1 == on.p_e1
+    assert off.quadrant_errs.keys() == on.quadrant_errs.keys()
     # shared histogram holds both runs in separate segments
     seg_counts = [int(comp.histogram.marginal_i1(seg).sum()) for seg in (0, 1)]
     assert seg_counts == [cfg.repetitions, cfg.repetitions]
+    # report k and segment k follow the order of the arms the run names
+    flipped = run_feedback_comparison(cfg, feedback=(True, False))
+    assert [r.to_json() for r in flipped.reports] == [on.to_json(), off.to_json()]
+    for seg in (0, 1):
+        np.testing.assert_array_equal(flipped.histogram.joint_i1_i2(seg),
+                                      comp.histogram.joint_i1_i2(1 - seg))
 
 
 def test_monte_carlo_matches_oracle_within_allowance():
     for scenario in (PI_HALF_INIT, THERMAL_INIT):
         cfg = calibrated(make_config(scenario, reps=1 << 14, seed=21))
         comp = run_feedback_comparison(cfg)
-        for rep in (comp.off, comp.on):
+        for rep in comp.reports:
             for key, value in rep.quadrants.items():
                 gap = abs(value - rep.oracle["quadrants"][key])
                 allow = 0.015 + 3 * rep.quadrant_errs[key]
@@ -309,23 +320,23 @@ def test_mc_swap_identity_without_decay():
     dev = bench_device(t1=math.inf, p_therm=0.0)
     cfg = calibrated(make_config(device=dev, reps=1 << 14, seed=9,
                                  threshold=0.013))
-    comp = run_feedback_comparison(cfg)
-    err = math.sqrt(2) * 3 * comp.off.quadrant_errs["eg"]
-    assert abs(comp.on.quadrants["ee"] - comp.off.quadrants["eg"]) < err + 0.002
-    assert abs(comp.on.quadrants["eg"] - comp.off.quadrants["ee"]) < err + 0.002
+    off, on = run_feedback_comparison(cfg).reports
+    err = math.sqrt(2) * 3 * off.quadrant_errs["eg"]
+    assert abs(on.quadrants["ee"] - off.quadrants["eg"]) < err + 0.002
+    assert abs(on.quadrants["eg"] - off.quadrants["ee"]) < err + 0.002
 
 
 def test_feedback_swaps_quadrant_roles_with_decay():
     cfg = calibrated(make_config(reps=1 << 14, seed=13))
-    comp = run_feedback_comparison(cfg)
-    assert comp.on.quadrants["ee"] < comp.off.quadrants["ee"] / 2
-    assert comp.on.quadrants["eg"] > 2 * comp.off.quadrants["eg"]
-    assert comp.on.p_e2 < comp.off.p_e2
+    off, on = run_feedback_comparison(cfg).reports
+    assert on.quadrants["ee"] < off.quadrants["ee"] / 2
+    assert on.quadrants["eg"] > 2 * off.quadrants["eg"]
+    assert on.p_e2 < off.p_e2
 
 
 def test_report_json_structure():
     cfg = calibrated(make_config(reps=4096))
-    rep = run_experiment(cfg)
+    (rep,) = run_feedback_comparison(cfg, feedback=(True,)).reports
     doc = json.loads(rep.to_json())
     assert doc["scenario"] == PI_HALF_INIT
     assert "histogram" not in doc

@@ -493,9 +493,10 @@ def test_comparison_equals_two_separate_runs(scenario, dev_kw, jobs):
     cfg = ex.ExperimentConfig(device=_device(**dev_kw), scenario=scenario,
                               repetitions=ex.CHUNK_REPS + 1000, master_seed=13)
     comp = ex.run_feedback_comparison(cfg, jobs=jobs)
-    for seg, rep in enumerate((comp.off, comp.on)):
-        alone = ex.run_experiment(cfg, feedback=bool(seg), jobs=jobs)
-        assert rep.to_json() == alone.to_json()
+    for seg, rep in enumerate(comp.reports):
+        alone = ex.run_feedback_comparison(cfg, feedback=(rep.feedback_enabled,),
+                                           jobs=jobs)
+        assert rep.to_json() == alone.reports[0].to_json()
         for marginal in ("marginal_i1", "marginal_i2", "joint_i1_i2"):
             np.testing.assert_array_equal(
                 getattr(comp.histogram, marginal)(seg),
@@ -535,8 +536,8 @@ def test_pool_starts_no_more_workers_than_chunks(monkeypatch, jobs, chunks,
     monkeypatch.setattr(ex, "ProcessPoolExecutor", RecordingPool)
     pooled = ex.run_feedback_comparison(cfg, jobs=jobs)
     assert started == [workers]
-    assert pooled.off.to_json() == serial.off.to_json()
-    assert pooled.on.to_json() == serial.on.to_json()
+    for got, want in zip(pooled.reports, serial.reports, strict=True):
+        assert got.to_json() == want.to_json()
 
 
 @pytest.mark.parametrize("jobs", [0, -2])
@@ -544,7 +545,7 @@ def test_jobs_below_one_are_rejected(jobs):
     cfg = ex.ExperimentConfig(device=_device(), scenario=ex.THERMAL_INIT,
                               repetitions=64)
     with pytest.raises(ConfigError, match="jobs"):
-        ex.run_experiment(cfg, jobs=jobs)
+        ex.run_feedback_comparison(cfg, jobs=jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +577,7 @@ def test_adc_saturation_counts_only_integration_windows():
     cfg = ex.ExperimentConfig(device=_device(noise_sigma=0.4),
                               scenario=ex.PI_HALF_INIT, repetitions=4096,
                               master_seed=11)
-    rep = ex.run_experiment(cfg)
+    (rep,) = ex.run_feedback_comparison(cfg, feedback=(True,)).reports
     assert rep.adc_saturated == ADC_SATURATED_SIGMA_0_4
 
 
@@ -626,4 +627,4 @@ def test_feedback_comparison_computes_the_overlap_once(monkeypatch):
     monkeypatch.setattr(ex, "oracle_probabilities", counted_oracle)
     comp = ex.run_feedback_comparison(cfg)
     assert calls == {"means": 1, "oracle": 2}
-    assert comp.on.oracle == oracle(cfg, True, ex.overlap_probability(cfg))
+    assert comp.reports[1].oracle == oracle(cfg, True, ex.overlap_probability(cfg))

@@ -57,7 +57,7 @@ def test_quantize_roundtrip_error_within_half_lsb():
     for _ in range(1000):
         v = rng.uniform(-1.0 + lsb, 1.0 - 2 * lsb)
         s = quantize(v, 14)
-        assert abs(s.raw * s.lsb_volts - v) <= lsb / 2 + 1e-15
+        assert abs(s.raw * lsb - v) <= lsb / 2 + 1e-15
 
 
 def test_quantize_rejects_non_finite():
@@ -146,8 +146,6 @@ def test_shift_scale_exponent_range():
 def test_fxp_sample_validates():
     with pytest.raises(ValueError):
         FxpSample(8192, 14)
-    with pytest.raises(ValueError):
-        FxpSample(0, 14, -1.0)
     with pytest.raises(ConfigError):
         FxpSample(0, 2)
 

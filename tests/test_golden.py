@@ -96,9 +96,10 @@ def test_repetitions_cover_a_partial_chunk():
 
 def _comparison_digests(cfg, jobs: int) -> dict:
     comp = run_feedback_comparison(cfg, jobs=jobs)
+    off, on = comp.reports
     return {
-        "report_feedback_off.json": _sha((comp.off.to_json() + "\n").encode()),
-        "report_feedback_on.json": _sha((comp.on.to_json() + "\n").encode()),
+        "report_feedback_off.json": _sha((off.to_json() + "\n").encode()),
+        "report_feedback_on.json": _sha((on.to_json() + "\n").encode()),
         "histogram.bin": _sha(comp.histogram.dump_bytes()),
     }
 

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -280,7 +281,7 @@ def test_quantize_array_matches_scalar():
     raw, clipped = quantize_array(volts)
     expect_clips = 0
     for v, r in zip(volts, raw):
-        sample, clip = fxp.quantize_flagged(v, fxp.ADC_WIDTH, fxp.ADC_LSB_VOLTS)
+        sample, clip = fxp.quantize_flagged(v, fxp.ADC_WIDTH)
         assert r == sample.raw
         expect_clips += clip
     assert clipped == expect_clips
@@ -334,3 +335,11 @@ def test_device_params_validation():
         DeviceParams(t1=0.0)
     with pytest.raises(ConfigError):
         DeviceParams(noise_sigma=-1.0)
+    # every field must be finite; only t1 may be +inf (no decay)
+    for f in fields(DeviceParams):
+        for bad in (math.nan, math.inf, -math.inf):
+            if f.name == "t1" and bad == math.inf:
+                continue
+            with pytest.raises(ConfigError, match=f.name):
+                DeviceParams(**{f.name: bad})
+    assert DeviceParams(t1=math.inf).decay_rate() == 0.0
