@@ -23,7 +23,7 @@ from .experiment import (
 )
 from .fxp import ADC_LSB_VOLTS, ADC_WIDTH, ConfigError, FxpSample, quantize
 from .histo import HistogramRam
-from .latency import LatencyBudget, tau_eltot, total_feedback_latency
+from .latency import BUDGET, tau_eltot, total_feedback_latency
 from .pipeline import PipelineConfig, run_stream, run_stream_batch
 from .sigmodel import (
     DeviceParams,
@@ -38,6 +38,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ADC_LSB_VOLTS",
     "ADC_WIDTH",
+    "BUDGET",
     "CalibrationError",
     "ConfigError",
     "DeviceParams",
@@ -46,7 +47,6 @@ __all__ = [
     "FeedbackComparison",
     "FxpSample",
     "HistogramRam",
-    "LatencyBudget",
     "PipelineConfig",
     "PulseSchedule",
     "QubitTrajectory",

@@ -30,7 +30,7 @@ from .experiment import (
 )
 from .fxp import ADC_WIDTH, ConfigError, FxpSample
 from .latency import (
-    LatencyBudget,
+    BUDGET,
     budget_report,
     budget_summary,
     integration_delay_setting,
@@ -216,6 +216,9 @@ def cmd_simulate_pipeline(args) -> int:
                                        phase_offset=SYNC_DEPTH)
         samples = [FxpSample(0, ADC_WIDTH)] * SYNC_DEPTH + stream.samples
         triggers = stream.triggers + [0] * SYNC_DEPTH
+        if stream.saturated_count:
+            print(f"warning: ADC clipped {stream.saturated_count} of "
+                  f"{len(stream.samples)} synthesized samples", file=sys.stderr)
     state = PipelineState(cfg.pipeline)
     text = dump_trace(run_stream(cfg.pipeline, samples, triggers, state))
     if args.out:
@@ -234,18 +237,17 @@ def cmd_simulate_pipeline(args) -> int:
 
 
 def cmd_latency_report(args) -> int:
-    budget = LatencyBudget()
     pipe = PipelineConfig(delay=args.delay_cycles)
-    trigger_to_fb = trigger_to_fb_delay(pipe, budget)
+    trigger_to_fb = trigger_to_fb_delay(pipe)
     if args.json:
         doc = {
-            **budget_summary(budget),
+            **budget_summary(),
             "trigger_to_fb_ns": trigger_to_fb,
-            "integration_delay_cycles": integration_delay_setting(budget.tau_ro),
+            "integration_delay_cycles": integration_delay_setting(BUDGET["tau_ro"][0]),
         }
         print(json.dumps(doc, indent=2))
     else:
-        print(budget_report(budget)
+        print(budget_report()
               + f"trigger to fb at d = {pipe.delay}: {trigger_to_fb:.1f} ns")
     return 0
 

@@ -160,8 +160,8 @@ class QubitTrajectory:
 
 def thermal_population(t_env: float, f_q: float) -> float:
     """Equilibrium excited-state population of a two-level system."""
-    if not t_env > 0:
-        raise ValueError("t_env must be positive")
+    if not 0 < t_env < math.inf:
+        raise ValueError("t_env must be positive and finite")
     x = math.exp(-PLANCK * f_q / (BOLTZMANN * t_env))
     return x / (1.0 + x)
 

@@ -28,7 +28,7 @@ from qfbsim.histo import (
     pack_correlation_address,
     unpack_correlation_address,
 )
-from qfbsim.latency import LatencyBudget, tau_eltot, total_feedback_latency, trigger_to_fb_delay
+from qfbsim.latency import BUDGET, tau_eltot, total_feedback_latency, trigger_to_fb_delay
 from qfbsim.pipeline import (
     COS_SEQ,
     NSIN_SEQ,
@@ -131,10 +131,9 @@ def test_criterion_03_demodulation_amplitude_phase():
 
 
 def test_criterion_04_latency_reproduction():
-    budget = LatencyBudget()
-    assert trigger_to_fb_delay(PipelineConfig(delay=1), budget) == 110.0
-    assert tau_eltot(budget)[0] == 219.0
-    assert total_feedback_latency(budget)[0] == 352.0
+    assert trigger_to_fb_delay(PipelineConfig(delay=1)) == 110.0
+    assert tau_eltot()[0] == 219.0
+    assert total_feedback_latency()[0] == 352.0
 
     # measured digital latency: impulse on the ADC lane to the first
     # filter response
@@ -145,7 +144,7 @@ def test_criterion_04_latency_reproduction():
     first = next(t.cycle for t in trace if t.i != 0)
     cycles = first - 10
     assert cycles == 3
-    assert cycles * 10.0 == budget.components()["tau_proc"]
+    assert cycles * 10.0 == BUDGET["tau_proc"][0]
     print("[criterion 4] PASS trigger-to-fb 110 ns at d=1, totals 219/352 ns, "
           "measured digital latency 3 cycles = 30 ns")
 

@@ -271,6 +271,10 @@ def test_offset_beyond_the_filter_range_is_usage_error(tmp_path, capsys, line,
     ("calibration.noise_overlap_target = nan %", None, "target overlap"),
     ("device.noise_sigma = 0 mV", "nan", "target overlap"),
     ("device.noise_sigma = 0 mV", "inf", "target overlap"),
+    ("experiment.threshold = nan mV", None, "threshold_volts"),
+    ("experiment.threshold = inf mV", None, "threshold_volts"),
+    ("device.temperature = inf mK", None, "device.temperature"),
+    ("device.temperature = nan mK", None, "device.temperature"),
 ])
 def test_non_finite_values_are_usage_errors(tmp_path, capsys, line, target,
                                             name):
@@ -474,6 +478,20 @@ def test_simulate_pipeline_warns_of_a_preprocessor_clip(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == (tmp_path / "trace.csv").read_text()
     assert err == "warning: preprocessed i_t saturated; its overflow flag latched\n"
+
+
+def test_simulate_pipeline_warns_of_an_adc_clip(tmp_path, capsys):
+    # a 1.5 V readout overdrives the +-1 V converter on part of the pulse
+    doc = tmp_path / "loud.cfg"
+    doc.write_text("device.amp_ss = 1.5 V\n")
+    args = ["simulate-pipeline", "--config", str(doc), "--ticks", "72"]
+    assert cli.main([*args, "--out", str(tmp_path / "trace.csv")]) == 0
+    capsys.readouterr()
+    assert cli.main(args) == 0
+    out, err = capsys.readouterr()
+    assert out == (tmp_path / "trace.csv").read_text()
+    assert err == ("warning: ADC clipped 6 of 66 synthesized samples\n"
+                   "warning: preprocessed q_t saturated; its overflow flag latched\n")
 
 
 def test_simulate_pipeline_without_a_clip_warns_of_nothing(tmp_path, capsys):

@@ -98,7 +98,7 @@ def test_offsets_must_fit_the_filtered_signal_grid():
     # the 15-bit filtered-signal grid spans -2 V .. 2 V - 1 LSB
     good = make_config()
     assert replace(good, threshold_volts=-2.0).pipeline.c_i.raw == -16384
-    for volts in (2.0, 3.0, -3.0):
+    for volts in (2.0, 3.0, -3.0, math.inf, -math.inf, math.nan):
         with pytest.raises(ConfigError, match="threshold_volts"):
             replace(good, threshold_volts=volts)
     with pytest.raises(ConfigError, match="offset_q"):

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 from qfbsim import experiment as ex
 from qfbsim.fxp import ConfigError, FxpSample, raw_bounds
-from qfbsim.latency import LatencyBudget
 from qfbsim.pipeline import (
     CLOCK_PERIOD_NS,
     FILTER_WIDTH,
@@ -560,17 +559,6 @@ def test_conditional_pi_must_land_between_the_readouts(delay, ok):
     else:
         with pytest.raises(ConfigError, match="conditional pi"):
             replace(cfg, delay=delay)
-
-
-def test_conditional_pi_inside_the_first_pulse_is_rejected():
-    # zero analog terms leave the 100 ns digital chain: at delay 4 the
-    # pi centre is 40 + 100 + 28 / 2 = 154 ns, inside the 160 ns pulse
-    fast = LatencyBudget(tau_adc=0.0, tau_awg=0.0, tau_g=0.0)
-    dev = _device()
-    cfg = dict(device=dev, scenario=ex.PI_HALF_INIT, latency_budget=fast)
-    assert ex.ExperimentConfig(**cfg).t_pi_ns == 214.0
-    with pytest.raises(ConfigError, match="conditional pi at 154 ns"):
-        ex.ExperimentConfig(**cfg, delay=4)
 
 
 def test_adc_saturation_counts_only_integration_windows():

@@ -48,8 +48,9 @@ def test_thermal_population_limits():
 
 
 def test_thermal_population_invalid():
-    with pytest.raises(ValueError):
-        thermal_population(0.0, 6.148e9)
+    for t_env in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="t_env"):
+            thermal_population(t_env, 6.148e9)
 
 
 # ---------------------------------------------------------------------------
