@@ -35,6 +35,15 @@ The envelope is not propagated before the first pulse (it is exactly
 zero there), the second phase stops at the end of the second integration
 window, and each chunk's first phase runs once and branches into the
 run's feedback arms from a snapshot of it.
+
+Until its first jump after the first pulse starts, a repetition's
+noiseless windows are fixed by its history class: its state at the
+pulse start for the first window, that and its state after the arm's
+conditional flip for the second.  Each run computes those 2 + 4 class
+rows once; a chunk still draws and tracks every repetition's jumps in
+the same order as if each had its own envelope, but propagates the
+envelope and synthesizes the waveform only for the repetitions that
+jump, and takes every other window from its class's row.
 """
 
 from __future__ import annotations
@@ -241,7 +250,8 @@ def _sample_jump_columns(rng, state: np.ndarray, a: float, b: float,
 
 
 class _EnvelopeFiller:
-    """Propagates the batch cavity envelope across one repetition.
+    """Propagates the batch cavity envelope of reps repetitions across
+    one repetition window.
 
     Only the grid columns named in cols are evaluated (out[:, k] is grid
     column cols[k]); alpha still advances through every jump and pulse
@@ -252,7 +262,10 @@ class _EnvelopeFiller:
     (segment start or jump): target + (alpha - target) exp(-lam dt),
     with lam and target set by the qubit state.  Repetitions without a
     jump in a segment take all of its values in one closed-form step;
-    only those that jump step through their events.
+    only those that jump step through their events.  A value depends
+    on its own repetition's operands only, not on how many rows run
+    with it, so the chunk gives the filler only the repetitions that
+    jump, and one row per jump-free history class (_class_rows).
     """
 
     def __init__(self, device: DeviceParams, reps: int, cols: np.ndarray):
@@ -362,12 +375,87 @@ def _flip_at_jumps(state: np.ndarray, cols) -> np.ndarray:
     return state
 
 
+def _sample_segments(rng, state: np.ndarray, segments, rates):
+    """Jump columns of consecutive segments, one list per segment, and
+    the qubit state after the last."""
+    seg_cols = []
+    for a, b, _ in segments:
+        cols = _sample_jump_columns(rng, state, a, b, *rates)
+        state = _flip_at_jumps(state, cols)
+        seg_cols.append(cols)
+    return seg_cols, state
+
+
+def _jumped(seg_cols, reps: int) -> np.ndarray:
+    """Mask of the repetitions with a jump in any of the segments; a
+    segment's first column holds a time for each of its jumpers."""
+    mask = np.zeros(reps, dtype=bool)
+    for cols in seg_cols:
+        if cols:
+            mask |= np.isfinite(cols[0])
+    return mask
+
+
 def _waveform_volts(device: DeviceParams, alpha: np.ndarray,
                     cols: slice) -> np.ndarray:
     """ADC voltages of the grid columns cols from their envelope values."""
     cos, sin = carrier_tables(N_SOURCE, SYNC_DEPTH)
     b = device.demod_gain() * alpha + complex(device.offset_i, device.offset_q)
     return 2.0 * (b.real * cos[cols] - b.imag * sin[cols])
+
+
+@dataclass(frozen=True)
+class _ClassRows:
+    """Noiseless window volts of the repetitions that have not jumped.
+
+    The envelope is exactly zero until the first pulse starts, so a
+    repetition with no jump after that has the first window volts1[s]
+    of its state s at the pulse start, and reaches the conditional pi
+    with the envelope alpha_pi[s].  If it does not jump in the second
+    phase either, its second window is volts2[2 s + s'], s' being its
+    state after its arm's conditional flip.  volts2 is None for a
+    single readout.
+    """
+
+    volts1: np.ndarray              # (2, l)
+    alpha_pi: np.ndarray            # (2,) complex
+    volts2: np.ndarray | None       # (4, l)
+
+
+def _class_rows(cfg: ExperimentConfig, protocol: _Protocol) -> _ClassRows:
+    """The jump-free classes' rows: the filler run without jumps on one
+    row per class.  A value depends only on its own operands, not on
+    how many rows share the array, so each row equals, bit for bit, its
+    class's rows inside a whole chunk."""
+    dev = cfg.device
+    states = np.array([STATE_G, STATE_E] * 2, dtype=np.uint8)
+    w1 = _window_cols(cfg, TRIG1_TICK)
+    segments = _phase_a_segments(cfg)[1:]
+    first = _own_envelope(dev, w1, states, np.arange(2), segments,
+                          [[]] * len(segments))
+    volts1 = _waveform_volts(dev, first.out, w1)
+    if not protocol.double:
+        return _ClassRows(volts1, first.alpha, None)
+    w2 = _window_cols(cfg, TRIG2_TICK)
+    segments = _phase_b_segments(cfg)
+    second = _own_envelope(dev, w2, states, np.arange(4), segments,
+                           [[]] * len(segments), first.alpha[[0, 0, 1, 1]])
+    return _ClassRows(volts1, first.alpha, _waveform_volts(dev, second.out, w2))
+
+
+def _own_envelope(device: DeviceParams, window: slice, state: np.ndarray,
+                  idx: np.ndarray, segments, seg_cols, alpha=None):
+    """The filler run over the repetitions idx only, from their states
+    and (default zero) envelopes at the first segment's start; it
+    evaluates the grid columns of window."""
+    filler = _EnvelopeFiller(device, idx.size,
+                             np.arange(window.start, window.stop))
+    if alpha is not None:
+        filler.alpha = alpha
+    state = state[idx]
+    for (a, b, on), cols in zip(segments, seg_cols):
+        state = filler.run_segment(state, a, b, on, [c[idx] for c in cols])
+    return filler
 
 
 def _trigger_lane(double: bool, ticks: int) -> np.ndarray:
@@ -392,44 +480,55 @@ def _window_cols(cfg: ExperimentConfig, trigger_tick: int) -> slice:
     return slice(ticks.start - SYNC_DEPTH, ticks.stop - SYNC_DEPTH)
 
 
-def _read_window(cfg: ExperimentConfig, alpha: np.ndarray,
-                 noise: np.ndarray, cols: slice):
+def _read_window(cfg: ExperimentConfig, rows: np.ndarray, cls: np.ndarray,
+                 idx: np.ndarray, alpha: np.ndarray, noise: np.ndarray,
+                 cols: slice):
     """Digitize one integration window and evaluate the pipeline on it.
 
-    alpha and noise hold the window's columns only (column k is grid
-    column cols.start + k).  Returns (i_t, q_t, clipped) at the
-    readout's evaluation tick.
+    Its volts are the class rows picked by cls, with the rows idx
+    synthesized from their own envelope values alpha, plus noise; every
+    array holds the window's columns only (column k is grid column
+    cols.start + k).  Returns (i_t, q_t, clipped) at the readout's
+    evaluation tick.
     """
-    volts = _waveform_volts(cfg.device, alpha, cols) + noise
+    volts = np.take(rows, cls, axis=0)
+    volts[idx] = _waveform_volts(cfg.device, alpha, cols)
+    volts += noise
     raw, clipped = quantize_array(volts)
     i_t, q_t = scaled_iq_at(cfg.pipeline, raw, cols.start + SYNC_DEPTH)
     return i_t, q_t, clipped
 
 
 def _run_chunk(cfg: ExperimentConfig, protocol: _Protocol, stream_id: int,
-               chunk_idx: int, reps: int, feedback: tuple):
+               chunk_idx: int, reps: int, feedback: tuple,
+               classes: _ClassRows):
     """One deterministic batch of repetitions, once per feedback setting.
 
     Returns one (it1, qt1, fb1, it2, qt2, clipped) tuple for each entry
-    of feedback (True: the conditional pi fires on fb1).
+    of feedback (True: the conditional pi fires on fb1).  classes are
+    _class_rows of the same configuration and protocol.
 
     Draw order is fixed: noise on the observed samples, initial states,
     first-phase jumps (with the init-gate draw at t = 0), then - after
     the feedback bit is known from the pipeline - the conditional pi and
     the second-phase jumps.  Nothing after the first phase influences the
-    first readout, so the first phase runs once: the generator state,
-    qubit states and cavity envelope are snapshotted after it, and each
-    feedback setting runs the second phase from that snapshot, drawing
-    exactly what a chunk run for that setting alone would draw.
+    first readout, so the first phase runs once: the generator state is
+    snapshotted after it, and each feedback setting runs the second
+    phase from that snapshot, drawing exactly what a chunk run for that
+    setting alone would draw.
 
     Only the samples inside the integration windows (both, or the first
     for a single readout) reach a result, so only those get noise, are
     synthesized and digitized, and the pipeline is evaluated only at the
     readout ticks.  The noise draw is one (reps, observed) array whose
-    column k belongs to grid column observed[k].  Before the first pulse
-    the envelope is exactly zero, so that segment only advances the
-    qubit state; the second phase ends with the second integration
-    window.
+    first l columns belong to the first window.  Every repetition's
+    qubit state follows its jump columns (_flip_at_jumps), but only the
+    repetitions that jump get their own envelope, from the first
+    pulse's start (the envelope is exactly zero before it): in the
+    first phase those that jump after that start, in each arm those
+    and the arm's second-phase jumpers, the latter from their class's
+    envelope at the conditional pi.  Every other window is its class's
+    row from classes; the draws are the same either way.
     """
     rng = np.random.default_rng(
         np.random.SeedSequence([cfg.master_seed & 0xFFFFFFFFFFFFFFFF,
@@ -438,52 +537,55 @@ def _run_chunk(cfg: ExperimentConfig, protocol: _Protocol, stream_id: int,
     pipe = cfg.pipeline
     l = pipe.window_len
     w1 = _window_cols(cfg, TRIG1_TICK)
-    w2 = _window_cols(cfg, TRIG2_TICK)
-    observed = np.r_[w1, w2] if protocol.double else np.r_[w1]
+    observed = 2 * l if protocol.double else l
     sigma = dev.noise_sigma
-    noise = (rng.normal(0.0, sigma, size=(reps, observed.size))
-             if sigma > 0 else np.zeros((reps, observed.size)))
+    noise = (rng.normal(0.0, sigma, size=(reps, observed))
+             if sigma > 0 else np.zeros((reps, observed)))
     state = (rng.random(reps) < dev.p_therm).astype(np.uint8)
 
-    gamma_down = dev.decay_rate()
-    gamma_up = dev.excitation_rate()
-    filler = _EnvelopeFiller(dev, reps, observed)
-
-    for seg_idx, (a, b, on) in enumerate(_phase_a_segments(cfg)):
-        if seg_idx == 1:
-            if protocol.init_gate == "pi_half":
-                state = (rng.random(reps) < 0.5).astype(np.uint8)
-            elif protocol.init_gate == "pi":
-                state = state ^ 1
-        cols = _sample_jump_columns(rng, state, a, b, gamma_down, gamma_up)
-        if seg_idx == 0:
-            state = _flip_at_jumps(state, cols)
-        else:
-            state = filler.run_segment(state, a, b, on, cols)
+    rates = (dev.decay_rate(), dev.excitation_rate())
+    (a, b, _), *segments_a = _phase_a_segments(cfg)
+    state = _flip_at_jumps(state, _sample_jump_columns(rng, state, a, b, *rates))
+    if protocol.init_gate == "pi_half":
+        state = (rng.random(reps) < 0.5).astype(np.uint8)
+    elif protocol.init_gate == "pi":
+        state = state ^ 1
+    start = state
+    cols_a, state = _sample_segments(rng, start, segments_a, rates)
+    own_a = _jumped(cols_a, reps)
+    idx_a = np.flatnonzero(own_a)
+    filler_a = _own_envelope(dev, w1, start, idx_a, segments_a, cols_a)
 
     # first readout: the whole first window precedes the conditional pi,
     # and fb_time is high at its evaluation tick by construction
-    it1, qt1, sat = _read_window(cfg, filler.out[:, :l], noise[:, :l], w1)
+    it1, qt1, sat = _read_window(cfg, classes.volts1, start, idx_a,
+                                 filler_a.out, noise[:, :l], w1)
     fb1 = lut_bits(pipe.lut1, it1, qt1)
 
     if not protocol.double:
         # nothing after the conditional pi is observed
         return ((it1, qt1, fb1, None, None, sat),) * len(feedback)
 
+    w2 = _window_cols(cfg, TRIG2_TICK)
     rng_after_a = rng.bit_generator.state
-    alpha_after_a = filler.alpha
     segments_b = _phase_b_segments(cfg)
     arms = []
     for enabled in feedback:
         rng.bit_generator.state = rng_after_a
-        filler.alpha = alpha_after_a.copy()
         arm_state = state
         if enabled:
             arm_state = np.where(fb1.astype(bool), state ^ 1, state)
-        for a, b, on in segments_b:
-            cols = _sample_jump_columns(rng, arm_state, a, b, gamma_down, gamma_up)
-            arm_state = filler.run_segment(arm_state, a, b, on, cols)
-        it2, qt2, sat2 = _read_window(cfg, filler.out[:, l:], noise[:, l:], w2)
+        cols_b, _ = _sample_segments(rng, arm_state, segments_b, rates)
+        idx_b = np.flatnonzero(own_a | _jumped(cols_b, reps))
+        # the first phase's jumpers go on from their own envelope, the
+        # others from their class's
+        alpha = classes.alpha_pi[start[idx_b]]
+        alpha[own_a[idx_b]] = filler_a.alpha
+        filler_b = _own_envelope(dev, w2, arm_state, idx_b, segments_b,
+                                 cols_b, alpha)
+        it2, qt2, sat2 = _read_window(cfg, classes.volts2,
+                                      2 * state + arm_state, idx_b,
+                                      filler_b.out, noise[:, l:], w2)
         arms.append((it1, qt1, fb1, it2, qt2, sat + sat2))
     return tuple(arms)
 
@@ -493,8 +595,9 @@ def _run_chunks(cfg: ExperimentConfig, protocol: _Protocol, stream_id: int,
     """Every chunk of one Monte Carlo, each branched into the feedback
     settings; returns, per setting, the list of its per-chunk outputs.
 
-    With jobs > 1 each worker runs whole chunks, all settings included,
-    and no more workers start than there are chunks.
+    The jump-free classes' rows are computed once here and handed to
+    every chunk.  With jobs > 1 each worker runs whole chunks, all
+    settings included, and no more workers start than there are chunks.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
@@ -503,7 +606,8 @@ def _run_chunks(cfg: ExperimentConfig, protocol: _Protocol, stream_id: int,
     while remaining > 0:
         sizes.append(min(CHUNK_REPS, remaining))
         remaining -= sizes[-1]
-    args = [(cfg, protocol, stream_id, idx, size, feedback)
+    classes = _class_rows(cfg, protocol)
+    args = [(cfg, protocol, stream_id, idx, size, feedback, classes)
             for idx, size in enumerate(sizes)]
     if jobs > 1 and len(args) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(args))) as pool:

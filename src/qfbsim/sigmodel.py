@@ -246,11 +246,16 @@ class AdcStream:
 
 def quantize_array(volts: np.ndarray) -> tuple[np.ndarray, int]:
     """Vectorized 14-bit ADC quantization; returns (raw, clip_count)."""
-    scaled = volts / fxp.ADC_LSB_VOLTS
-    rounded = np.where(scaled >= 0, np.floor(scaled + 0.5), np.ceil(scaled - 0.5))
+    # rounds half away from zero, in place on one array: the truncation
+    # of x + copysign(0.5, x) is floor(x + 0.5) for x >= +0 and
+    # ceil(x - 0.5) for x < 0; -0.0 gives code 0
+    x = volts / fxp.ADC_LSB_VOLTS
+    x += np.copysign(0.5, x)
+    np.trunc(x, out=x)
     lo, hi = fxp.raw_bounds(ADC_WIDTH)
-    clipped = int(np.count_nonzero((rounded < lo) | (rounded > hi)))
-    return np.clip(rounded, lo, hi).astype(np.int64), clipped
+    clipped = int(np.count_nonzero(x < lo)) + int(np.count_nonzero(x > hi))
+    np.clip(x, lo, hi, out=x)
+    return x.astype(np.int64), clipped
 
 
 def trigger_lane(schedule: PulseSchedule, n: int, ts: float) -> list[int]:

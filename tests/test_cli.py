@@ -511,6 +511,20 @@ def test_simulate_pipeline_empty_input_is_usage_error(tmp_path, capsys):
     assert "no samples" in capsys.readouterr().err
 
 
+def test_python_m_qfbsim_runs_the_cli():
+    proc = subprocess.run([sys.executable, "-m", "qfbsim", "latency-report",
+                           "--json"], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["trigger_to_fb_ns"] == 200.0
+
+
+def test_python_m_qfbsim_exits_with_the_cli_code():
+    proc = subprocess.run([sys.executable, "-m", "qfbsim"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "usage" in proc.stdout
+
+
 def test_console_script_entry_point():
     proc = subprocess.run([sys.executable, "-m", "qfbsim.cli",
                            "latency-report"],

@@ -428,10 +428,11 @@ CASES = [
 def _chunk_both_ways(cfg, protocol, stream_id, chunk_idx, reps, feedback):
     """The chunk run for one feedback setting alone, and branched from
     one first phase into both settings; both must give the same output."""
+    classes = ex._class_rows(cfg, protocol)
     (alone,) = ex._run_chunk(cfg, protocol, stream_id, chunk_idx, reps,
-                             (feedback,))
+                             (feedback,), classes)
     branched = ex._run_chunk(cfg, protocol, stream_id, chunk_idx, reps,
-                             (False, True))
+                             (False, True), classes)
     assert len(branched) == 2
     return alone, branched[feedback]
 
@@ -457,6 +458,114 @@ def test_chunk_matches_full_window_reference(scenario, dev_kw, protocol, feedbac
         _assert_chunk_equal(got, want)
         if dev_kw.get("noise_sigma") == 0.4:
             assert got[5] > 0
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _recorded_chunk(monkeypatch, cfg, protocol, reps):
+    """Run one chunk of both arms; return its quantizer inputs, in call
+    order, and the jump columns it sampled with the states they were
+    sampled from."""
+    volts, sampled = [], []
+    quantize, sample = ex.quantize_array, ex._sample_jump_columns
+
+    def recording_quantize(v):
+        volts.append(v.copy())
+        return quantize(v)
+
+    def recording_sample(rng, state, a, b, gamma_down, gamma_up):
+        cols = sample(rng, state, a, b, gamma_down, gamma_up)
+        sampled.append((state.copy(), cols))
+        return cols
+
+    monkeypatch.setattr(ex, "quantize_array", recording_quantize)
+    monkeypatch.setattr(ex, "_sample_jump_columns", recording_sample)
+    ex._run_chunk(cfg, protocol, 3, 1, reps, (False, True),
+                  ex._class_rows(cfg, protocol))
+    monkeypatch.undo()
+    return volts, sampled
+
+
+CLASS_CASES = [
+    (ex.PI_HALF_INIT, {}, DOUBLE),
+    (ex.THERMAL_INIT, {}, DOUBLE),
+    (ex.PI_HALF_INIT, {}, ex._Protocol("none", double=False)),
+    (ex.PI_HALF_INIT, {}, ex._Protocol("pi", double=False)),
+    (ex.THERMAL_INIT, {"t1": math.inf}, DOUBLE),
+    (ex.PI_HALF_INIT, {"noise_sigma": 0.0}, DOUBLE),
+    (ex.THERMAL_INIT, {"t1": 200e-9}, DOUBLE),         # most repetitions jump
+]
+
+
+@pytest.mark.parametrize("scenario,dev_kw,protocol", CLASS_CASES)
+def test_chunk_window_volts_equal_the_filler_over_every_repetition(
+        monkeypatch, scenario, dev_kw, protocol):
+    """A chunk's window volts, taken from its class rows and its jumpers'
+    own envelopes, equal bit for bit those of the filler run over every
+    repetition of the chunk, from the same jump columns, followed by
+    _waveform_volts and the same noise."""
+    reps = ex.CHUNK_REPS
+    cfg = ex.ExperimentConfig(device=_device(**dev_kw), scenario=scenario,
+                              repetitions=reps, master_seed=5)
+    if protocol == DOUBLE:
+        protocol = ex._protocol_for(cfg)
+    got, sampled = _recorded_chunk(monkeypatch, cfg, protocol, reps)
+
+    dev, l = cfg.device, cfg.window_len
+    w1, w2 = ex._window_cols(cfg, ex.TRIG1_TICK), ex._window_cols(cfg, ex.TRIG2_TICK)
+    observed = np.r_[w1, w2] if protocol.double else np.r_[w1]
+    rng = np.random.default_rng(
+        np.random.SeedSequence([cfg.master_seed, 3, 1]))
+    noise = (rng.normal(0.0, dev.noise_sigma, size=(reps, observed.size))
+             if dev.noise_sigma > 0 else np.zeros((reps, observed.size)))
+    filler = ex._EnvelopeFiller(dev, reps, observed)
+    for (a, b, on), (state, cols) in zip(ex._phase_a_segments(cfg)[1:],
+                                         sampled[1:3]):
+        filler.run_segment(state, a, b, on, cols)
+    want = [ex._waveform_volts(dev, filler.out[:, :l], w1) + noise[:, :l]]
+    if protocol.double:
+        alpha_pi = filler.alpha
+        arms = [sampled[3:5], sampled[5:7]]
+        for arm in arms:
+            filler.alpha = alpha_pi.copy()
+            for (a, b, on), (state, cols) in zip(ex._phase_b_segments(cfg), arm):
+                filler.run_segment(state, a, b, on, cols)
+            want.append(ex._waveform_volts(dev, filler.out[:, l:], w2)
+                        + noise[:, l:])
+        assert len(sampled) == 7
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(_bits(g), _bits(w))
+
+
+@pytest.mark.parametrize("scenario", ex.SCENARIOS)
+def test_class_rows_equal_a_jump_free_chunk(scenario):
+    """Each class row equals, bit for bit, the rows of its class in a
+    4096-row run of the filler without jumps."""
+    cfg = ex.ExperimentConfig(device=_device(), scenario=scenario)
+    protocol = ex._protocol_for(cfg)
+    classes = ex._class_rows(cfg, protocol)
+    dev = cfg.device
+    w1, w2 = ex._window_cols(cfg, ex.TRIG1_TICK), ex._window_cols(cfg, ex.TRIG2_TICK)
+    rng = np.random.default_rng(21)
+    start = rng.integers(0, 2, ex.CHUNK_REPS).astype(np.uint8)
+    filler = ex._EnvelopeFiller(dev, ex.CHUNK_REPS, np.r_[w1, w2])
+    for a, b, on in ex._phase_a_segments(cfg)[1:]:
+        filler.run_segment(start, a, b, on, [])
+    l = cfg.window_len
+    assert np.array_equal(
+        _bits(ex._waveform_volts(dev, filler.out[:, :l], w1)),
+        _bits(classes.volts1[start]))
+    assert np.array_equal(_bits(filler.alpha), _bits(classes.alpha_pi[start]))
+    flipped = np.where(rng.random(ex.CHUNK_REPS) < 0.5, start ^ 1, start)
+    for a, b, on in ex._phase_b_segments(cfg):
+        filler.run_segment(flipped, a, b, on, [])
+    assert np.array_equal(
+        _bits(ex._waveform_volts(dev, filler.out[:, l:], w2)),
+        _bits(classes.volts2[2 * start + flipped]))
+    assert set((2 * start + flipped).tolist()) == {0, 1, 2, 3}
 
 
 def test_chunk_with_wider_window_and_longer_delay():

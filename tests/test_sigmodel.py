@@ -6,6 +6,9 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qfbsim import experiment as ex
 from qfbsim import fxp
@@ -98,7 +101,8 @@ def noiseless_chunk(protocol, reps, seed, **device):
     dev = DeviceParams(t1=math.inf, amp_ss=0.6, offset_i=0.013, **device)
     cfg = ex.ExperimentConfig(device=dev, scenario=ex.PI_HALF_INIT,
                               repetitions=reps, master_seed=seed)
-    return ex._run_chunk(cfg, protocol, 0, 0, reps, (False, True))
+    return ex._run_chunk(cfg, protocol, 0, 0, reps, (False, True),
+                         ex._class_rows(cfg, protocol))
 
 
 def test_gates_apply_population_maps():
@@ -286,6 +290,64 @@ def test_quantize_array_matches_scalar():
         assert r == sample.raw
         expect_clips += clip
     assert clipped == expect_clips
+
+
+def _quantize_reference(volts):
+    """The quantizer's earlier where/floor/ceil form, kept as its reference."""
+    scaled = volts / fxp.ADC_LSB_VOLTS
+    rounded = np.where(scaled >= 0, np.floor(scaled + 0.5), np.ceil(scaled - 0.5))
+    lo, hi = fxp.raw_bounds(fxp.ADC_WIDTH)
+    clipped = int(np.count_nonzero((rounded < lo) | (rounded > hi)))
+    return np.clip(rounded, lo, hi).astype(np.int64), clipped
+
+
+def _assert_quantizes_like_reference(volts):
+    before = volts.copy()
+    raw, clipped = quantize_array(volts)
+    want_raw, want_clipped = _quantize_reference(volts)
+    assert raw.dtype == want_raw.dtype
+    np.testing.assert_array_equal(raw, want_raw)
+    assert clipped == want_clipped
+    # the input is left as it was
+    assert np.array_equal(volts.view(np.int64), before.view(np.int64))
+
+
+ADC_LO, ADC_HI = fxp.raw_bounds(fxp.ADC_WIDTH)
+LSB = fxp.ADC_LSB_VOLTS
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_quantize_array_matches_reference_at_rounding_ties(sign):
+    """(k +- 1/2) LSB for every code and a few beyond full scale, each
+    with its two floating-point neighbours."""
+    k = np.arange(ADC_LO - 3, ADC_HI + 4, dtype=float)
+    ties = np.concatenate([(k - 0.5) * LSB, (k + 0.5) * LSB, k * LSB])
+    volts = sign * np.concatenate([ties, np.nextafter(ties, -np.inf),
+                                   np.nextafter(ties, np.inf)])
+    _assert_quantizes_like_reference(volts.reshape(-1, 3))
+
+
+def test_quantize_array_matches_reference_at_zero_and_beyond_full_scale():
+    edges = [(ADC_HI + 0.5) * LSB, (ADC_LO - 0.5) * LSB, ADC_HI * LSB,
+             ADC_LO * LSB, 1e3, 5e-324, np.inf]
+    volts = np.array([0.0, -0.0] + edges + [-v for v in edges])
+    _assert_quantizes_like_reference(volts)
+    raw, clipped = quantize_array(volts)
+    assert raw[:2].tolist() == [0, 0]
+    assert clipped == 8
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 64), st.integers(1, 8)),
+              elements=st.floats(-1.5, 1.5, allow_nan=False)))
+def test_quantize_array_matches_reference_on_random_volts(volts):
+    _assert_quantizes_like_reference(volts)
+
+
+def test_quantize_array_matches_reference_on_a_noisy_chunk():
+    volts = np.random.default_rng(8).normal(0.0, 0.4, size=(4096, 8))
+    _assert_quantizes_like_reference(volts)
+    assert _quantize_reference(volts)[1] > 0
 
 
 def test_stream_trigger_per_pulse():
