@@ -31,9 +31,14 @@ run_stream_batch stay the reference models it is tested against, and
 the noiseless calibration still runs the whole stream through
 run_stream_batch.
 
+The repetitions come in chunks of CHUNK_REPS, each drawing from its own
+generator, so the draws do not depend on how the chunks are run.  The
+chunks run BATCH_CHUNKS at a time: only the draws loop over a batch's
+chunks, and every other stage runs once over the whole batch.
+
 The envelope is not propagated before the first pulse (it is exactly
 zero there), the second phase stops at the end of the second integration
-window, and each chunk's first phase runs once and branches into the
+window, and each batch's first phase runs once and branches into the
 run's feedback arms from a snapshot of it.
 
 Until its first jump after the first pulse starts, a repetition's
@@ -89,6 +94,9 @@ M2_START_NS = 360
 TRIG1_TICK = (M1_START_NS - GRID_START_NS) // CLOCK_PERIOD_NS
 TRIG2_TICK = (M2_START_NS - GRID_START_NS) // CLOCK_PERIOD_NS
 CHUNK_REPS = 4096
+# chunks that run as one vectorized batch; more would cut per-call
+# overhead little further and hold more chunks' arrays at once
+BATCH_CHUNKS = 8
 
 PI_HALF_INIT = "pi_half_init"
 THERMAL_INIT = "thermal_init"
@@ -219,23 +227,33 @@ def _grid_times_s() -> np.ndarray:
     return (GRID_START_NS + CLOCK_PERIOD_NS * np.arange(N_SOURCE)) * NS
 
 
-def _sample_jump_columns(rng, state: np.ndarray, a: float, b: float,
+def _sample_jump_columns(rngs, bounds, state: np.ndarray, a: float, b: float,
                          gamma_down: float, gamma_up: float):
     """Exact exponential jump times for every repetition within [a, b).
 
-    Returns a list of chronological event columns: each is a (reps,)
-    array of jump times with +inf where that repetition has no further
-    jump, so a repetition's finite times come first.  Each iteration
-    draws one exponential per repetition still jumping, in repetition
-    order: all of them at first, after that only the few that jumped in
-    the previous iteration.
+    The repetitions are a batch of chunks: chunk c holds the rows
+    bounds[c]:bounds[c + 1] and draws from its own generator rngs[c]
+    (one chunk is ([rng], [0, reps])).  Returns a list of chronological
+    event columns: each is a (reps,) array of jump times with +inf where
+    that repetition has no further jump, so a repetition's finite times
+    come first.  Each iteration, each chunk draws one exponential per
+    repetition of its own still jumping, in repetition order: all of
+    them at first, after that only the few that jumped in the previous
+    iteration.  A chunk with none left draws nothing, so each chunk's
+    draws and columns are those of the chunk sampled alone (with +inf
+    columns after its own last one).
     """
     reps = state.shape[0]
     cols = []
     active = np.arange(reps)
     t = np.full(reps, a)
     while True:
-        u = rng.exponential(1.0, size=active.size)
+        # active is sorted, so each chunk's jumpers are one run of it
+        ends = np.searchsorted(active, bounds)
+        u = np.empty(active.size)
+        for rng, lo, hi in zip(rngs, ends[:-1], ends[1:]):
+            if hi > lo:
+                u[lo:hi] = rng.exponential(1.0, size=hi - lo)
         rates = np.where(state == STATE_E, gamma_down, gamma_up)
         # the floor keeps every quotient finite; a zero rate gets inf
         dt = np.where(rates > 0, u / np.maximum(rates, 1e-300), np.inf)
@@ -375,12 +393,12 @@ def _flip_at_jumps(state: np.ndarray, cols) -> np.ndarray:
     return state
 
 
-def _sample_segments(rng, state: np.ndarray, segments, rates):
+def _sample_segments(rngs, bounds, state: np.ndarray, segments, rates):
     """Jump columns of consecutive segments, one list per segment, and
     the qubit state after the last."""
     seg_cols = []
     for a, b, _ in segments:
-        cols = _sample_jump_columns(rng, state, a, b, *rates)
+        cols = _sample_jump_columns(rngs, bounds, state, a, b, *rates)
         state = _flip_at_jumps(state, cols)
         seg_cols.append(cols)
     return seg_cols, state
@@ -489,69 +507,90 @@ def _read_window(cfg: ExperimentConfig, rows: np.ndarray, cls: np.ndarray,
     synthesized from their own envelope values alpha, plus noise; every
     array holds the window's columns only (column k is grid column
     cols.start + k).  Returns (i_t, q_t, clipped) at the readout's
-    evaluation tick.
+    evaluation tick, i_t and q_t as int16: the preprocessor saturates
+    them to PREPROC_WIDTH = 16 bits, and a pool worker ships a quarter
+    of the bytes that int64 would take.
     """
     volts = np.take(rows, cls, axis=0)
     volts[idx] = _waveform_volts(cfg.device, alpha, cols)
     volts += noise
     raw, clipped = quantize_array(volts)
     i_t, q_t = scaled_iq_at(cfg.pipeline, raw, cols.start + SYNC_DEPTH)
-    return i_t, q_t, clipped
+    return i_t.astype(np.int16), q_t.astype(np.int16), clipped
+
+
+def _per_chunk(rngs, sizes, draw) -> np.ndarray:
+    """draw(rng, n) for each chunk of a batch, joined in chunk order."""
+    return np.concatenate([draw(rng, n) for rng, n in zip(rngs, sizes)])
 
 
 def _run_chunk(cfg: ExperimentConfig, protocol: _Protocol, stream_id: int,
-               chunk_idx: int, reps: int, feedback: tuple,
+               first_chunk: int, sizes, feedback: tuple,
                classes: _ClassRows):
-    """One deterministic batch of repetitions, once per feedback setting.
+    """A batch of consecutive chunks, once per feedback setting.
 
-    Returns one (it1, qt1, fb1, it2, qt2, clipped) tuple for each entry
-    of feedback (True: the conditional pi fires on fb1).  classes are
-    _class_rows of the same configuration and protocol.
+    Chunk first_chunk + k holds sizes[k] repetitions.  Returns one
+    (it1, qt1, fb1, it2, qt2, clipped) tuple for each entry of feedback
+    (True: the conditional pi fires on fb1), its arrays holding the
+    chunks' repetitions in order (the readouts as int16, _read_window).
+    classes are _class_rows of the same configuration and protocol.
 
-    Draw order is fixed: noise on the observed samples, initial states,
-    first-phase jumps (with the init-gate draw at t = 0), then - after
-    the feedback bit is known from the pipeline - the conditional pi and
-    the second-phase jumps.  Nothing after the first phase influences the
-    first readout, so the first phase runs once: the generator state is
-    snapshotted after it, and each feedback setting runs the second
-    phase from that snapshot, drawing exactly what a chunk run for that
-    setting alone would draw.
+    Each chunk draws from its own generator, seeded by (master seed,
+    stream_id, chunk index), and its draws and outputs do not depend on
+    the batch it runs in: only the draws loop over the chunks, each into
+    its own rows; every other stage runs once over the whole batch, and
+    each of its values depends on its own repetition's operands only.
+
+    A chunk's draw order is fixed: noise on the observed samples,
+    initial states, first-phase jumps (with the init-gate draw at t =
+    0), then - after the feedback bit is known from the pipeline - the
+    conditional pi and the second-phase jumps.  Nothing after the first
+    phase influences the first readout, so the first phase runs once:
+    each generator's state is snapshotted after it, and each feedback
+    setting runs the second phase from those snapshots, drawing exactly
+    what a run for that setting alone would draw.
 
     Only the samples inside the integration windows (both, or the first
     for a single readout) reach a result, so only those get noise, are
     synthesized and digitized, and the pipeline is evaluated only at the
-    readout ticks.  The noise draw is one (reps, observed) array whose
-    first l columns belong to the first window.  Every repetition's
-    qubit state follows its jump columns (_flip_at_jumps), but only the
-    repetitions that jump get their own envelope, from the first
-    pulse's start (the envelope is exactly zero before it): in the
-    first phase those that jump after that start, in each arm those
-    and the arm's second-phase jumpers, the latter from their class's
+    readout ticks.  A chunk's noise draw is one (reps, observed) array
+    whose first l columns belong to the first window.  Every
+    repetition's qubit state follows its jump columns (_flip_at_jumps),
+    but only the repetitions that jump get their own envelope, from the
+    first pulse's start (the envelope is exactly zero before it): in the
+    first phase those that jump after that start, in each arm those and
+    the arm's second-phase jumpers, the latter from their class's
     envelope at the conditional pi.  Every other window is its class's
     row from classes; the draws are the same either way.
     """
-    rng = np.random.default_rng(
-        np.random.SeedSequence([cfg.master_seed & 0xFFFFFFFFFFFFFFFF,
-                                stream_id, chunk_idx]))
+    seed = cfg.master_seed & 0xFFFFFFFFFFFFFFFF
+    rngs = [np.random.default_rng(np.random.SeedSequence([seed, stream_id, idx]))
+            for idx in range(first_chunk, first_chunk + len(sizes))]
+    bounds = np.cumsum([0, *sizes])
+    reps = int(bounds[-1])
     dev = cfg.device
     pipe = cfg.pipeline
     l = pipe.window_len
     w1 = _window_cols(cfg, TRIG1_TICK)
     observed = 2 * l if protocol.double else l
     sigma = dev.noise_sigma
-    noise = (rng.normal(0.0, sigma, size=(reps, observed))
+    noise = (_per_chunk(rngs, sizes,
+                        lambda rng, n: rng.normal(0.0, sigma, size=(n, observed)))
              if sigma > 0 else np.zeros((reps, observed)))
-    state = (rng.random(reps) < dev.p_therm).astype(np.uint8)
+    state = (_per_chunk(rngs, sizes, lambda rng, n: rng.random(n))
+             < dev.p_therm).astype(np.uint8)
 
     rates = (dev.decay_rate(), dev.excitation_rate())
     (a, b, _), *segments_a = _phase_a_segments(cfg)
-    state = _flip_at_jumps(state, _sample_jump_columns(rng, state, a, b, *rates))
+    state = _flip_at_jumps(state, _sample_jump_columns(rngs, bounds, state, a, b,
+                                                       *rates))
     if protocol.init_gate == "pi_half":
-        state = (rng.random(reps) < 0.5).astype(np.uint8)
+        state = (_per_chunk(rngs, sizes, lambda rng, n: rng.random(n))
+                 < 0.5).astype(np.uint8)
     elif protocol.init_gate == "pi":
         state = state ^ 1
     start = state
-    cols_a, state = _sample_segments(rng, start, segments_a, rates)
+    cols_a, state = _sample_segments(rngs, bounds, start, segments_a, rates)
     own_a = _jumped(cols_a, reps)
     idx_a = np.flatnonzero(own_a)
     filler_a = _own_envelope(dev, w1, start, idx_a, segments_a, cols_a)
@@ -567,15 +606,16 @@ def _run_chunk(cfg: ExperimentConfig, protocol: _Protocol, stream_id: int,
         return ((it1, qt1, fb1, None, None, sat),) * len(feedback)
 
     w2 = _window_cols(cfg, TRIG2_TICK)
-    rng_after_a = rng.bit_generator.state
+    after_a = [rng.bit_generator.state for rng in rngs]
     segments_b = _phase_b_segments(cfg)
     arms = []
     for enabled in feedback:
-        rng.bit_generator.state = rng_after_a
+        for rng, snapshot in zip(rngs, after_a):
+            rng.bit_generator.state = snapshot
         arm_state = state
         if enabled:
             arm_state = np.where(fb1.astype(bool), state ^ 1, state)
-        cols_b, _ = _sample_segments(rng, arm_state, segments_b, rates)
+        cols_b, _ = _sample_segments(rngs, bounds, arm_state, segments_b, rates)
         idx_b = np.flatnonzero(own_a | _jumped(cols_b, reps))
         # the first phase's jumpers go on from their own envelope, the
         # others from their class's
@@ -593,11 +633,14 @@ def _run_chunk(cfg: ExperimentConfig, protocol: _Protocol, stream_id: int,
 def _run_chunks(cfg: ExperimentConfig, protocol: _Protocol, stream_id: int,
                 jobs: int, feedback: tuple) -> list:
     """Every chunk of one Monte Carlo, each branched into the feedback
-    settings; returns, per setting, the list of its per-chunk outputs.
+    settings; returns, per setting, the list of its per-batch outputs.
 
-    The jump-free classes' rows are computed once here and handed to
-    every chunk.  With jobs > 1 each worker runs whole chunks, all
-    settings included, and no more workers start than there are chunks.
+    The chunks are split evenly into contiguous batches of at most
+    BATCH_CHUNKS, and into at least as many batches as there are
+    workers (with no more workers than chunks).  The jump-free classes'
+    rows are computed once here and handed to every batch.  With
+    jobs > 1 the batches run one task each on the pool, all settings
+    included; the outputs do not depend on the split.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
@@ -606,27 +649,30 @@ def _run_chunks(cfg: ExperimentConfig, protocol: _Protocol, stream_id: int,
     while remaining > 0:
         sizes.append(min(CHUNK_REPS, remaining))
         remaining -= sizes[-1]
+    count = max(math.ceil(len(sizes) / BATCH_CHUNKS), min(jobs, len(sizes)))
+    firsts = [len(sizes) * k // count for k in range(count + 1)]
     classes = _class_rows(cfg, protocol)
-    args = [(cfg, protocol, stream_id, idx, size, feedback, classes)
-            for idx, size in enumerate(sizes)]
+    args = [(cfg, protocol, stream_id, lo, sizes[lo:hi], feedback, classes)
+            for lo, hi in zip(firsts[:-1], firsts[1:])]
     if jobs > 1 and len(args) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(args))) as pool:
-            chunks = list(pool.map(_run_chunk_star, args, chunksize=1))
+            batches = list(pool.map(_run_chunk_star, args, chunksize=1))
     else:
-        chunks = [_run_chunk(*a) for a in args]
-    return list(zip(*chunks))
+        batches = [_run_chunk(*a) for a in args]
+    return list(zip(*batches))
 
 
 def _run_mc(protocol: _Protocol, parts: list) -> _McResult:
-    """One arm's Monte Carlo ensemble from its per-chunk outputs, as
-    _run_chunks returns them for that arm."""
-    it1 = np.concatenate([p[0] for p in parts])
-    qt1 = np.concatenate([p[1] for p in parts])
+    """One arm's Monte Carlo ensemble from its per-batch outputs, as
+    _run_chunks returns them for that arm; the int16 readouts come back
+    as int64, so no later arithmetic on them can wrap."""
+    it1 = np.concatenate([p[0] for p in parts], dtype=np.int64)
+    qt1 = np.concatenate([p[1] for p in parts], dtype=np.int64)
     fb1 = np.concatenate([p[2] for p in parts])
     it2 = qt2 = None
     if protocol.double:
-        it2 = np.concatenate([p[3] for p in parts])
-        qt2 = np.concatenate([p[4] for p in parts])
+        it2 = np.concatenate([p[3] for p in parts], dtype=np.int64)
+        qt2 = np.concatenate([p[4] for p in parts], dtype=np.int64)
     saturated = sum(p[5] for p in parts)
     return _McResult(n=it1.size, it1=it1, qt1=qt1, fb1=fb1,
                      it2=it2, qt2=qt2, saturated=saturated)

@@ -7,7 +7,8 @@ once for all feedback settings.  These tests hold it to the full-stream
 batch pipeline, which is itself held to the scalar machine, its batch
 envelope to the scalar envelope of each repetition, and a feedback
 comparison to two separate runs.  The sparse envelope and jump sampler
-are held bit for bit to the dense loops they replaced, kept here.
+are held bit for bit to the dense loops they replaced, kept here, and a
+batch of chunks to the same chunks run one at a time.
 """
 
 import math
@@ -19,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qfbsim import experiment as ex
-from qfbsim.fxp import ConfigError, FxpSample, raw_bounds
+from qfbsim.fxp import SHIFT_MAX, ConfigError, FxpSample, raw_bounds
 from qfbsim.pipeline import (
     CLOCK_PERIOD_NS,
     FILTER_WIDTH,
@@ -157,8 +158,8 @@ def test_envelope_filler_matches_scalar_envelope(initial, p_therm):
             state = np.where(gate, state ^ 1, state)
             for r in np.flatnonzero(gate):
                 flips[r].append((a, int(state[r])))
-        cols = ex._sample_jump_columns(rng, state, a, b, dev.decay_rate(),
-                                       dev.excitation_rate())
+        cols = ex._sample_jump_columns([rng], [0, reps], state, a, b,
+                                       dev.decay_rate(), dev.excitation_rate())
         for times in cols:
             for r in np.flatnonzero(np.isfinite(times)):
                 flips[r].append((times[r], flips[r][-1][1] ^ 1))
@@ -279,8 +280,8 @@ def envelope_cases(draw):
              "mixed": rng.integers(0, 2, reps).astype(np.uint8)}[initial]
     jumps = draw(st.sampled_from(["sampled", "none", "all", "some"]))
     if jumps == "sampled":
-        cols = ex._sample_jump_columns(rng, state, a, b, dev.decay_rate(),
-                                       dev.excitation_rate())
+        cols = ex._sample_jump_columns([rng], [0, reps], state, a, b,
+                                       dev.decay_rate(), dev.excitation_rate())
     else:
         # jump times on grid points, on both segment edges, repeated,
         # and anywhere in between
@@ -312,27 +313,62 @@ def test_envelope_filler_matches_dense_loop_bitwise(case):
     assert np.array_equal(got_state, want_state)
 
 
+def _sampled_per_chunk(seed, sizes, state, a, b, gamma_down, gamma_up):
+    """Sample a batch of chunks with one generator each, and check each
+    chunk's rows against the dense loop run on that chunk alone, from a
+    generator seeded alike: the same columns (then +inf in the batch's
+    further columns), the same final generator state.  Returns each
+    chunk's column count."""
+    bounds = np.cumsum([0, *sizes])
+    before = state.copy()
+    rngs = [np.random.default_rng([seed, k]) for k in range(len(sizes))]
+    got = ex._sample_jump_columns(rngs, bounds, state, a, b, gamma_down, gamma_up)
+    counts = []
+    for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        rng = np.random.default_rng([seed, k])
+        want = _dense_jump_columns(rng, state[lo:hi], a, b, gamma_down, gamma_up)
+        assert len(got) >= len(want)
+        for g, w in zip(got, want):
+            assert np.array_equal(g[lo:hi], w)
+        for g in got[len(want):]:
+            assert np.isinf(g[lo:hi]).all()
+        assert rngs[k].bit_generator.state == rng.bit_generator.state
+        counts.append(len(want))
+    assert len(got) == max(counts)
+    assert np.array_equal(state, before)
+    return counts
+
+
 @settings(max_examples=300, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), reps=st.integers(0, 64),
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       sizes=st.lists(st.integers(0, 40), min_size=1, max_size=5),
        gamma_down=st.sampled_from(RATES), gamma_up=st.sampled_from(RATES),
        bounds=segment_bounds())
-@example(seed=1, reps=40, gamma_down=0.0, gamma_up=1 / 30e-9,
+@example(seed=1, sizes=[40], gamma_down=0.0, gamma_up=1 / 30e-9,
          bounds=(0.0, 200e-9))
-@example(seed=2, reps=40, gamma_down=1 / 30e-9, gamma_up=0.0,
+@example(seed=2, sizes=[40], gamma_down=1 / 30e-9, gamma_up=0.0,
          bounds=(0.0, 200e-9))
-def test_jump_sampler_matches_dense_loop_bitwise(seed, reps, gamma_down,
+def test_jump_sampler_matches_dense_loop_bitwise(seed, sizes, gamma_down,
                                                  gamma_up, bounds):
+    """Each chunk of a batch gets, bit for bit, the columns and the
+    generator state of the dense loop run on that chunk alone."""
     a, b = bounds
-    state = np.random.default_rng(seed + 1).integers(0, 2, reps).astype(np.uint8)
-    before = state.copy()
-    rng_want, rng_got = np.random.default_rng(seed), np.random.default_rng(seed)
-    want = _dense_jump_columns(rng_want, state, a, b, gamma_down, gamma_up)
-    got = ex._sample_jump_columns(rng_got, state, a, b, gamma_down, gamma_up)
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert np.array_equal(g, w)
-    assert rng_got.bit_generator.state == rng_want.bit_generator.state
-    assert np.array_equal(state, before)
+    state = np.random.default_rng(seed + 1).integers(0, 2, sum(sizes)).astype(np.uint8)
+    _sampled_per_chunk(seed, sizes, state, a, b, gamma_down, gamma_up)
+
+
+def test_jump_sampler_covers_ragged_batches():
+    """The cases the property test must reach, made certain: no
+    repetitions at all, an empty chunk between others, a chunk that
+    stops jumping before the others, and zero rates."""
+    fast = 1 / 30e-9
+    assert _sampled_per_chunk(3, [0], np.zeros(0, dtype=np.uint8),
+                              0.0, 200e-9, fast, fast) == [0]
+    state = np.random.default_rng(9).integers(0, 2, 66).astype(np.uint8)
+    counts = _sampled_per_chunk(4, [40, 0, 1, 25], state, 0.0, 200e-9, fast, fast)
+    assert counts[1] == 0
+    assert 0 < counts[2] < max(counts)
+    assert _sampled_per_chunk(5, [40, 0, 26], state, 0.0, 200e-9, 0.0, 0.0) == [0, 0, 0]
 
 
 def _reference_chunk(cfg, protocol, stream_id, chunk_idx, reps, feedback):
@@ -358,8 +394,8 @@ def _reference_chunk(cfg, protocol, stream_id, chunk_idx, reps, feedback):
 
     def segments(segs, state):
         for a, b, on in segs:
-            cols = ex._sample_jump_columns(rng, state, a, b, dev.decay_rate(),
-                                           dev.excitation_rate())
+            cols = ex._sample_jump_columns([rng], [0, reps], state, a, b,
+                                           dev.decay_rate(), dev.excitation_rate())
             state = filler.run_segment(state, a, b, on, cols)
         return state
 
@@ -429,9 +465,9 @@ def _chunk_both_ways(cfg, protocol, stream_id, chunk_idx, reps, feedback):
     """The chunk run for one feedback setting alone, and branched from
     one first phase into both settings; both must give the same output."""
     classes = ex._class_rows(cfg, protocol)
-    (alone,) = ex._run_chunk(cfg, protocol, stream_id, chunk_idx, reps,
+    (alone,) = ex._run_chunk(cfg, protocol, stream_id, chunk_idx, [reps],
                              (feedback,), classes)
-    branched = ex._run_chunk(cfg, protocol, stream_id, chunk_idx, reps,
+    branched = ex._run_chunk(cfg, protocol, stream_id, chunk_idx, [reps],
                              (False, True), classes)
     assert len(branched) == 2
     return alone, branched[feedback]
@@ -460,6 +496,31 @@ def test_chunk_matches_full_window_reference(scenario, dev_kw, protocol, feedbac
             assert got[5] > 0
 
 
+BATCH_CASES = CASES + [(ex.THERMAL_INIT, {"t1": 200e-9}, DOUBLE)]
+
+
+@pytest.mark.parametrize("scenario,dev_kw,protocol", BATCH_CASES)
+def test_batch_equals_its_chunks_one_at_a_time(scenario, dev_kw, protocol):
+    """A batch of chunks 0..3, the last one ragged, equals bit for bit
+    the concatenation of each chunk run as a batch of its own, in both
+    arms."""
+    sizes = [700, 700, 700, 123]
+    cfg = ex.ExperimentConfig(device=_device(**dev_kw), scenario=scenario,
+                              repetitions=sum(sizes), master_seed=5)
+    if protocol == DOUBLE:
+        protocol = ex._protocol_for(cfg)
+    classes = ex._class_rows(cfg, protocol)
+    batch = ex._run_chunk(cfg, protocol, 3, 0, sizes, (False, True), classes)
+    alone = [ex._run_chunk(cfg, protocol, 3, k, [n], (False, True), classes)
+             for k, n in enumerate(sizes)]
+    for arm, got in enumerate(batch):
+        parts = [chunk[arm] for chunk in alone]
+        want = [None if parts[0][f] is None
+                else np.concatenate([p[f] for p in parts]) for f in range(5)]
+        _assert_chunk_equal(got, (*want, sum(p[5] for p in parts)))
+        assert got[0].size == sum(sizes)
+
+
 def _bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
@@ -475,14 +536,14 @@ def _recorded_chunk(monkeypatch, cfg, protocol, reps):
         volts.append(v.copy())
         return quantize(v)
 
-    def recording_sample(rng, state, a, b, gamma_down, gamma_up):
-        cols = sample(rng, state, a, b, gamma_down, gamma_up)
+    def recording_sample(rngs, bounds, state, a, b, gamma_down, gamma_up):
+        cols = sample(rngs, bounds, state, a, b, gamma_down, gamma_up)
         sampled.append((state.copy(), cols))
         return cols
 
     monkeypatch.setattr(ex, "quantize_array", recording_quantize)
     monkeypatch.setattr(ex, "_sample_jump_columns", recording_sample)
-    ex._run_chunk(cfg, protocol, 3, 1, reps, (False, True),
+    ex._run_chunk(cfg, protocol, 3, 1, [reps], (False, True),
                   ex._class_rows(cfg, protocol))
     monkeypatch.undo()
     return volts, sampled
@@ -568,6 +629,21 @@ def test_class_rows_equal_a_jump_free_chunk(scenario):
     assert set((2 * start + flipped).tolist()) == {0, 1, 2, 3}
 
 
+def test_saturated_readouts_survive_the_int16_outputs():
+    """At the largest scale shift the preprocessor saturates both ways;
+    the chunk's int16 readouts still equal the int64 reference."""
+    cfg = ex.ExperimentConfig(device=_device(noise_sigma=0.4),
+                              scenario=ex.PI_HALF_INIT, repetitions=300,
+                              master_seed=5, scale_shift=SHIFT_MAX)
+    protocol = ex._protocol_for(cfg)
+    want = _reference_chunk(cfg, protocol, 3, 1, 300, True)
+    readouts = np.concatenate([want[0], want[1], want[3], want[4]])
+    assert set(raw_bounds(PREPROC_WIDTH)) <= set(readouts.tolist())
+    for got in _chunk_both_ways(cfg, protocol, 3, 1, 300, True):
+        assert got[0].dtype == np.int16
+        _assert_chunk_equal(got, want)
+
+
 def test_chunk_with_wider_window_and_longer_delay():
     cfg = ex.ExperimentConfig(device=_device(), scenario=ex.PI_HALF_INIT,
                               repetitions=200, master_seed=9)
@@ -618,10 +694,19 @@ def test_comparison_equals_two_separate_runs(scenario, dev_kw, jobs):
 # worker count
 
 
-@pytest.mark.parametrize("jobs,chunks,workers", [(64, 2, 2), (2, 3, 2), (3, 3, 3)])
+@pytest.mark.parametrize("jobs,chunks,workers,batches", [
+    pytest.param(64, 2, 2, [1, 1], id="64-2-2"),
+    pytest.param(2, 3, 2, [1, 2], id="2-3-2"),
+    pytest.param(3, 3, 3, [1, 1, 1], id="3-3-3"),
+    pytest.param(2, 2, 2, [1, 1], id="2-2-2"),
+    pytest.param(2, 32, 2, [8, 8, 8, 8], id="2-32-2"),
+])
 def test_pool_starts_no_more_workers_than_chunks(monkeypatch, jobs, chunks,
-                                                 workers):
-    started = []
+                                                 workers, batches):
+    """The chunks are split evenly into batches of at most BATCH_CHUNKS,
+    at least one per worker; each batch is one task, and the pooled
+    reports equal the serial ones."""
+    started, mapped = [], []
 
     class RecordingPool:
         """Records max_workers and maps in this process: no worker starts."""
@@ -636,7 +721,9 @@ def test_pool_starts_no_more_workers_than_chunks(monkeypatch, jobs, chunks,
             return False
 
         def map(self, fn, iterable, chunksize=1):
-            return map(fn, iterable)
+            tasks = list(iterable)
+            mapped.append([len(task[4]) for task in tasks])
+            return map(fn, tasks)
 
     cfg = ex.ExperimentConfig(device=_device(), scenario=ex.THERMAL_INIT,
                               repetitions=(chunks - 1) * ex.CHUNK_REPS + 7)
@@ -644,8 +731,11 @@ def test_pool_starts_no_more_workers_than_chunks(monkeypatch, jobs, chunks,
     monkeypatch.setattr(ex, "ProcessPoolExecutor", RecordingPool)
     pooled = ex.run_feedback_comparison(cfg, jobs=jobs)
     assert started == [workers]
+    assert mapped == [batches]
+    assert max(batches) <= ex.BATCH_CHUNKS
     for got, want in zip(pooled.reports, serial.reports, strict=True):
         assert got.to_json() == want.to_json()
+    assert pooled.histogram.dump_bytes() == serial.histogram.dump_bytes()
 
 
 @pytest.mark.parametrize("jobs", [0, -2])

@@ -6,8 +6,10 @@ readout-fidelity JSON, the simulate-pipeline trace of an excited
 qubit, and the remaining command-line outputs: the calibrate-noise,
 optimize-threshold and latency-report JSON, the marginal and joint CSVs
 and the single-arm report.  The repetition count is not a multiple of CHUNK_REPS so the
-trailing partial chunk is part of every digest.  The comparison digests
-hold in-process and on the process pool alike.  A speed-only change must
+trailing partial chunk is part of every digest.  A second set of
+comparison digests is pinned at a repetition count that spans more
+than one batch of chunks.  The comparison digests hold in-process and
+on the process pool alike.  A speed-only change must
 leave every digest as it is; a change that moves one must say so and
 why.
 """
@@ -21,7 +23,12 @@ import pytest
 import qfbsim
 from qfbsim import cli
 from qfbsim import config as run_config
-from qfbsim.experiment import CHUNK_REPS, readout_fidelity, run_feedback_comparison
+from qfbsim.experiment import (
+    BATCH_CHUNKS,
+    CHUNK_REPS,
+    readout_fidelity,
+    run_feedback_comparison,
+)
 
 CONFIG_DIR = Path(qfbsim.__file__).parent / "configs"
 REPS = 4096 + 1000
@@ -47,6 +54,28 @@ GOLDEN = {
             "0521cdbda80e5c73b1f243bdcd42b74191acf691ba186d488df4a378560c9c94",
         "readout_fidelity.json":
             "8c06585311d2d43639f0a201a51b03e84ea28324bcb533093f39d0a249bb6838",
+    },
+}
+
+# comparisons at (8 + 1) chunks + 77 repetitions and SEED: two batches of
+# chunks, the last chunk partial
+MULTI_BATCH_REPS = 9 * 4096 + 77
+MULTI_BATCH = {
+    "scenario_pi_half.cfg": {
+        "report_feedback_off.json":
+            "676ed65d4e7e2b804c3a026e393571ca5f7bd2cd36d923d4af96722532d6b206",
+        "report_feedback_on.json":
+            "69b094cc9a39f177b126c43ae76978f2e4d7d6151fd5b74eb525d0d734c6fbc7",
+        "histogram.bin":
+            "43a9ce5e0bff970f843918c5eeba24507aacd97635989c4a01ccd89b183c058d",
+    },
+    "scenario_thermal.cfg": {
+        "report_feedback_off.json":
+            "fe68c56089ce8442c8795624569b76bf58c63a8efcfb3710931f16250ff65735",
+        "report_feedback_on.json":
+            "9d197d4ed72f5f9fc7ffd20a69413bab49290e105d28417258884c860b8a3c21",
+        "histogram.bin":
+            "bcb3e31bb098a3e2718525ab104ac48b0df523ff6f2400d92f9bfcfeabc7662a",
     },
 }
 
@@ -84,14 +113,19 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _shipped(name: str):
+def _shipped(name: str, reps: int = REPS):
     cfg, target = run_config.load_file(CONFIG_DIR / name)
-    cfg = replace(cfg, repetitions=REPS, master_seed=SEED)
+    cfg = replace(cfg, repetitions=reps, master_seed=SEED)
     return run_config.resolve_noise(cfg, target)
 
 
 def test_repetitions_cover_a_partial_chunk():
     assert REPS % CHUNK_REPS != 0
+    assert MULTI_BATCH_REPS % CHUNK_REPS != 0
+
+
+def test_multi_batch_repetitions_span_more_than_one_batch():
+    assert MULTI_BATCH_REPS > BATCH_CHUNKS * CHUNK_REPS
 
 
 def _comparison_digests(cfg, jobs: int) -> dict:
@@ -117,6 +151,13 @@ def test_shipped_comparison_digests_on_two_workers(name):
     digests = _comparison_digests(_shipped(name), jobs=2)
     want = {k: v for k, v in GOLDEN[name].items() if k in digests}
     assert digests == want
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("name", sorted(MULTI_BATCH))
+def test_multi_batch_comparison_digests(name, jobs):
+    cfg = _shipped(name, MULTI_BATCH_REPS)
+    assert _comparison_digests(cfg, jobs=jobs) == MULTI_BATCH[name]
 
 
 def test_simulate_pipeline_trace_digest(tmp_path):

@@ -64,8 +64,8 @@ def final_states(params, initial, t_end, n, seed):
     """Qubit states at t_end of n repetitions started at 0 in initial."""
     rng = np.random.default_rng(seed)
     state = np.full(n, initial, dtype=np.uint8)
-    cols = ex._sample_jump_columns(rng, state, 0.0, t_end, params.decay_rate(),
-                                   params.excitation_rate())
+    cols = ex._sample_jump_columns([rng], [0, n], state, 0.0, t_end,
+                                   params.decay_rate(), params.excitation_rate())
     return ex._flip_at_jumps(state, cols), cols
 
 
@@ -101,7 +101,7 @@ def noiseless_chunk(protocol, reps, seed, **device):
     dev = DeviceParams(t1=math.inf, amp_ss=0.6, offset_i=0.013, **device)
     cfg = ex.ExperimentConfig(device=dev, scenario=ex.PI_HALF_INIT,
                               repetitions=reps, master_seed=seed)
-    return ex._run_chunk(cfg, protocol, 0, 0, reps, (False, True),
+    return ex._run_chunk(cfg, protocol, 0, 0, [reps], (False, True),
                          ex._class_rows(cfg, protocol))
 
 
