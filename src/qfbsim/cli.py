@@ -321,7 +321,8 @@ def main(argv=None) -> int:
         for line in exc.errors:
             print(f"error: {line}", file=sys.stderr)
         return 1
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, FileNotFoundError, IsADirectoryError,
+            NotADirectoryError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (CalibrationError, RuntimeError, OSError) as exc:

@@ -61,6 +61,10 @@ SCHEMA = {
 
 _DEVICE_SCALE = {"device.kappa": 2.0 * math.pi, "device.chi": 2.0 * math.pi}
 
+# DeviceParams fields a document sets by name; the temperature sets p_therm
+_DEVICE_ARGS = {key: key.removeprefix("device.") for key in SCHEMA
+                if key.startswith("device.") and key != "device.temperature"}
+
 # ExperimentConfig arguments a document may set; the rest keep their defaults
 _EXPERIMENT_ARGS = {
     "experiment.repetitions": "repetitions",
@@ -144,11 +148,8 @@ def _build(values: dict) -> tuple[ExperimentConfig, float | None]:
         errors.append("device.noise_sigma and calibration.noise_overlap_target"
                       " are mutually exclusive")
 
-    dev_kwargs = {}
-    for key in ("f_q", "kappa", "chi", "t1",
-                "amp_ss", "noise_sigma", "offset_i", "offset_q"):
-        if f"device.{key}" in values:
-            dev_kwargs[key] = values[f"device.{key}"]
+    dev_kwargs = {arg: values[key] for key, arg in _DEVICE_ARGS.items()
+                  if key in values}
     if "device.temperature" in values:
         f_q = dev_kwargs.get("f_q", DeviceParams.__dataclass_fields__["f_q"].default)
         try:

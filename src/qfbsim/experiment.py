@@ -18,13 +18,15 @@ integration window up with the readout pulse.
 
 run_feedback_comparison drives a vectorized Monte Carlo of the full
 loop, once for each feedback arm the run names (exact exponential jump
-times from _sample_jump_columns, the package's one jump sampler;
-closed-form cavity envelope propagation; the bit-exact pipeline), and
-reports quadrant statistics per arm next to an independent analytic
-rate-equation prediction.  The Monte Carlo only draws noise for, and
-synthesizes, the 2 l samples inside the two integration windows, draws
-jump times only for the repetitions still jumping, and evaluates the
-pipeline only at the two readout ticks (scaled_iq_at), which lie
+times from _sample_jump_columns, the package's one jump sampler, which
+hands out only the repetitions that jump, their times and every
+repetition's state after a segment; closed-form cavity envelope
+propagation; the bit-exact pipeline), and reports quadrant statistics
+per arm next to an independent analytic rate-equation prediction.  The
+Monte Carlo only draws noise for, and synthesizes, the 2 l samples
+inside the two integration windows, draws jump times only for the
+repetitions still jumping, and evaluates the pipeline only at the two
+readout ticks (scaled_iq_at), which lie
 pipeline.trigger_to_eval_cycles after the triggers, so the feedback bit
 needs no trigger-chain simulation; the scalar tick() machine and
 run_stream_batch stay the reference models it is tested against, and
@@ -45,10 +47,10 @@ Until its first jump after the first pulse starts, a repetition's
 noiseless windows are fixed by its history class: its state at the
 pulse start for the first window, that and its state after the arm's
 conditional flip for the second.  Each run computes those 2 + 4 class
-rows once; a chunk still draws and tracks every repetition's jumps in
-the same order as if each had its own envelope, but propagates the
-envelope and synthesizes the waveform only for the repetitions that
-jump, and takes every other window from its class's row.
+rows once; a chunk still draws every repetition's jumps in the same
+order as if each had its own envelope, but propagates the envelope and
+synthesizes the waveform only for the repetitions that jump, and takes
+every other window from its class's row.
 """
 
 from __future__ import annotations
@@ -233,18 +235,20 @@ def _sample_jump_columns(rngs, bounds, state: np.ndarray, a: float, b: float,
 
     The repetitions are a batch of chunks: chunk c holds the rows
     bounds[c]:bounds[c + 1] and draws from its own generator rngs[c]
-    (one chunk is ([rng], [0, reps])).  Returns a list of chronological
-    event columns: each is a (reps,) array of jump times with +inf where
-    that repetition has no further jump, so a repetition's finite times
-    come first.  Each iteration, each chunk draws one exponential per
-    repetition of its own still jumping, in repetition order: all of
-    them at first, after that only the few that jumped in the previous
-    iteration.  A chunk with none left draws nothing, so each chunk's
-    draws and columns are those of the chunk sampled alone (with +inf
-    columns after its own last one).
+    (one chunk is ([rng], [0, reps])).  Returns (rows, times, end):
+    rows are the repetitions that jump at least once, ascending; times
+    is (events, rows), each row's jump times in time order with +inf
+    after its last; end is every repetition's state at b.  Each
+    iteration, each chunk draws one exponential per repetition of its
+    own still jumping, in repetition order: all of them at first, after
+    that only the few that jumped in the previous iteration.  A chunk
+    with none left draws nothing, so each chunk's draws, rows and times
+    are those of the chunk sampled alone (with +inf events after its
+    own last one).
     """
     reps = state.shape[0]
-    cols = []
+    end = state.copy()
+    events = []
     active = np.arange(reps)
     t = np.full(reps, a)
     while True:
@@ -260,11 +264,15 @@ def _sample_jump_columns(rngs, bounds, state: np.ndarray, a: float, b: float,
         t_next = t + dt
         jump = t_next < b
         if not jump.any():
-            return cols
+            break
         active, t, state = active[jump], t_next[jump], state[jump] ^ 1
-        col = np.full(reps, np.inf)
-        col[active] = t
-        cols.append(col)
+        end[active] = state
+        events.append((active, t))
+    rows = events[0][0] if events else np.zeros(0, dtype=np.intp)
+    times = np.full((len(events), rows.size), np.inf)
+    for k, (jumpers, tk) in enumerate(events):
+        times[k, np.searchsorted(rows, jumpers)] = tk
+    return rows, times, end
 
 
 class _EnvelopeFiller:
@@ -312,35 +320,32 @@ class _EnvelopeFiller:
         return value
 
     def run_segment(self, state: np.ndarray, a: float, b: float,
-                    pulse_on: bool, cols) -> np.ndarray:
+                    pulse_on: bool, jumpers, times) -> None:
         """Fill the evaluated grid points inside [a, b); advance alpha to b.
 
-        cols are the segment's jump columns from _sample_jump_columns,
-        chronological per repetition.  Each grid point is stepped from
-        the last event at or before it.  Repetitions without a jump
-        take every evaluated point and the segment end in one step from
-        a, with one decay per qubit state and point; the few that jump
-        take theirs from _jumper_values.  Values are laid out (point,
-        repetition) so that every operation runs along the repetitions.
+        state is each row's qubit state at a.  jumpers are the positions
+        of the rows that jump in the segment, ascending, and times their
+        jump times as _sample_jump_columns returns them.  Each grid point is
+        stepped from the last event at or before it.  Rows without a
+        jump take every evaluated point and the segment end in one step
+        from a, with one decay per qubit state and point; the few that
+        jump take theirs from _jumper_values.  Values are laid out
+        (point, row) so that every operation runs along the rows.
         """
         idx = np.flatnonzero((self.grid >= a) & (self.grid < b))
         ends = np.append(self.grid[idx], b)
         decay = self._decay(np.arange(2)[:, None], ends - a)
         vals = self._step(np.tile(self.alpha, (ends.size, 1)), state,
                           np.take(decay.T, state, axis=1), pulse_on)
-        state = state.copy()
-        if cols:
-            jumpers = np.flatnonzero(np.isfinite(cols[0]))
-            times = np.stack([c[jumpers] for c in cols])
-            vals[:, jumpers], state[jumpers] = self._jumper_values(
+        if jumpers.size:
+            vals[:, jumpers] = self._jumper_values(
                 self.alpha[jumpers], state[jumpers], a, ends, times, pulse_on)
         self.out[:, idx] = vals[:-1].T
         self.alpha = vals[-1].copy()
-        return state
 
     def _jumper_values(self, alpha, state, a, ends, times, pulse_on):
-        """(point, jumper) envelope values at ends, and the final states,
-        of repetitions that jump in the segment.
+        """(point, jumper) envelope values at ends of repetitions that
+        jump in the segment.
 
         times is (events, jumpers), chronological per jumper with +inf
         after its last jump.  The envelope, state and start time after
@@ -362,10 +367,9 @@ class _EnvelopeFiller:
         at = (times <= ends[:, None, None]).sum(axis=1)
         rep = np.arange(n)
         st = states[at, rep]
-        vals = self._step(alphas[at, rep], st,
+        return self._step(alphas[at, rep], st,
                           self._decay(st, ends[:, None] - starts[at, rep]),
                           pulse_on)
-        return vals, st[-1]
 
 
 def _phase_a_segments(cfg: ExperimentConfig):
@@ -386,31 +390,22 @@ def _phase_b_segments(cfg: ExperimentConfig):
             (M2_START_NS * NS, w2_end, True)]
 
 
-def _flip_at_jumps(state: np.ndarray, cols) -> np.ndarray:
-    """Qubit state after the jump columns of a segment, without the envelope."""
-    for times in cols:
-        state = np.where(np.isfinite(times), state ^ 1, state)
-    return state
-
-
 def _sample_segments(rngs, bounds, state: np.ndarray, segments, rates):
-    """Jump columns of consecutive segments, one list per segment, and
-    the qubit state after the last."""
-    seg_cols = []
+    """Jumps of consecutive segments, one (start state, rows, times) per
+    segment (_sample_jump_columns), and the qubit state after the last."""
+    sampled = []
     for a, b, _ in segments:
-        cols = _sample_jump_columns(rngs, bounds, state, a, b, *rates)
-        state = _flip_at_jumps(state, cols)
-        seg_cols.append(cols)
-    return seg_cols, state
+        rows, times, end = _sample_jump_columns(rngs, bounds, state, a, b, *rates)
+        sampled.append((state, rows, times))
+        state = end
+    return sampled, state
 
 
-def _jumped(seg_cols, reps: int) -> np.ndarray:
-    """Mask of the repetitions with a jump in any of the segments; a
-    segment's first column holds a time for each of its jumpers."""
+def _jumped(sampled, reps: int) -> np.ndarray:
+    """Mask of the repetitions with a jump in any of the sampled segments."""
     mask = np.zeros(reps, dtype=bool)
-    for cols in seg_cols:
-        if cols:
-            mask |= np.isfinite(cols[0])
+    for _, rows, _ in sampled:
+        mask[rows] = True
     return mask
 
 
@@ -446,33 +441,35 @@ def _class_rows(cfg: ExperimentConfig, protocol: _Protocol) -> _ClassRows:
     how many rows share the array, so each row equals, bit for bit, its
     class's rows inside a whole chunk."""
     dev = cfg.device
-    states = np.array([STATE_G, STATE_E] * 2, dtype=np.uint8)
+    jump_free = (np.array([STATE_G, STATE_E] * 2, dtype=np.uint8),
+                 np.zeros(0, dtype=np.intp), np.zeros((0, 0)))
     w1 = _window_cols(cfg, TRIG1_TICK)
     segments = _phase_a_segments(cfg)[1:]
-    first = _own_envelope(dev, w1, states, np.arange(2), segments,
-                          [[]] * len(segments))
+    first = _own_envelope(dev, w1, np.arange(2), segments,
+                          [jump_free] * len(segments))
     volts1 = _waveform_volts(dev, first.out, w1)
     if not protocol.double:
         return _ClassRows(volts1, first.alpha, None)
     w2 = _window_cols(cfg, TRIG2_TICK)
     segments = _phase_b_segments(cfg)
-    second = _own_envelope(dev, w2, states, np.arange(4), segments,
-                           [[]] * len(segments), first.alpha[[0, 0, 1, 1]])
+    second = _own_envelope(dev, w2, np.arange(4), segments,
+                           [jump_free] * len(segments), first.alpha[[0, 0, 1, 1]])
     return _ClassRows(volts1, first.alpha, _waveform_volts(dev, second.out, w2))
 
 
-def _own_envelope(device: DeviceParams, window: slice, state: np.ndarray,
-                  idx: np.ndarray, segments, seg_cols, alpha=None):
-    """The filler run over the repetitions idx only, from their states
-    and (default zero) envelopes at the first segment's start; it
-    evaluates the grid columns of window."""
+def _own_envelope(device: DeviceParams, window: slice, idx: np.ndarray,
+                  segments, sampled, alpha=None):
+    """The filler run over the repetitions idx only, from their
+    (default zero) envelopes at the first segment's start; it evaluates
+    the grid columns of window.  sampled is _sample_segments' list for
+    segments, and idx holds every row that jumps in it."""
     filler = _EnvelopeFiller(device, idx.size,
                              np.arange(window.start, window.stop))
     if alpha is not None:
         filler.alpha = alpha
-    state = state[idx]
-    for (a, b, on), cols in zip(segments, seg_cols):
-        state = filler.run_segment(state, a, b, on, [c[idx] for c in cols])
+    for (a, b, on), (start, rows, times) in zip(segments, sampled):
+        filler.run_segment(start[idx], a, b, on, np.searchsorted(idx, rows),
+                           times)
     return filler
 
 
@@ -554,9 +551,9 @@ def _run_chunk(cfg: ExperimentConfig, protocol: _Protocol, stream_id: int,
     for a single readout) reach a result, so only those get noise, are
     synthesized and digitized, and the pipeline is evaluated only at the
     readout ticks.  A chunk's noise draw is one (reps, observed) array
-    whose first l columns belong to the first window.  Every
-    repetition's qubit state follows its jump columns (_flip_at_jumps),
-    but only the repetitions that jump get their own envelope, from the
+    whose first l columns belong to the first window.  The jump sampler
+    gives every repetition's state after each segment, and the rows that
+    jump with their times; only those get their own envelope, from the
     first pulse's start (the envelope is exactly zero before it): in the
     first phase those that jump after that start, in each arm those and
     the arm's second-phase jumpers, the latter from their class's
@@ -582,18 +579,17 @@ def _run_chunk(cfg: ExperimentConfig, protocol: _Protocol, stream_id: int,
 
     rates = (dev.decay_rate(), dev.excitation_rate())
     (a, b, _), *segments_a = _phase_a_segments(cfg)
-    state = _flip_at_jumps(state, _sample_jump_columns(rngs, bounds, state, a, b,
-                                                       *rates))
+    _, _, state = _sample_jump_columns(rngs, bounds, state, a, b, *rates)
     if protocol.init_gate == "pi_half":
         state = (_per_chunk(rngs, sizes, lambda rng, n: rng.random(n))
                  < 0.5).astype(np.uint8)
     elif protocol.init_gate == "pi":
         state = state ^ 1
     start = state
-    cols_a, state = _sample_segments(rngs, bounds, start, segments_a, rates)
-    own_a = _jumped(cols_a, reps)
+    sampled_a, state = _sample_segments(rngs, bounds, start, segments_a, rates)
+    own_a = _jumped(sampled_a, reps)
     idx_a = np.flatnonzero(own_a)
-    filler_a = _own_envelope(dev, w1, start, idx_a, segments_a, cols_a)
+    filler_a = _own_envelope(dev, w1, idx_a, segments_a, sampled_a)
 
     # first readout: the whole first window precedes the conditional pi,
     # and fb_time is high at its evaluation tick by construction
@@ -615,14 +611,13 @@ def _run_chunk(cfg: ExperimentConfig, protocol: _Protocol, stream_id: int,
         arm_state = state
         if enabled:
             arm_state = np.where(fb1.astype(bool), state ^ 1, state)
-        cols_b, _ = _sample_segments(rngs, bounds, arm_state, segments_b, rates)
-        idx_b = np.flatnonzero(own_a | _jumped(cols_b, reps))
+        sampled_b, _ = _sample_segments(rngs, bounds, arm_state, segments_b, rates)
+        idx_b = np.flatnonzero(own_a | _jumped(sampled_b, reps))
         # the first phase's jumpers go on from their own envelope, the
         # others from their class's
         alpha = classes.alpha_pi[start[idx_b]]
         alpha[own_a[idx_b]] = filler_a.alpha
-        filler_b = _own_envelope(dev, w2, arm_state, idx_b, segments_b,
-                                 cols_b, alpha)
+        filler_b = _own_envelope(dev, w2, idx_b, segments_b, sampled_b, alpha)
         it2, qt2, sat2 = _read_window(cfg, classes.volts2,
                                       2 * state + arm_state, idx_b,
                                       filler_b.out, noise[:, l:], w2)

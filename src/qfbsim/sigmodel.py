@@ -258,11 +258,11 @@ def quantize_array(volts: np.ndarray) -> tuple[np.ndarray, int]:
     return x.astype(np.int64), clipped
 
 
-def trigger_lane(schedule: PulseSchedule, n: int, ts: float) -> list[int]:
+def trigger_lane(schedule: PulseSchedule, n: int) -> list[int]:
     """1 during the first sample of each readout pulse, else 0."""
     triggers = [0] * n
     for start, _ in schedule.readout_pulses:
-        j = round((start - schedule.t_start) / ts)
+        j = round((start - schedule.t_start) / SAMPLE_PERIOD)
         if 0 <= j < n:
             triggers[j] = 1
     return triggers
@@ -285,5 +285,5 @@ def synthesize_adc_stream(params: DeviceParams, schedule: PulseSchedule,
         volts = volts + rng.normal(0.0, params.noise_sigma, size=len(volts))
     raw, clipped = quantize_array(volts)
     samples = [FxpSample(int(r), ADC_WIDTH) for r in raw]
-    triggers = trigger_lane(schedule, len(samples), SAMPLE_PERIOD)
+    triggers = trigger_lane(schedule, len(samples))
     return AdcStream(samples=samples, triggers=triggers, saturated_count=clipped)

@@ -310,6 +310,21 @@ def test_missing_config_file_is_usage_error(tmp_path, capsys):
     assert rc == 0
     rc = cli.main(["calibrate-noise", "--config", str(tmp_path / "nope.cfg")])
     assert rc == 1
+    # a directory, or a path under a regular file, is no file either
+    plain = tmp_path / "a.csv"
+    plain.write_text("", encoding="ascii")
+    for path in (tmp_path, plain / "x"):
+        for argv in (["run-experiment", "--out-dir", str(tmp_path / "out")],
+                     ["calibrate-noise"]):
+            capsys.readouterr()
+            assert cli.main([*argv, "--config", str(path)]) == 1
+            assert capsys.readouterr().err.startswith("error: ")
+    cfg = _write_small_cfg(tmp_path)
+    for path in (tmp_path, plain / "x"):
+        capsys.readouterr()
+        assert cli.main(["simulate-pipeline", "--config", cfg,
+                         "--input", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def _write_small_cfg(tmp_path, **extra):

@@ -158,13 +158,16 @@ def test_envelope_filler_matches_scalar_envelope(initial, p_therm):
             state = np.where(gate, state ^ 1, state)
             for r in np.flatnonzero(gate):
                 flips[r].append((a, int(state[r])))
-        cols = ex._sample_jump_columns([rng], [0, reps], state, a, b,
-                                       dev.decay_rate(), dev.excitation_rate())
-        for times in cols:
-            for r in np.flatnonzero(np.isfinite(times)):
-                flips[r].append((times[r], flips[r][-1][1] ^ 1))
-                jumps += 1
-        state = filler.run_segment(state, a, b, on, cols)
+        rows, times, end = ex._sample_jump_columns(
+            [rng], [0, reps], state, a, b, dev.decay_rate(), dev.excitation_rate())
+        for event in times:
+            for r, t in zip(rows, event):
+                if np.isfinite(t):
+                    flips[r].append((t, flips[r][-1][1] ^ 1))
+                    jumps += 1
+        filler.run_segment(state, a, b, on, rows, times)
+        assert [f[-1][1] for f in flips] == end.tolist()
+        state = end
     assert jumps > reps / 2
     sched = PulseSchedule(
         readout_pulses=((ex.M1_START_NS * ex.NS, ex.PULSE_NS * ex.NS),
@@ -182,7 +185,9 @@ def test_envelope_filler_matches_scalar_envelope(initial, p_therm):
 
 def _dense_jump_columns(rng, state, a, b, gamma_down, gamma_up):
     """Reference sampler: every repetition's arithmetic in every iteration,
-    with one draw per still-active repetition scattered into place."""
+    with one draw per still-active repetition scattered into place.
+    Returns chronological (reps,) event columns, +inf where a repetition
+    has no further jump, and every repetition's state at b."""
     cols = []
     state = state.copy()
     t = np.full(state.shape, a)
@@ -201,7 +206,17 @@ def _dense_jump_columns(rng, state, a, b, gamma_down, gamma_up):
         state[jump] ^= 1
         t = np.where(jump, t_next, t)
         active = jump
-    return cols
+    return cols, state
+
+
+def _jumps_of(cols):
+    """The sampler's (rows, times) layout of dense event columns: the
+    repetitions with a finite time in the first column, and their times
+    as (events, rows)."""
+    if not cols:
+        return np.zeros(0, dtype=np.intp), np.zeros((0, 0))
+    rows = np.flatnonzero(np.isfinite(cols[0]))
+    return rows, np.stack([c[rows] for c in cols])
 
 
 class _DenseFiller:
@@ -248,7 +263,6 @@ class _DenseFiller:
                     t_cur = np.where(valid, times, t_cur)
                     state = np.where(valid, state ^ 1, state)
         self.alpha = self._step(self.alpha, state, t_cur, b, pulse_on)
-        return state
 
 
 GRID_S = ex._grid_times_s()
@@ -280,8 +294,8 @@ def envelope_cases(draw):
              "mixed": rng.integers(0, 2, reps).astype(np.uint8)}[initial]
     jumps = draw(st.sampled_from(["sampled", "none", "all", "some"]))
     if jumps == "sampled":
-        cols = ex._sample_jump_columns([rng], [0, reps], state, a, b,
-                                       dev.decay_rate(), dev.excitation_rate())
+        cols, _ = _dense_jump_columns(rng, state, a, b,
+                                      dev.decay_rate(), dev.excitation_rate())
     else:
         # jump times on grid points, on both segment edges, repeated,
         # and anywhere in between
@@ -306,35 +320,40 @@ def test_envelope_filler_matches_dense_loop_bitwise(case):
     want = _DenseFiller(dev, state.size, filler_cols)
     got = ex._EnvelopeFiller(dev, state.size, filler_cols)
     want.alpha, got.alpha = alpha.copy(), alpha.copy()
-    want_state = want.run_segment(state, a, b, pulse_on, cols)
-    got_state = got.run_segment(state, a, b, pulse_on, cols)
+    want.run_segment(state, a, b, pulse_on, cols)
+    got.run_segment(state, a, b, pulse_on, *_jumps_of(cols))
     assert np.array_equal(got.out, want.out)
     assert np.array_equal(got.alpha, want.alpha)
-    assert np.array_equal(got_state, want_state)
 
 
 def _sampled_per_chunk(seed, sizes, state, a, b, gamma_down, gamma_up):
     """Sample a batch of chunks with one generator each, and check each
-    chunk's rows against the dense loop run on that chunk alone, from a
-    generator seeded alike: the same columns (then +inf in the batch's
-    further columns), the same final generator state.  Returns each
-    chunk's column count."""
+    chunk's part against the dense loop run on that chunk alone, from a
+    generator seeded alike: the same jumping rows and times (then +inf in
+    the batch's further events), the same end states, the same final
+    generator state.  Returns each chunk's event count."""
     bounds = np.cumsum([0, *sizes])
     before = state.copy()
     rngs = [np.random.default_rng([seed, k]) for k in range(len(sizes))]
-    got = ex._sample_jump_columns(rngs, bounds, state, a, b, gamma_down, gamma_up)
+    rows, times, end = ex._sample_jump_columns(rngs, bounds, state, a, b,
+                                               gamma_down, gamma_up)
+    assert np.all(np.diff(rows) > 0)
+    assert times.shape[1] == rows.size
     counts = []
     for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
         rng = np.random.default_rng([seed, k])
-        want = _dense_jump_columns(rng, state[lo:hi], a, b, gamma_down, gamma_up)
-        assert len(got) >= len(want)
-        for g, w in zip(got, want):
-            assert np.array_equal(g[lo:hi], w)
-        for g in got[len(want):]:
-            assert np.isinf(g[lo:hi]).all()
+        cols, want_end = _dense_jump_columns(rng, state[lo:hi], a, b,
+                                             gamma_down, gamma_up)
+        want_rows, want_times = _jumps_of(cols)
+        mine = (rows >= lo) & (rows < hi)
+        assert np.array_equal(rows[mine] - lo, want_rows)
+        assert times.shape[0] >= len(cols)
+        assert np.array_equal(times[:len(cols), mine], want_times)
+        assert np.isinf(times[len(cols):, mine]).all()
+        assert np.array_equal(end[lo:hi], want_end)
         assert rngs[k].bit_generator.state == rng.bit_generator.state
-        counts.append(len(want))
-    assert len(got) == max(counts)
+        counts.append(len(cols))
+    assert times.shape[0] == max(counts)
     assert np.array_equal(state, before)
     return counts
 
@@ -394,9 +413,11 @@ def _reference_chunk(cfg, protocol, stream_id, chunk_idx, reps, feedback):
 
     def segments(segs, state):
         for a, b, on in segs:
-            cols = ex._sample_jump_columns([rng], [0, reps], state, a, b,
-                                           dev.decay_rate(), dev.excitation_rate())
-            state = filler.run_segment(state, a, b, on, cols)
+            rows, times, end = ex._sample_jump_columns(
+                [rng], [0, reps], state, a, b,
+                dev.decay_rate(), dev.excitation_rate())
+            filler.run_segment(state, a, b, on, rows, times)
+            state = end
         return state
 
     def volts():
@@ -527,8 +548,8 @@ def _bits(a):
 
 def _recorded_chunk(monkeypatch, cfg, protocol, reps):
     """Run one chunk of both arms; return its quantizer inputs, in call
-    order, and the jump columns it sampled with the states they were
-    sampled from."""
+    order, and the jumping rows and times it sampled with the states
+    they were sampled from."""
     volts, sampled = [], []
     quantize, sample = ex.quantize_array, ex._sample_jump_columns
 
@@ -537,9 +558,9 @@ def _recorded_chunk(monkeypatch, cfg, protocol, reps):
         return quantize(v)
 
     def recording_sample(rngs, bounds, state, a, b, gamma_down, gamma_up):
-        cols = sample(rngs, bounds, state, a, b, gamma_down, gamma_up)
-        sampled.append((state.copy(), cols))
-        return cols
+        rows, times, end = sample(rngs, bounds, state, a, b, gamma_down, gamma_up)
+        sampled.append((state.copy(), rows, times))
+        return rows, times, end
 
     monkeypatch.setattr(ex, "quantize_array", recording_quantize)
     monkeypatch.setattr(ex, "_sample_jump_columns", recording_sample)
@@ -582,17 +603,18 @@ def test_chunk_window_volts_equal_the_filler_over_every_repetition(
     noise = (rng.normal(0.0, dev.noise_sigma, size=(reps, observed.size))
              if dev.noise_sigma > 0 else np.zeros((reps, observed.size)))
     filler = ex._EnvelopeFiller(dev, reps, observed)
-    for (a, b, on), (state, cols) in zip(ex._phase_a_segments(cfg)[1:],
-                                         sampled[1:3]):
-        filler.run_segment(state, a, b, on, cols)
+    for (a, b, on), (state, rows, times) in zip(ex._phase_a_segments(cfg)[1:],
+                                                sampled[1:3]):
+        filler.run_segment(state, a, b, on, rows, times)
     want = [ex._waveform_volts(dev, filler.out[:, :l], w1) + noise[:, :l]]
     if protocol.double:
         alpha_pi = filler.alpha
         arms = [sampled[3:5], sampled[5:7]]
         for arm in arms:
             filler.alpha = alpha_pi.copy()
-            for (a, b, on), (state, cols) in zip(ex._phase_b_segments(cfg), arm):
-                filler.run_segment(state, a, b, on, cols)
+            for (a, b, on), (state, rows, times) in zip(ex._phase_b_segments(cfg),
+                                                        arm):
+                filler.run_segment(state, a, b, on, rows, times)
             want.append(ex._waveform_volts(dev, filler.out[:, l:], w2)
                         + noise[:, l:])
         assert len(sampled) == 7
@@ -614,7 +636,7 @@ def test_class_rows_equal_a_jump_free_chunk(scenario):
     start = rng.integers(0, 2, ex.CHUNK_REPS).astype(np.uint8)
     filler = ex._EnvelopeFiller(dev, ex.CHUNK_REPS, np.r_[w1, w2])
     for a, b, on in ex._phase_a_segments(cfg)[1:]:
-        filler.run_segment(start, a, b, on, [])
+        filler.run_segment(start, a, b, on, *_jumps_of([]))
     l = cfg.window_len
     assert np.array_equal(
         _bits(ex._waveform_volts(dev, filler.out[:, :l], w1)),
@@ -622,7 +644,7 @@ def test_class_rows_equal_a_jump_free_chunk(scenario):
     assert np.array_equal(_bits(filler.alpha), _bits(classes.alpha_pi[start]))
     flipped = np.where(rng.random(ex.CHUNK_REPS) < 0.5, start ^ 1, start)
     for a, b, on in ex._phase_b_segments(cfg):
-        filler.run_segment(flipped, a, b, on, [])
+        filler.run_segment(flipped, a, b, on, *_jumps_of([]))
     assert np.array_equal(
         _bits(ex._waveform_volts(dev, filler.out[:, l:], w2)),
         _bits(classes.volts2[2 * start + flipped]))
