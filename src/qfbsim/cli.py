@@ -321,11 +321,11 @@ def main(argv=None) -> int:
         for line in exc.errors:
             print(f"error: {line}", file=sys.stderr)
         return 1
-    except (ConfigError, FileNotFoundError, IsADirectoryError,
-            NotADirectoryError, ValueError) as exc:
+    except (ConfigError, FileExistsError, FileNotFoundError,
+            IsADirectoryError, NotADirectoryError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (CalibrationError, RuntimeError, OSError) as exc:
+    except (CalibrationError, MemoryError, RuntimeError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
 

@@ -46,11 +46,12 @@ run's feedback arms from a snapshot of it.
 Until its first jump after the first pulse starts, a repetition's
 noiseless windows are fixed by its history class: its state at the
 pulse start for the first window, that and its state after the arm's
-conditional flip for the second.  Each run computes those 2 + 4 class
-rows once; a chunk still draws every repetition's jumps in the same
-order as if each had its own envelope, but propagates the envelope and
-synthesizes the waveform only for the repetitions that jump, and takes
-every other window from its class's row.
+conditional flip for the second.  A batch still draws every
+repetition's jumps in the same order as if each had its own envelope,
+but propagates the envelope and synthesizes the waveform only for the
+repetitions that jump plus one jump-free row per class (2 in the first
+phase, 4 in each arm's second), and takes every other window from its
+class's row.
 """
 
 from __future__ import annotations
@@ -291,7 +292,8 @@ class _EnvelopeFiller:
     only those that jump step through their events.  A value depends
     on its own repetition's operands only, not on how many rows run
     with it, so the chunk gives the filler only the repetitions that
-    jump, and one row per jump-free history class (_class_rows).
+    jump, followed by one row per jump-free history class
+    (_own_envelope).
     """
 
     def __init__(self, device: DeviceParams, reps: int, cols: np.ndarray):
@@ -417,59 +419,23 @@ def _waveform_volts(device: DeviceParams, alpha: np.ndarray,
     return 2.0 * (b.real * cos[cols] - b.imag * sin[cols])
 
 
-@dataclass(frozen=True)
-class _ClassRows:
-    """Noiseless window volts of the repetitions that have not jumped.
-
-    The envelope is exactly zero until the first pulse starts, so a
-    repetition with no jump after that has the first window volts1[s]
-    of its state s at the pulse start, and reaches the conditional pi
-    with the envelope alpha_pi[s].  If it does not jump in the second
-    phase either, its second window is volts2[2 s + s'], s' being its
-    state after its arm's conditional flip.  volts2 is None for a
-    single readout.
-    """
-
-    volts1: np.ndarray              # (2, l)
-    alpha_pi: np.ndarray            # (2,) complex
-    volts2: np.ndarray | None       # (4, l)
-
-
-def _class_rows(cfg: ExperimentConfig, protocol: _Protocol) -> _ClassRows:
-    """The jump-free classes' rows: the filler run without jumps on one
-    row per class.  A value depends only on its own operands, not on
-    how many rows share the array, so each row equals, bit for bit, its
-    class's rows inside a whole chunk."""
-    dev = cfg.device
-    jump_free = (np.array([STATE_G, STATE_E] * 2, dtype=np.uint8),
-                 np.zeros(0, dtype=np.intp), np.zeros((0, 0)))
-    w1 = _window_cols(cfg, TRIG1_TICK)
-    segments = _phase_a_segments(cfg)[1:]
-    first = _own_envelope(dev, w1, np.arange(2), segments,
-                          [jump_free] * len(segments))
-    volts1 = _waveform_volts(dev, first.out, w1)
-    if not protocol.double:
-        return _ClassRows(volts1, first.alpha, None)
-    w2 = _window_cols(cfg, TRIG2_TICK)
-    segments = _phase_b_segments(cfg)
-    second = _own_envelope(dev, w2, np.arange(4), segments,
-                           [jump_free] * len(segments), first.alpha[[0, 0, 1, 1]])
-    return _ClassRows(volts1, first.alpha, _waveform_volts(dev, second.out, w2))
-
-
 def _own_envelope(device: DeviceParams, window: slice, idx: np.ndarray,
-                  segments, sampled, alpha=None):
-    """The filler run over the repetitions idx only, from their
-    (default zero) envelopes at the first segment's start; it evaluates
-    the grid columns of window.  sampled is _sample_segments' list for
-    segments, and idx holds every row that jumps in it."""
-    filler = _EnvelopeFiller(device, idx.size,
+                  classes: np.ndarray, segments, sampled, alpha=None):
+    """The filler run over the repetitions idx, followed by one row per
+    entry of classes that stays in that qubit state and never jumps,
+    from their (default zero) envelopes at the first segment's start;
+    it evaluates the grid columns of window.  sampled is
+    _sample_segments' list for segments, and idx holds every row that
+    jumps in it.  A value depends only on its own row's operands, so a
+    class row equals, bit for bit, the rows of its class in a filler run
+    over every repetition."""
+    filler = _EnvelopeFiller(device, idx.size + classes.size,
                              np.arange(window.start, window.stop))
     if alpha is not None:
         filler.alpha = alpha
     for (a, b, on), (start, rows, times) in zip(segments, sampled):
-        filler.run_segment(start[idx], a, b, on, np.searchsorted(idx, rows),
-                           times)
+        filler.run_segment(np.concatenate([start[idx], classes]), a, b, on,
+                           np.searchsorted(idx, rows), times)
     return filler
 
 
@@ -495,21 +461,23 @@ def _window_cols(cfg: ExperimentConfig, trigger_tick: int) -> slice:
     return slice(ticks.start - SYNC_DEPTH, ticks.stop - SYNC_DEPTH)
 
 
-def _read_window(cfg: ExperimentConfig, rows: np.ndarray, cls: np.ndarray,
-                 idx: np.ndarray, alpha: np.ndarray, noise: np.ndarray,
-                 cols: slice):
+def _read_window(cfg: ExperimentConfig, cls: np.ndarray, idx: np.ndarray,
+                 alpha: np.ndarray, noise: np.ndarray, cols: slice):
     """Digitize one integration window and evaluate the pipeline on it.
 
-    Its volts are the class rows picked by cls, with the rows idx
-    synthesized from their own envelope values alpha, plus noise; every
-    array holds the window's columns only (column k is grid column
+    alpha holds the envelope values of the rows idx, followed by one
+    row per history class (_own_envelope); all of them are synthesized
+    in one call.  The rows idx take their own volts, every other row
+    its class row's, picked by cls; then noise is added.  Every array
+    holds the window's columns only (column k is grid column
     cols.start + k).  Returns (i_t, q_t, clipped) at the readout's
     evaluation tick, i_t and q_t as int16: the preprocessor saturates
     them to PREPROC_WIDTH = 16 bits, and a pool worker ships a quarter
     of the bytes that int64 would take.
     """
-    volts = np.take(rows, cls, axis=0)
-    volts[idx] = _waveform_volts(cfg.device, alpha, cols)
+    synthesized = _waveform_volts(cfg.device, alpha, cols)
+    volts = np.take(synthesized[idx.size:], cls, axis=0)
+    volts[idx] = synthesized[:idx.size]
     volts += noise
     raw, clipped = quantize_array(volts)
     i_t, q_t = scaled_iq_at(cfg.pipeline, raw, cols.start + SYNC_DEPTH)
@@ -522,15 +490,13 @@ def _per_chunk(rngs, sizes, draw) -> np.ndarray:
 
 
 def _run_chunk(cfg: ExperimentConfig, protocol: _Protocol, stream_id: int,
-               first_chunk: int, sizes, feedback: tuple,
-               classes: _ClassRows):
+               first_chunk: int, sizes, feedback: tuple):
     """A batch of consecutive chunks, once per feedback setting.
 
     Chunk first_chunk + k holds sizes[k] repetitions.  Returns one
     (it1, qt1, fb1, it2, qt2, clipped) tuple for each entry of feedback
     (True: the conditional pi fires on fb1), its arrays holding the
     chunks' repetitions in order (the readouts as int16, _read_window).
-    classes are _class_rows of the same configuration and protocol.
 
     Each chunk draws from its own generator, seeded by (master seed,
     stream_id, chunk index), and its draws and outputs do not depend on
@@ -557,8 +523,11 @@ def _run_chunk(cfg: ExperimentConfig, protocol: _Protocol, stream_id: int,
     first pulse's start (the envelope is exactly zero before it): in the
     first phase those that jump after that start, in each arm those and
     the arm's second-phase jumpers, the latter from their class's
-    envelope at the conditional pi.  Every other window is its class's
-    row from classes; the draws are the same either way.
+    envelope at the conditional pi.  Each filler run also carries one
+    jump-free row per history class: states g and e in the first phase;
+    in each arm's second, states g and e from class g's envelope at the
+    conditional pi, then g and e from class e's.  Every other window is
+    its class's row; the draws are the same either way.
     """
     seed = cfg.master_seed & 0xFFFFFFFFFFFFFFFF
     rngs = [np.random.default_rng(np.random.SeedSequence([seed, stream_id, idx]))
@@ -589,12 +558,13 @@ def _run_chunk(cfg: ExperimentConfig, protocol: _Protocol, stream_id: int,
     sampled_a, state = _sample_segments(rngs, bounds, start, segments_a, rates)
     own_a = _jumped(sampled_a, reps)
     idx_a = np.flatnonzero(own_a)
-    filler_a = _own_envelope(dev, w1, idx_a, segments_a, sampled_a)
+    classes = np.array([STATE_G, STATE_E], dtype=np.uint8)
+    filler_a = _own_envelope(dev, w1, idx_a, classes, segments_a, sampled_a)
 
     # first readout: the whole first window precedes the conditional pi,
     # and fb_time is high at its evaluation tick by construction
-    it1, qt1, sat = _read_window(cfg, classes.volts1, start, idx_a,
-                                 filler_a.out, noise[:, :l], w1)
+    it1, qt1, sat = _read_window(cfg, start, idx_a, filler_a.out,
+                                 noise[:, :l], w1)
     fb1 = lut_bits(pipe.lut1, it1, qt1)
 
     if not protocol.double:
@@ -602,6 +572,12 @@ def _run_chunk(cfg: ExperimentConfig, protocol: _Protocol, stream_id: int,
         return ((it1, qt1, fb1, None, None, sat),) * len(feedback)
 
     w2 = _window_cols(cfg, TRIG2_TICK)
+    own_alpha, alpha_pi = np.split(filler_a.alpha, [idx_a.size])
+    # second-window class 2 s + s' (s the state when the first pulse
+    # starts, s' the state after the arm's conditional flip): a row in
+    # state s' from class s's envelope at the conditional pi
+    classes = np.tile(classes, 2)
+    class_alpha = alpha_pi[[STATE_G, STATE_G, STATE_E, STATE_E]]
     after_a = [rng.bit_generator.state for rng in rngs]
     segments_b = _phase_b_segments(cfg)
     arms = []
@@ -614,12 +590,12 @@ def _run_chunk(cfg: ExperimentConfig, protocol: _Protocol, stream_id: int,
         sampled_b, _ = _sample_segments(rngs, bounds, arm_state, segments_b, rates)
         idx_b = np.flatnonzero(own_a | _jumped(sampled_b, reps))
         # the first phase's jumpers go on from their own envelope, the
-        # others from their class's
-        alpha = classes.alpha_pi[start[idx_b]]
-        alpha[own_a[idx_b]] = filler_a.alpha
-        filler_b = _own_envelope(dev, w2, idx_b, segments_b, sampled_b, alpha)
-        it2, qt2, sat2 = _read_window(cfg, classes.volts2,
-                                      2 * state + arm_state, idx_b,
+        # others and the class rows from their class's
+        alpha = np.concatenate([alpha_pi[start[idx_b]], class_alpha])
+        alpha[:idx_b.size][own_a[idx_b]] = own_alpha
+        filler_b = _own_envelope(dev, w2, idx_b, classes, segments_b,
+                                 sampled_b, alpha)
+        it2, qt2, sat2 = _read_window(cfg, 2 * state + arm_state, idx_b,
                                       filler_b.out, noise[:, l:], w2)
         arms.append((it1, qt1, fb1, it2, qt2, sat + sat2))
     return tuple(arms)
@@ -632,10 +608,9 @@ def _run_chunks(cfg: ExperimentConfig, protocol: _Protocol, stream_id: int,
 
     The chunks are split evenly into contiguous batches of at most
     BATCH_CHUNKS, and into at least as many batches as there are
-    workers (with no more workers than chunks).  The jump-free classes'
-    rows are computed once here and handed to every batch.  With
-    jobs > 1 the batches run one task each on the pool, all settings
-    included; the outputs do not depend on the split.
+    workers (with no more workers than chunks).  With jobs > 1 the
+    batches run one task each on the pool, all settings included; the
+    outputs do not depend on the split.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
@@ -646,12 +621,11 @@ def _run_chunks(cfg: ExperimentConfig, protocol: _Protocol, stream_id: int,
         remaining -= sizes[-1]
     count = max(math.ceil(len(sizes) / BATCH_CHUNKS), min(jobs, len(sizes)))
     firsts = [len(sizes) * k // count for k in range(count + 1)]
-    classes = _class_rows(cfg, protocol)
-    args = [(cfg, protocol, stream_id, lo, sizes[lo:hi], feedback, classes)
+    args = [(cfg, protocol, stream_id, lo, sizes[lo:hi], feedback)
             for lo, hi in zip(firsts[:-1], firsts[1:])]
     if jobs > 1 and len(args) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(args))) as pool:
-            batches = list(pool.map(_run_chunk_star, args, chunksize=1))
+            batches = list(pool.map(_run_chunk, *zip(*args), chunksize=1))
     else:
         batches = [_run_chunk(*a) for a in args]
     return list(zip(*batches))
@@ -671,10 +645,6 @@ def _run_mc(protocol: _Protocol, parts: list) -> _McResult:
     saturated = sum(p[5] for p in parts)
     return _McResult(n=it1.size, it1=it1, qt1=qt1, fb1=fb1,
                      it2=it2, qt2=qt2, saturated=saturated)
-
-
-def _run_chunk_star(args):
-    return _run_chunk(*args)
 
 
 # ---------------------------------------------------------------------------

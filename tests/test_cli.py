@@ -327,6 +327,32 @@ def test_missing_config_file_is_usage_error(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_out_dir_naming_a_regular_file_is_usage_error(tmp_path, capsys):
+    plain = tmp_path / "a.csv"
+    plain.write_text("", encoding="ascii")
+    cfg = _write_small_cfg(tmp_path)
+    for out_dir in (plain, plain / "x"):
+        capsys.readouterr()
+        assert cli.main(["run-experiment", "--config", cfg, "--repetitions",
+                         "64", "--out-dir", str(out_dir)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+    assert plain.read_text(encoding="ascii") == ""
+
+
+def test_allocation_failure_is_one_line_runtime_error(tmp_path, capsys,
+                                                      monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.42 PiB for an array")
+
+    monkeypatch.setattr(cli, "synthesize_adc_stream", out_of_memory)
+    cfg = _write_small_cfg(tmp_path)
+    capsys.readouterr()
+    assert cli.main(["simulate-pipeline", "--config", cfg,
+                     "--ticks", "100000000000000"]) == 2
+    assert capsys.readouterr().err == (
+        "runtime error: Unable to allocate 1.42 PiB for an array\n")
+
+
 def _write_small_cfg(tmp_path, **extra):
     lines = [
         "device.t1 = 1.4 us",

@@ -485,11 +485,10 @@ CASES = [
 def _chunk_both_ways(cfg, protocol, stream_id, chunk_idx, reps, feedback):
     """The chunk run for one feedback setting alone, and branched from
     one first phase into both settings; both must give the same output."""
-    classes = ex._class_rows(cfg, protocol)
     (alone,) = ex._run_chunk(cfg, protocol, stream_id, chunk_idx, [reps],
-                             (feedback,), classes)
+                             (feedback,))
     branched = ex._run_chunk(cfg, protocol, stream_id, chunk_idx, [reps],
-                             (False, True), classes)
+                             (False, True))
     assert len(branched) == 2
     return alone, branched[feedback]
 
@@ -530,9 +529,8 @@ def test_batch_equals_its_chunks_one_at_a_time(scenario, dev_kw, protocol):
                               repetitions=sum(sizes), master_seed=5)
     if protocol == DOUBLE:
         protocol = ex._protocol_for(cfg)
-    classes = ex._class_rows(cfg, protocol)
-    batch = ex._run_chunk(cfg, protocol, 3, 0, sizes, (False, True), classes)
-    alone = [ex._run_chunk(cfg, protocol, 3, k, [n], (False, True), classes)
+    batch = ex._run_chunk(cfg, protocol, 3, 0, sizes, (False, True))
+    alone = [ex._run_chunk(cfg, protocol, 3, k, [n], (False, True))
              for k, n in enumerate(sizes)]
     for arm, got in enumerate(batch):
         parts = [chunk[arm] for chunk in alone]
@@ -564,8 +562,7 @@ def _recorded_chunk(monkeypatch, cfg, protocol, reps):
 
     monkeypatch.setattr(ex, "quantize_array", recording_quantize)
     monkeypatch.setattr(ex, "_sample_jump_columns", recording_sample)
-    ex._run_chunk(cfg, protocol, 3, 1, [reps], (False, True),
-                  ex._class_rows(cfg, protocol))
+    ex._run_chunk(cfg, protocol, 3, 1, [reps], (False, True))
     monkeypatch.undo()
     return volts, sampled
 
@@ -587,7 +584,9 @@ def test_chunk_window_volts_equal_the_filler_over_every_repetition(
     """A chunk's window volts, taken from its class rows and its jumpers'
     own envelopes, equal bit for bit those of the filler run over every
     repetition of the chunk, from the same jump columns, followed by
-    _waveform_volts and the same noise."""
+    _waveform_volts and the same noise.  In the shipped scenarios every
+    class row is read: each first-window class s and each second-window
+    class (s, s') occurs among the chunk's jump-free repetitions."""
     reps = ex.CHUNK_REPS
     cfg = ex.ExperimentConfig(device=_device(**dev_kw), scenario=scenario,
                               repetitions=reps, master_seed=5)
@@ -607,10 +606,15 @@ def test_chunk_window_volts_equal_the_filler_over_every_repetition(
                                                 sampled[1:3]):
         filler.run_segment(state, a, b, on, rows, times)
     want = [ex._waveform_volts(dev, filler.out[:, :l], w1) + noise[:, :l]]
+    start = sampled[1][0]
+    jumped_a = ex._jumped(sampled[1:3], reps)
+    first_classes, second_classes = set(start[~jumped_a].tolist()), set()
     if protocol.double:
         alpha_pi = filler.alpha
         arms = [sampled[3:5], sampled[5:7]]
         for arm in arms:
+            jumped = jumped_a | ex._jumped(arm, reps)
+            second_classes |= set((2 * start + arm[0][0])[~jumped].tolist())
             filler.alpha = alpha_pi.copy()
             for (a, b, on), (state, rows, times) in zip(ex._phase_b_segments(cfg),
                                                         arm):
@@ -618,6 +622,9 @@ def test_chunk_window_volts_equal_the_filler_over_every_repetition(
             want.append(ex._waveform_volts(dev, filler.out[:, l:], w2)
                         + noise[:, l:])
         assert len(sampled) == 7
+        if not dev_kw:
+            assert first_classes == {ex.STATE_G, ex.STATE_E}
+            assert second_classes == {0, 1, 2, 3}
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert np.array_equal(_bits(g), _bits(w))
@@ -625,29 +632,39 @@ def test_chunk_window_volts_equal_the_filler_over_every_repetition(
 
 @pytest.mark.parametrize("scenario", ex.SCENARIOS)
 def test_class_rows_equal_a_jump_free_chunk(scenario):
-    """Each class row equals, bit for bit, the rows of its class in a
-    4096-row run of the filler without jumps."""
+    """The class rows that _own_envelope appends after the jumpers equal,
+    bit for bit, the rows of their class in a 4096-row run of the filler
+    without jumps: states g and e in the first window, and in the second
+    class 2 s + s' (state s' from class s's envelope at the conditional
+    pi), as _run_chunk lays them out."""
     cfg = ex.ExperimentConfig(device=_device(), scenario=scenario)
-    protocol = ex._protocol_for(cfg)
-    classes = ex._class_rows(cfg, protocol)
     dev = cfg.device
     w1, w2 = ex._window_cols(cfg, ex.TRIG1_TICK), ex._window_cols(cfg, ex.TRIG2_TICK)
+    none = np.zeros(0, dtype=np.intp)
+    classes = np.array([ex.STATE_G, ex.STATE_E], dtype=np.uint8)
+    segments_a, segments_b = ex._phase_a_segments(cfg)[1:], ex._phase_b_segments(cfg)
+    first = ex._own_envelope(dev, w1, none, classes, segments_a,
+                             [(classes, *_jumps_of([]))] * len(segments_a))
+    second = ex._own_envelope(dev, w2, none, np.tile(classes, 2), segments_b,
+                              [(classes, *_jumps_of([]))] * len(segments_b),
+                              first.alpha[[ex.STATE_G, ex.STATE_G,
+                                           ex.STATE_E, ex.STATE_E]])
     rng = np.random.default_rng(21)
     start = rng.integers(0, 2, ex.CHUNK_REPS).astype(np.uint8)
     filler = ex._EnvelopeFiller(dev, ex.CHUNK_REPS, np.r_[w1, w2])
-    for a, b, on in ex._phase_a_segments(cfg)[1:]:
+    for a, b, on in segments_a:
         filler.run_segment(start, a, b, on, *_jumps_of([]))
     l = cfg.window_len
     assert np.array_equal(
         _bits(ex._waveform_volts(dev, filler.out[:, :l], w1)),
-        _bits(classes.volts1[start]))
-    assert np.array_equal(_bits(filler.alpha), _bits(classes.alpha_pi[start]))
+        _bits(ex._waveform_volts(dev, first.out, w1)[start]))
+    assert np.array_equal(_bits(filler.alpha), _bits(first.alpha[start]))
     flipped = np.where(rng.random(ex.CHUNK_REPS) < 0.5, start ^ 1, start)
-    for a, b, on in ex._phase_b_segments(cfg):
+    for a, b, on in segments_b:
         filler.run_segment(flipped, a, b, on, *_jumps_of([]))
     assert np.array_equal(
         _bits(ex._waveform_volts(dev, filler.out[:, l:], w2)),
-        _bits(classes.volts2[2 * start + flipped]))
+        _bits(ex._waveform_volts(dev, second.out, w2)[2 * start + flipped]))
     assert set((2 * start + flipped).tolist()) == {0, 1, 2, 3}
 
 
@@ -742,10 +759,10 @@ def test_pool_starts_no_more_workers_than_chunks(monkeypatch, jobs, chunks,
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, iterable, chunksize=1):
-            tasks = list(iterable)
+        def map(self, fn, *iterables, chunksize=1):
+            tasks = list(zip(*iterables))
             mapped.append([len(task[4]) for task in tasks])
-            return map(fn, tasks)
+            return (fn(*task) for task in tasks)
 
     cfg = ex.ExperimentConfig(device=_device(), scenario=ex.THERMAL_INIT,
                               repetitions=(chunks - 1) * ex.CHUNK_REPS + 7)

@@ -103,8 +103,7 @@ def noiseless_chunk(protocol, reps, seed, **device):
     dev = DeviceParams(t1=math.inf, amp_ss=0.6, offset_i=0.013, **device)
     cfg = ex.ExperimentConfig(device=dev, scenario=ex.PI_HALF_INIT,
                               repetitions=reps, master_seed=seed)
-    return ex._run_chunk(cfg, protocol, 0, 0, [reps], (False, True),
-                         ex._class_rows(cfg, protocol))
+    return ex._run_chunk(cfg, protocol, 0, 0, [reps], (False, True))
 
 
 def test_gates_apply_population_maps():
