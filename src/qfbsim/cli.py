@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import asdict, replace
@@ -183,17 +182,27 @@ def cmd_run_experiment(args) -> int:
 
 
 def _parse_adc_csv(path: str) -> tuple[list[FxpSample], list[int]]:
+    """Samples and trigger bits of an ADC CSV (t_ns,raw,tr); a bad row
+    fails with its path and line number."""
     samples, triggers = [], []
     with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("t_ns"):
                 continue
+            where = f"{path}:{number}"
             fields = line.split(",")
             if len(fields) != 3:
-                raise ConfigError(f"bad ADC CSV line: {line!r}")
-            samples.append(FxpSample(int(fields[1]), ADC_WIDTH))
-            triggers.append(int(fields[2]))
+                raise ConfigError(f"{where}: bad ADC CSV line {line!r}")
+            try:
+                sample = FxpSample(int(fields[1]), ADC_WIDTH)
+                tr = int(fields[2])
+            except ValueError as exc:
+                raise ConfigError(f"{where}: {exc}") from None
+            if tr not in (0, 1):
+                raise ConfigError(f"{where}: trigger {tr} must be a bit")
+            samples.append(sample)
+            triggers.append(tr)
     if not samples:
         raise ConfigError(f"no samples in {path}")
     return samples, triggers
@@ -208,8 +217,7 @@ def cmd_simulate_pipeline(args) -> int:
         # runs SYNC_DEPTH cycles behind the trigger lane, as in hardware
         if args.ticks <= SYNC_DEPTH + 2:
             raise ConfigError(f"--ticks must exceed {SYNC_DEPTH + 2}")
-        device = replace(cfg.device, noise_sigma=0.0, t1=math.inf,
-                         p_therm=0.0)
+        device = replace(cfg.device, noise_sigma=0.0)
         schedule, trajectory = held_state_readout(
             STATE_E if args.state == "e" else STATE_G, args.ticks - SYNC_DEPTH)
         stream = synthesize_adc_stream(device, schedule, trajectory,

@@ -28,10 +28,10 @@ inside the two integration windows, draws jump times only for the
 repetitions still jumping, and evaluates the pipeline only at the two
 readout ticks (scaled_iq_at), which lie
 pipeline.trigger_to_eval_cycles after the triggers, so the feedback bit
-needs no trigger-chain simulation; the scalar tick() machine and
-run_stream_batch stay the reference models it is tested against, and
-the noiseless calibration still runs the whole stream through
-run_stream_batch.
+needs no trigger-chain simulation.  The scalar tick() machine is the
+reference it is tested against; the noiseless calibration runs the
+whole stream through run_stream_batch, the whole-stream form of the
+same vectorized filter.
 
 The repetitions come in chunks of CHUNK_REPS, each drawing from its own
 generator, so the draws do not depend on how the chunks are run.  The
@@ -679,18 +679,14 @@ def noiseless_filtered_means(cfg: ExperimentConfig) -> tuple[float, float]:
     demodulation transient across the integration window is included.
     """
     dev = replace(cfg.device, noise_sigma=0.0)
-    m1 = cfg.eval_tick(TRIG1_TICK)
-    means = []
-    for state in (STATE_G, STATE_E):
-        sched, traj = held_state_readout(state, N_SOURCE)
-        volts = sigmodel.analog_waveform(dev, sched, traj,
-                                         phase_offset=SYNC_DEPTH)
-        raw, _ = quantize_array(volts)
-        bt = run_stream_batch(cfg.pipeline,
-                              _to_pipeline_stream(raw[np.newaxis, :], N_TICKS),
-                              _trigger_lane(False, N_TICKS))
-        means.append(float(bt.i[0, m1]) * ADC_LSB_VOLTS)
-    return means[0], means[1]
+    volts = [sigmodel.analog_waveform(dev, *held_state_readout(state, N_SOURCE),
+                                      phase_offset=SYNC_DEPTH)
+             for state in (STATE_G, STATE_E)]
+    raw, _ = quantize_array(np.stack(volts))
+    bt = run_stream_batch(cfg.pipeline, _to_pipeline_stream(raw, N_TICKS),
+                          _trigger_lane(False, N_TICKS))
+    i = bt.i[:, cfg.eval_tick(TRIG1_TICK)]
+    return float(i[0]) * ADC_LSB_VOLTS, float(i[1]) * ADC_LSB_VOLTS
 
 
 def _gauss_tail(z: float) -> float:

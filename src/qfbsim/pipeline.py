@@ -23,11 +23,12 @@ PROC_CYCLES registered stages).  A trigger rising edge at the input
 reaches its evaluation tick trigger_to_eval_cycles(config) ticks later,
 and the registered fb rising edge lands one tick after that.
 
-A vectorized batch implementation (`run_stream_batch`) reproduces the
-scalar machine bit-exactly over arrays of independent streams, and
-`scaled_iq_at` evaluates the preprocessed outputs of a single tick from
-just the samples in its filter window; the test suite proves both
-equivalences element by element.
+`tick()` is the reference.  The fast side has one vectorized filter,
+which mixes and averages each tick's filter_window of samples:
+`scaled_iq_at` applies it to a single tick's window, and the batch
+machine `run_stream_batch` to every tick of arrays of independent
+streams.  The test suite holds both to the scalar machine element by
+element.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import fxp
 from .fxp import ADC_WIDTH, ConfigError, FxpSample
@@ -325,7 +327,7 @@ def trigger_to_eval_cycles(config: PipelineConfig) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized batch implementation (bit-exact twin of the scalar machine)
+# Vectorized filter and batch machine (bit-exact twins of the scalar machine)
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -361,41 +363,6 @@ def _trigger_path(config: PipelineConfig, triggers: np.ndarray) -> tuple[np.ndar
     return fbt_comb, fbt_reg
 
 
-def filtered_iq_batch(config: PipelineConfig, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Filtered I/Q register values for a batch of streams.
-
-    raw has shape (reps, ticks) of 14-bit sample values; the returned
-    arrays match trace[n].i / trace[n].q of the scalar machine bit for
-    bit.
-    """
-    reps, m = raw.shape
-    l = config.window_len
-    ticks = np.arange(m)
-    cos = np.array(COS_SEQ, dtype=np.int64)
-    nsin = np.array(NSIN_SEQ, dtype=np.int64)
-
-    # Mixer register during tick n holds sample n-2 times its stamped phase.
-    mix_re = np.zeros((reps, m), dtype=np.int64)
-    mix_im = np.zeros((reps, m), dtype=np.int64)
-    if m > 2:
-        coef_re = cos[(ticks[2:] - 2) & 3]
-        coef_im = nsin[(ticks[2:] - 2) & 3]
-        mix_re[:, 2:] = raw[:, :-2] * coef_re
-        mix_im[:, 2:] = raw[:, :-2] * coef_im
-
-    # The filter register during tick n holds the window sum over mixer
-    # registers up to tick n-1, shifted right by log2(l).
-    def window_sum_shift(a: np.ndarray) -> np.ndarray:
-        c = np.cumsum(a, axis=1)
-        w = c.copy()
-        w[:, l:] = c[:, l:] - c[:, :-l]
-        out = np.zeros_like(a)
-        out[:, 1:] = w[:, :-1] >> config.norm_shift
-        return out
-
-    return window_sum_shift(mix_re), window_sum_shift(mix_im)
-
-
 def preprocess_array(v: np.ndarray, c_raw: int, s: int) -> np.ndarray:
     """Vectorized preprocess_raw: (v - c) * 2**s, saturated to 16 bits."""
     t = (v - c_raw) << s if s >= 0 else (v - c_raw) >> (-s)
@@ -423,14 +390,31 @@ def filter_window(config: PipelineConfig, tick: int) -> range:
     return range(last - config.window_len + 1, last + 1)
 
 
+def _filter_registers(config: PipelineConfig, windows: np.ndarray,
+                      first) -> tuple[np.ndarray, np.ndarray]:
+    """Filter registers (i, q) of filter windows of any leading shape.
+
+    windows[..., k] holds stream sample first + k, first broadcasting
+    against the leading shape.  Each sample is mixed by the coefficient
+    of its stamped phase (stream index & 3), summed over the window and
+    shifted by log2(l): the fs/4 mixer and the moving average.  The sums
+    are exact and never reach the saturating widths (see the datapath
+    widths above), so they equal the scalar machine's registers.
+    """
+    phase = (np.asarray(first)[..., np.newaxis] + np.arange(config.window_len)) & 3
+    i = np.einsum("...k,...k->...", windows, np.array(COS_SEQ, dtype=np.int64)[phase])
+    q = np.einsum("...k,...k->...", windows, np.array(NSIN_SEQ, dtype=np.int64)[phase])
+    return i >> config.norm_shift, q >> config.norm_shift
+
+
 def scaled_iq_at(config: PipelineConfig, window: np.ndarray,
                  first: int) -> tuple[np.ndarray, np.ndarray]:
     """Preprocessed (i_t, q_t) of a single tick from its filter window.
 
     window has shape (reps, l) and holds stream samples first ..
     first + l - 1, i.e. filter_window(config, first + l + 2).  The result
-    equals run_stream_batch(...).i_t/q_t[:, first + l + 2] bit for bit
-    for any stream carrying these samples, and costs l samples per
+    equals the scalar machine's i_t/q_t during tick first + l + 2 for
+    any stream carrying these samples, and costs l samples per
     repetition instead of the whole stream.
     """
     window = np.asarray(window, dtype=np.int64)
@@ -438,18 +422,18 @@ def scaled_iq_at(config: PipelineConfig, window: np.ndarray,
         raise ValueError(f"window must be a (reps, {config.window_len}) array")
     if first < 0:
         raise ValueError("the window must start at or after stream sample 0")
-    phase = (first + np.arange(config.window_len)) & 3
-    cos = np.array(COS_SEQ, dtype=np.int64)[phase]
-    nsin = np.array(NSIN_SEQ, dtype=np.int64)[phase]
-    i = (window @ cos) >> config.norm_shift
-    q = (window @ nsin) >> config.norm_shift
+    i, q = _filter_registers(config, window, first)
     return (preprocess_array(i, config.c_i.raw, config.s_i),
             preprocess_array(q, config.c_q.raw, config.s_q))
 
 
 def run_stream_batch(config: PipelineConfig, raw: np.ndarray,
                      triggers: np.ndarray) -> BatchTrace:
-    """Vectorized equivalent of run_stream over (reps, ticks) sample arrays."""
+    """Vectorized equivalent of run_stream over (reps, ticks) sample arrays.
+
+    Every tick's filter window is a view of the stream behind leading
+    zeros, which stand for the registers' reset state.
+    """
     raw = np.asarray(raw, dtype=np.int64)
     if raw.ndim != 2:
         raise ValueError("raw must be a (reps, ticks) array")
@@ -459,7 +443,11 @@ def run_stream_batch(config: PipelineConfig, raw: np.ndarray,
     if not np.isin(triggers, (0, 1)).all():
         raise ValueError("trigger must be a bit")
 
-    i_arr, q_arr = filtered_iq_batch(config, raw)
+    m = raw.shape[1]
+    start = filter_window(config, 0).start
+    windows = sliding_window_view(np.pad(raw, ((0, 0), (-start, 0))),
+                                  config.window_len, axis=1)[:, :m]
+    i_arr, q_arr = _filter_registers(config, windows, start + np.arange(m))
     i_t = preprocess_array(i_arr, config.c_i.raw, config.s_i)
     q_t = preprocess_array(q_arr, config.c_q.raw, config.s_q)
     fbt_comb, fbt_reg = _trigger_path(config, triggers)

@@ -552,6 +552,26 @@ def test_simulate_pipeline_empty_input_is_usage_error(tmp_path, capsys):
     assert "no samples" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("row,message", [
+    ("0,5.5,0", "invalid literal for int() with base 10: '5.5'"),
+    ("0,99999,0", "raw 99999 does not fit in 14 bits"),
+    ("0,-8193,0", "raw -8193 does not fit in 14 bits"),
+    ("0,5,2", "trigger 2 must be a bit"),
+    ("0,5,x", "invalid literal for int() with base 10: 'x'"),
+    ("0,5", "bad ADC CSV line '0,5'"),
+])
+def test_simulate_pipeline_bad_input_row_names_its_file_and_line(
+        tmp_path, capsys, row, message):
+    cfg_path = _write_small_cfg(tmp_path)
+    adc = tmp_path / "adc.csv"
+    adc.write_text(f"t_ns,raw,tr\n0,1,0\n\n{row}\n0,1,0\n")
+    assert cli.main(["simulate-pipeline", "--config", cfg_path,
+                     "--input", str(adc)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {adc}:4: {message}\n"
+
+
 def test_python_m_qfbsim_runs_the_cli():
     proc = subprocess.run([sys.executable, "-m", "qfbsim", "latency-report",
                            "--json"], capture_output=True, text=True)

@@ -4,15 +4,18 @@ The chunk evaluates the pipeline only at the two readout ticks, from the
 2 l samples inside the integration windows, skips the envelope before
 the first pulse and after the second window, and runs its first phase
 once for all feedback settings.  These tests hold it to the full-stream
-batch pipeline, which is itself held to the scalar machine, its batch
-envelope to the scalar envelope of each repetition, and a feedback
-comparison to two separate runs.  The sparse envelope and jump sampler
-are held bit for bit to the dense loops they replaced, kept here, and a
-batch of chunks to the same chunks run one at a time.
+batch pipeline, whose filter it shares and which is held to the scalar
+machine, each repetition's readouts to the scalar synthesizer and
+machine replaying its draws, its batch envelope to the scalar envelope
+of each repetition, and a feedback comparison to two separate runs.
+The sparse envelope and jump sampler are held bit for bit to the dense
+loops they replaced, kept here, and a batch of chunks to the same
+chunks run one at a time.
 """
 
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +23,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qfbsim import experiment as ex
-from qfbsim.fxp import SHIFT_MAX, ConfigError, FxpSample, raw_bounds
+from qfbsim.config import load_file, resolve_noise
+from qfbsim.fxp import ADC_LSB_VOLTS, SHIFT_MAX, ConfigError, FxpSample, raw_bounds
 from qfbsim.pipeline import (
     CLOCK_PERIOD_NS,
     FILTER_WIDTH,
@@ -28,6 +32,7 @@ from qfbsim.pipeline import (
     SYNC_DEPTH,
     PipelineConfig,
     filter_window,
+    run_stream,
     run_stream_batch,
     scaled_iq_at,
 )
@@ -37,9 +42,11 @@ from qfbsim.sigmodel import (
     DeviceParams,
     PulseSchedule,
     QubitTrajectory,
+    analog_waveform,
     envelope_at_times,
     quantize_array,
     thermal_population,
+    trigger_lane,
 )
 
 ADC_LO, ADC_HI = raw_bounds(14)
@@ -73,9 +80,18 @@ def tick_cases(draw):
     return cfg, stream, first
 
 
+def _scalar_iq_t(cfg, stream, tick):
+    """(i_t, q_t) of each row's stream at tick, from the scalar machine."""
+    outs = [run_stream(cfg, [FxpSample(int(v), 14) for v in row],
+                       [0] * len(row))[tick] for row in stream]
+    return np.array([o.i_t for o in outs]), np.array([o.q_t for o in outs])
+
+
 @settings(max_examples=300, deadline=None)
 @given(tick_cases())
 def test_scaled_iq_at_matches_batch_pipeline(case):
+    """scaled_iq_at and run_stream_batch share the vectorized filter, so
+    both are held to the scalar machine as well as to each other."""
     cfg, stream, first = case
     tick = first + cfg.window_len + 2
     assert filter_window(cfg, tick) == range(first, first + cfg.window_len)
@@ -83,6 +99,9 @@ def test_scaled_iq_at_matches_batch_pipeline(case):
     i_t, q_t = scaled_iq_at(cfg, stream[:, first:first + cfg.window_len], first)
     np.testing.assert_array_equal(i_t, bt.i_t[:, tick])
     np.testing.assert_array_equal(q_t, bt.q_t[:, tick])
+    want_i, want_q = _scalar_iq_t(cfg, stream, tick)
+    np.testing.assert_array_equal(i_t, want_i)
+    np.testing.assert_array_equal(q_t, want_q)
 
 
 @pytest.mark.parametrize("first", range(4))
@@ -94,6 +113,9 @@ def test_scaled_iq_at_saturates_like_batch(first):
     bt = run_stream_batch(cfg, stream, np.zeros(8, dtype=np.int64))
     np.testing.assert_array_equal(i_t, bt.i_t[:, first + 4])
     np.testing.assert_array_equal(q_t, bt.q_t[:, first + 4])
+    want_i, want_q = _scalar_iq_t(cfg, stream, first + 4)
+    np.testing.assert_array_equal(i_t, want_i)
+    np.testing.assert_array_equal(q_t, want_q)
     both = np.concatenate([i_t, q_t])
     assert set(both.tolist()) & {lo, hi}
 
@@ -701,6 +723,152 @@ def test_second_phase_ends_with_the_second_window():
     # the window covers 40..120 ns into the pulse: its last sample is at
     # 110 ns, the pulse itself ends at 160 ns
     assert b == (ex.M2_START_NS + 120) * ex.NS
+
+
+# ---------------------------------------------------------------------------
+# a chunk's repetitions replayed through the scalar synthesizer and machine
+
+CONFIG_DIR = Path(ex.__file__).parent / "configs"
+REPLAY_REPS = 300
+
+
+def _shipped_config(name, **dev_kw):
+    cfg, target = load_file(CONFIG_DIR / name)
+    cfg = resolve_noise(cfg, target)
+    return replace(cfg, device=replace(cfg.device, **dev_kw))
+
+
+def _replayed_draws(cfg, reps):
+    """A chunk's draws rebuilt in the documented order from its generator
+    (stream 0, chunk 0), with the dense sampler: noise, initial states,
+    pre-gate jumps, the pi/2 gate draw, the first phase's jumps; then,
+    from a snapshot of the generator, each arm's second-phase jumps.
+    Returns (initial, noise, events, arm): events[r] lists repetition
+    r's (time, new state) changes up to the conditional pi, and
+    arm(flip) those after it, flip being a mask of the repetitions the
+    conditional pi flips."""
+    dev = cfg.device
+    rates = (dev.decay_rate(), dev.excitation_rate())
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, 0, 0]))
+    observed = 2 * cfg.window_len
+    noise = (rng.normal(0.0, dev.noise_sigma, size=(reps, observed))
+             if dev.noise_sigma > 0 else np.zeros((reps, observed)))
+    initial = (rng.random(reps) < dev.p_therm).astype(np.uint8)
+
+    def jumps(events, state, a, b):
+        cols, end = _dense_jump_columns(rng, state, a, b, *rates)
+        state = state.copy()
+        for col in cols:
+            for r in np.flatnonzero(np.isfinite(col)):
+                state[r] ^= 1
+                events[r].append((col[r], int(state[r])))
+        assert np.array_equal(state, end)
+        return end
+
+    (t0, t_gate, _), *phase_a = _full_segments(cfg)[0]
+    events = [[] for _ in range(reps)]
+    state = jumps(events, initial, t0, t_gate)
+    if cfg.scenario == ex.PI_HALF_INIT:
+        gated = (rng.random(reps) < 0.5).astype(np.uint8)
+        for r in np.flatnonzero(gated != state):
+            events[r].append((t_gate, int(gated[r])))
+        state = gated
+    for a, b, _ in phase_a:
+        state = jumps(events, state, a, b)
+    snapshot = rng.bit_generator.state
+    t_pi = cfg.t_pi_ns * ex.NS
+    t_m2 = ex.M2_START_NS * ex.NS
+    w2 = filter_window(cfg.pipeline, cfg.eval_tick(ex.TRIG2_TICK))
+    t_w2 = (ex.GRID_START_NS + CLOCK_PERIOD_NS * (w2.stop - SYNC_DEPTH)) * ex.NS
+
+    def arm(flip):
+        rng.bit_generator.state = snapshot
+        after = [[(t_pi, int(state[r]) ^ 1)] if flip[r] else [] for r in range(reps)]
+        s = np.where(flip, state ^ 1, state)
+        for a, b in ((t_pi, t_m2), (t_m2, t_w2)):
+            s = jumps(after, s, a, b)
+        return after
+
+    return initial, noise, events, arm
+
+
+def _near_rounding_boundary(volts):
+    """Voltages within a few ulp of a half-LSB rounding boundary."""
+    x = np.abs(volts / ADC_LSB_VOLTS)
+    return np.abs(x - np.floor(x) - 0.5) <= 8 * np.spacing(x)
+
+
+REPLAY_CASES = [
+    ("scenario_pi_half.cfg", {}),
+    ("scenario_thermal.cfg", {}),
+    ("scenario_pi_half.cfg", {"t1": 200e-9}),
+]
+
+
+@pytest.mark.parametrize("name,dev_kw", REPLAY_CASES)
+def test_chunk_repetitions_replay_through_the_scalar_machine(
+        monkeypatch, record_property, name, dev_kw):
+    """Each repetition of a chunk, both arms, rebuilt from its draws as a
+    QubitTrajectory and run through the scalar synthesizer
+    (sigmodel.analog_waveform), the same noise, quantize_array, the ADC
+    skew and the scalar tick() machine, reads out exactly what the chunk
+    reads out.  Nothing here shares the engine's envelope, waveform or
+    filter.  An ADC code may differ from the chunk's only where the
+    voltage sits within a few ulp of a rounding boundary, since the two
+    synthesizers round differently in the last bits; such codes are
+    counted (none occur at the shipped seed) and the chunk's code is
+    used."""
+    cfg = _shipped_config(name, **dev_kw)
+    reps = REPLAY_REPS
+    engine_volts = []
+    quantize = ex.quantize_array
+
+    def recording_quantize(v):
+        engine_volts.append(v.copy())
+        return quantize(v)
+
+    monkeypatch.setattr(ex, "quantize_array", recording_quantize)
+    chunk = ex._run_chunk(cfg, ex._protocol_for(cfg), 0, 0, [reps], (False, True))
+    monkeypatch.undo()
+    fb1 = chunk[0][2]
+    assert np.array_equal(chunk[1][2], fb1)
+
+    initial, noise, events_a, arm = _replayed_draws(cfg, reps)
+    dev = replace(cfg.device, noise_sigma=0.0)
+    t0 = ex.GRID_START_NS * ex.NS
+    sched = PulseSchedule(
+        readout_pulses=((ex.M1_START_NS * ex.NS, ex.PULSE_NS * ex.NS),
+                        (ex.M2_START_NS * ex.NS, ex.PULSE_NS * ex.NS)),
+        t_start=t0, repetition_period=ex.N_SOURCE * CLOCK_PERIOD_NS * ex.NS)
+    triggers = trigger_lane(sched, ex.N_TICKS)
+    cols = np.concatenate([np.arange(w.start, w.stop) - SYNC_DEPTH for w in
+                           (filter_window(cfg.pipeline, cfg.eval_tick(t))
+                            for t in (ex.TRIG1_TICK, ex.TRIG2_TICK))])
+    near = 0
+    for k, enabled in enumerate((False, True)):
+        second = arm(fb1.astype(bool) & enabled)
+        chunk_volts = np.concatenate([engine_volts[0], engine_volts[1 + k]], axis=1)
+        chunk_codes, _ = quantize_array(chunk_volts)
+        got = np.zeros((5, reps), dtype=np.int64)
+        for r in range(reps):
+            traj = QubitTrajectory(((t0, int(initial[r])), *events_a[r], *second[r]))
+            volts = analog_waveform(dev, sched, traj, phase_offset=SYNC_DEPTH)
+            volts[cols] += noise[r]
+            raw, _ = quantize_array(volts)
+            differ = raw[cols] != chunk_codes[r]
+            if differ.any():
+                assert _near_rounding_boundary(volts[cols][differ]).all(), r
+                near += int(differ.sum())
+                raw[cols] = chunk_codes[r]
+            samples = [FxpSample(0, 14)] * SYNC_DEPTH + [FxpSample(int(v), 14)
+                                                         for v in raw]
+            trace = run_stream(cfg.pipeline, samples, triggers)
+            m1, m2 = [n - 1 for n, t in enumerate(trace) if t.fb_time]
+            got[:, r] = (trace[m1].i_t, trace[m1].q_t, trace[m1 + 1].fb,
+                         trace[m2].i_t, trace[m2].q_t)
+        for field, g, w in zip(("it1", "qt1", "fb1", "it2", "qt2"), got, chunk[k]):
+            assert np.array_equal(g, w), (enabled, field)
+    record_property("near_boundary_adc_codes", near)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Package-level guards."""
 
+import ast
 import importlib.util
 import sys
 from pathlib import Path
@@ -8,11 +9,40 @@ import qfbsim
 from qfbsim import cli, config, experiment, histo
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+PACKAGE = Path(qfbsim.__file__).resolve().parent
 
 
 def test_every_exported_name_resolves():
     missing = [name for name in qfbsim.__all__ if not hasattr(qfbsim, name)]
     assert missing == []
+
+
+def _unread_imports(source: str) -> list[str]:
+    """Names a module imports but never reads."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {(a.asname or a.name).partition(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(imported - read)
+
+
+def test_unread_imports_are_found():
+    assert _unread_imports("import os.path\nfrom a import b as c, d\nd()\n") \
+        == ["c", "os"]
+
+
+def test_every_imported_name_is_read():
+    # a leftover import, or one kept only so that a benchmark hook
+    # resolves, fails here with its module and name
+    unread = {path.name: names for path in sorted(PACKAGE.glob("*.py"))
+              if path.name != "__init__.py"
+              and (names := _unread_imports(path.read_text(encoding="utf-8")))}
+    assert unread == {}
 
 
 def _load_perfbench(name: str, monkeypatch):
