@@ -132,14 +132,15 @@ def _write_text(path: Path, text: str) -> None:
 
 def _counts_csv(counts, header: str) -> str:
     lines = [header]
-    lines += [f"{i},{int(c)}" for i, c in enumerate(counts)]
+    lines += [f"{i},{c}" for i, c in enumerate(counts.tolist())]
     return "\n".join(lines) + "\n"
 
 
 def _joint_csv(joint) -> str:
     lines = ["i1_bin,i2_bin,count"]
     nz = joint.nonzero()
-    lines += [f"{int(a)},{int(b)},{int(joint[a, b])}" for a, b in zip(*nz)]
+    lines += [f"{a},{b},{c}" for a, b, c in zip(nz[0].tolist(), nz[1].tolist(),
+                                                 joint[nz].tolist())]
     return "\n".join(lines) + "\n"
 
 

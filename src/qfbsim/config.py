@@ -11,7 +11,7 @@ reported together, not one at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .experiment import ExperimentConfig, PI_HALF_INIT, SCENARIOS, calibrate_noise
 from .fxp import ConfigError
@@ -209,5 +209,4 @@ def resolve_noise(cfg: ExperimentConfig,
     """Replace the noise level with one calibrated to the overlap target."""
     if target is None:
         return cfg
-    sigma = calibrate_noise(target, cfg)
-    return replace(cfg, device=replace(cfg.device, noise_sigma=sigma))
+    return cfg.with_noise_sigma(calibrate_noise(target, cfg))

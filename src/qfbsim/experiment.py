@@ -141,6 +141,9 @@ class ExperimentConfig:
     Feedback is not a setting: each run names its arms (the feedback
     argument of run_feedback_comparison).  Nor is the latency budget:
     t_pi_ns reads the measured setup's fixed table, latency.BUDGET.
+
+    _means records noiseless_filtered_means once calibrate_noise or
+    overlap_probability has computed it for this configuration.
     """
 
     device: DeviceParams
@@ -152,6 +155,8 @@ class ExperimentConfig:
     window_len: int = PipelineConfig.window_len
     scale_shift: int = 3
     pipeline: PipelineConfig = field(init=False, compare=False, repr=False)
+    _means: tuple[float, float] | None = field(default=None, init=False,
+                                               compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIOS:
@@ -196,6 +201,14 @@ class ExperimentConfig:
         chain, halfway into the actuator pulse."""
         el, _ = tau_eltot()
         return self.tau_ro_ns + el + BUDGET["tau_ap"][0] / 2.0
+
+    def with_noise_sigma(self, sigma: float) -> ExperimentConfig:
+        """This configuration at noise level sigma.  It keeps the
+        noiseless means recorded for this one, which the noise does not
+        change."""
+        other = replace(self, device=replace(self.device, noise_sigma=sigma))
+        object.__setattr__(other, "_means", self._means)
+        return other
 
     def eval_tick(self, trigger_tick: int) -> int:
         """Pipeline tick whose outputs form a readout event for a
@@ -245,28 +258,29 @@ def _sample_jump_columns(rngs, bounds, state: np.ndarray, a: float, b: float,
     that only the few that jumped in the previous iteration.  A chunk
     with none left draws nothing, so each chunk's draws, rows and times
     are those of the chunk sampled alone (with +inf events after its
-    own last one).
+    own last one).  end is state itself when nothing jumps; no caller
+    writes to either.
     """
-    reps = state.shape[0]
-    end = state.copy()
+    rate = np.array([gamma_up, gamma_down])     # by state: STATE_G, STATE_E
+    end = state
     events = []
-    active = np.arange(reps)
-    t = np.full(reps, a)
+    active = np.arange(state.shape[0])
+    t = a
     while True:
         # active is sorted, so each chunk's jumpers are one run of it
-        ends = np.searchsorted(active, bounds)
-        u = np.empty(active.size)
-        for rng, lo, hi in zip(rngs, ends[:-1], ends[1:]):
-            if hi > lo:
-                u[lo:hi] = rng.exponential(1.0, size=hi - lo)
-        rates = np.where(state == STATE_E, gamma_down, gamma_up)
-        # the floor keeps every quotient finite; a zero rate gets inf
-        dt = np.where(rates > 0, u / np.maximum(rates, 1e-300), np.inf)
-        t_next = t + dt
-        jump = t_next < b
-        if not jump.any():
+        u = _per_chunk(rngs, np.searchsorted(active, bounds),
+                       np.random.Generator.standard_exponential)
+        # u becomes the next jump time; a zero rate gives inf (nan for a
+        # zero draw), and neither lies before b
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u /= np.take(rate, state)
+        u += t
+        hit = np.flatnonzero(u < b)
+        if not hit.size:
             break
-        active, t, state = active[jump], t_next[jump], state[jump] ^ 1
+        active, t, state = active[hit], u[hit], state[hit] ^ 1
+        if not events:
+            end = end.copy()
         end[active] = state
         events.append((active, t))
     rows = events[0][0] if events else np.zeros(0, dtype=np.intp)
@@ -484,9 +498,15 @@ def _read_window(cfg: ExperimentConfig, cls: np.ndarray, idx: np.ndarray,
     return i_t.astype(np.int16), q_t.astype(np.int16), clipped
 
 
-def _per_chunk(rngs, sizes, draw) -> np.ndarray:
-    """draw(rng, n) for each chunk of a batch, joined in chunk order."""
-    return np.concatenate([draw(rng, n) for rng, n in zip(rngs, sizes)])
+def _per_chunk(rngs, bounds, draw, *shape) -> np.ndarray:
+    """One array of (bounds[-1], *shape) draws, chunk c's rows
+    bounds[c]:bounds[c + 1] filled in place by draw(rngs[c], out=...),
+    e.g. draw = np.random.Generator.random.  A chunk with no rows draws
+    nothing."""
+    out = np.empty((bounds[-1], *shape))
+    for rng, lo, hi in zip(rngs, bounds[:-1], bounds[1:]):
+        draw(rng, out=out[lo:hi])
+    return out
 
 
 def _run_chunk(cfg: ExperimentConfig, protocol: _Protocol, stream_id: int,
@@ -539,19 +559,25 @@ def _run_chunk(cfg: ExperimentConfig, protocol: _Protocol, stream_id: int,
     l = pipe.window_len
     w1 = _window_cols(cfg, TRIG1_TICK)
     observed = 2 * l if protocol.double else l
-    sigma = dev.noise_sigma
-    noise = (_per_chunk(rngs, sizes,
-                        lambda rng, n: rng.normal(0.0, sigma, size=(n, observed)))
-             if sigma > 0 else np.zeros((reps, observed)))
-    state = (_per_chunk(rngs, sizes, lambda rng, n: rng.random(n))
-             < dev.p_therm).astype(np.uint8)
+    if dev.noise_sigma > 0:
+        # rng.normal(0.0, sigma) per chunk, drawn in place: normal returns
+        # 0.0 + sigma z, which differs from sigma z only in the sign of a
+        # zero, and no ADC code depends on that sign
+        noise = _per_chunk(rngs, bounds, np.random.Generator.standard_normal,
+                           observed)
+        noise *= dev.noise_sigma
+    else:
+        noise = np.zeros((reps, observed))
+    # the states are uint8 views of the comparisons' 0/1 bytes
+    state = (_per_chunk(rngs, bounds, np.random.Generator.random)
+             < dev.p_therm).view(np.uint8)
 
     rates = (dev.decay_rate(), dev.excitation_rate())
     (a, b, _), *segments_a = _phase_a_segments(cfg)
     _, _, state = _sample_jump_columns(rngs, bounds, state, a, b, *rates)
     if protocol.init_gate == "pi_half":
-        state = (_per_chunk(rngs, sizes, lambda rng, n: rng.random(n))
-                 < 0.5).astype(np.uint8)
+        state = (_per_chunk(rngs, bounds, np.random.Generator.random)
+                 < 0.5).view(np.uint8)
     elif protocol.init_gate == "pi":
         state = state ^ 1
     start = state
@@ -584,9 +610,7 @@ def _run_chunk(cfg: ExperimentConfig, protocol: _Protocol, stream_id: int,
     for enabled in feedback:
         for rng, snapshot in zip(rngs, after_a):
             rng.bit_generator.state = snapshot
-        arm_state = state
-        if enabled:
-            arm_state = np.where(fb1.astype(bool), state ^ 1, state)
+        arm_state = state ^ fb1 if enabled else state
         sampled_b, _ = _sample_segments(rngs, bounds, arm_state, segments_b, rates)
         idx_b = np.flatnonzero(own_a | _jumped(sampled_b, reps))
         # the first phase's jumpers go on from their own envelope, the
@@ -689,6 +713,14 @@ def noiseless_filtered_means(cfg: ExperimentConfig) -> tuple[float, float]:
     return float(i[0]) * ADC_LSB_VOLTS, float(i[1]) * ADC_LSB_VOLTS
 
 
+def _record_means(cfg: ExperimentConfig) -> tuple[float, float]:
+    """noiseless_filtered_means(cfg), recorded on cfg for
+    overlap_probability."""
+    means = noiseless_filtered_means(cfg)
+    object.__setattr__(cfg, "_means", means)
+    return means
+
+
 def _gauss_tail(z: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
@@ -704,7 +736,7 @@ def overlap_probability(cfg: ExperimentConfig,
     sigma = cfg.device.noise_sigma if noise_sigma is None else noise_sigma
     if sigma == 0:
         return 0.0
-    return _overlap(cfg, sigma, *noiseless_filtered_means(cfg))
+    return _overlap(cfg, sigma, *(cfg._means or _record_means(cfg)))
 
 
 def _overlap(cfg: ExperimentConfig, sigma: float, mu_g: float,
@@ -728,7 +760,7 @@ def calibrate_noise(target_overlap: float, cfg: ExperimentConfig) -> float:
         raise ValueError("target overlap must be positive")
     if target_overlap >= 0.5:
         raise CalibrationError("overlap targets of 50% or more are unattainable")
-    mu_g, mu_e = noiseless_filtered_means(cfg)
+    mu_g, mu_e = _record_means(cfg)
     c = cfg.pipeline.c_i.raw * ADC_LSB_VOLTS
     if not mu_g < c < mu_e:
         raise CalibrationError(

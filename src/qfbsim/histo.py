@@ -126,4 +126,5 @@ class HistogramRam:
         )
         header += layout
         header += b"\x00" * (DUMP_HEADER_BYTES - len(header))
-        return header + self.words.astype("<u2").tobytes()
+        # one copy of the words: on a little-endian host astype is a view
+        return b"".join((header, self.words.astype("<u2", copy=False)))

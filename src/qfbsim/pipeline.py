@@ -365,16 +365,20 @@ def _trigger_path(config: PipelineConfig, triggers: np.ndarray) -> tuple[np.ndar
 
 def preprocess_array(v: np.ndarray, c_raw: int, s: int) -> np.ndarray:
     """Vectorized preprocess_raw: (v - c) * 2**s, saturated to 16 bits."""
-    t = (v - c_raw) << s if s >= 0 else (v - c_raw) >> (-s)
+    t = v - c_raw
+    if s >= 0:
+        t <<= s
+    else:
+        t >>= -s
     lo, hi = fxp.raw_bounds(PREPROC_WIDTH)
-    return np.clip(t, lo, hi)
+    return np.clip(t, lo, hi, out=t)
 
 
 def lut_bits(lut: tuple[int, int, int, int], i_t: np.ndarray,
              q_t: np.ndarray) -> np.ndarray:
     """Vectorized discriminate() on the sign bits of preprocessed I/Q."""
-    x = (i_t < 0).astype(np.uint8)
-    y = (q_t < 0).astype(np.uint8)
+    x = (i_t < 0).view(np.uint8)
+    y = (q_t < 0).view(np.uint8)
     return np.array(lut, dtype=np.uint8)[(x << 1) | y]
 
 
@@ -391,20 +395,32 @@ def filter_window(config: PipelineConfig, tick: int) -> range:
 
 
 def _filter_registers(config: PipelineConfig, windows: np.ndarray,
-                      first) -> tuple[np.ndarray, np.ndarray]:
+                      first: int) -> tuple[np.ndarray, np.ndarray]:
     """Filter registers (i, q) of filter windows of any leading shape.
 
-    windows[..., k] holds stream sample first + k, first broadcasting
-    against the leading shape.  Each sample is mixed by the coefficient
-    of its stamped phase (stream index & 3), summed over the window and
-    shifted by log2(l): the fs/4 mixer and the moving average.  The sums
-    are exact and never reach the saturating widths (see the datapath
-    widths above), so they equal the scalar machine's registers.
+    windows[..., k] holds stream sample first + k.  Each sample is mixed
+    by the coefficient of its stamped phase (stream index & 3), summed
+    over the window and shifted by log2(l): the fs/4 mixer and the
+    moving average.  The coefficients are +-1 or 0 (COS_SEQ, NSIN_SEQ),
+    so each register is a difference of two sums of the columns of one
+    phase.  The sums are exact and never reach the saturating widths
+    (see the datapath widths above), so they equal the scalar machine's
+    registers.
     """
-    phase = (np.asarray(first)[..., np.newaxis] + np.arange(config.window_len)) & 3
-    i = np.einsum("...k,...k->...", windows, np.array(COS_SEQ, dtype=np.int64)[phase])
-    q = np.einsum("...k,...k->...", windows, np.array(NSIN_SEQ, dtype=np.int64)[phase])
-    return i >> config.norm_shift, q >> config.norm_shift
+    sums = []
+    for p in range(4):
+        # the samples of phase p: every fourth column (none when l = 2
+        # and p is not one of the two phases the window holds)
+        cols = range((p - first) & 3, windows.shape[-1], 4)
+        total = windows[..., cols[0]] if cols else 0
+        for k in cols[1:]:
+            total = total + windows[..., k]
+        sums.append(total)
+    i = sums[0] - sums[2]       # COS_SEQ = (1, 0, -1, 0)
+    q = sums[3] - sums[1]       # NSIN_SEQ = (0, -1, 0, 1)
+    i >>= config.norm_shift
+    q >>= config.norm_shift
+    return i, q
 
 
 def scaled_iq_at(config: PipelineConfig, window: np.ndarray,
@@ -447,7 +463,13 @@ def run_stream_batch(config: PipelineConfig, raw: np.ndarray,
     start = filter_window(config, 0).start
     windows = sliding_window_view(np.pad(raw, ((0, 0), (-start, 0))),
                                   config.window_len, axis=1)[:, :m]
-    i_arr, q_arr = _filter_registers(config, windows, start + np.arange(m))
+    # tick n's window starts at stream sample start + n: the ticks of one
+    # residue mod 4 share their column phases, so one call serves each
+    i_arr = np.empty(raw.shape, dtype=np.int64)
+    q_arr = np.empty(raw.shape, dtype=np.int64)
+    for r in range(4):
+        i_arr[:, r::4], q_arr[:, r::4] = _filter_registers(
+            config, windows[:, r::4], start + r)
     i_t = preprocess_array(i_arr, config.c_i.raw, config.s_i)
     q_t = preprocess_array(q_arr, config.c_q.raw, config.s_q)
     fbt_comb, fbt_reg = _trigger_path(config, triggers)

@@ -246,14 +246,16 @@ class AdcStream:
 
 def quantize_array(volts: np.ndarray) -> tuple[np.ndarray, int]:
     """Vectorized 14-bit ADC quantization; returns (raw, clip_count)."""
-    # rounds half away from zero, in place on one array: the truncation
-    # of x + copysign(0.5, x) is floor(x + 0.5) for x >= +0 and
-    # ceil(x - 0.5) for x < 0; -0.0 gives code 0
-    x = volts / fxp.ADC_LSB_VOLTS
+    # rounds half away from zero on one new array: x + copysign(0.5, x)
+    # truncates to floor(x + 0.5) for x >= +0 and to ceil(x - 0.5) for
+    # x < 0 (-0.0 gives code 0); clipping first and truncating in astype
+    # gives the same codes, and a code clips exactly when x reaches a
+    # whole step past the range.  Multiplying by 2**13 is dividing by
+    # the LSB, exactly.
+    x = volts * (1.0 / fxp.ADC_LSB_VOLTS)
     x += np.copysign(0.5, x)
-    np.trunc(x, out=x)
     lo, hi = fxp.raw_bounds(ADC_WIDTH)
-    clipped = int(np.count_nonzero(x < lo)) + int(np.count_nonzero(x > hi))
+    clipped = int(np.count_nonzero(x <= lo - 1)) + int(np.count_nonzero(x >= hi + 1))
     np.clip(x, lo, hi, out=x)
     return x.astype(np.int64), clipped
 
