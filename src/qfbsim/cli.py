@@ -35,7 +35,14 @@ from .latency import (
     integration_delay_setting,
     trigger_to_fb_delay,
 )
-from .pipeline import SYNC_DEPTH, PipelineConfig, PipelineState, dump_trace, run_stream
+from .pipeline import (
+    CLOCK_PERIOD_NS,
+    SYNC_DEPTH,
+    PipelineConfig,
+    PipelineState,
+    dump_trace,
+    run_stream,
+)
 from .sigmodel import STATE_E, STATE_G, synthesize_adc_stream
 
 SEED_ENV = "QFB_SEED"
@@ -183,23 +190,31 @@ def cmd_run_experiment(args) -> int:
 
 
 def _parse_adc_csv(path: str) -> tuple[list[FxpSample], list[int]]:
-    """Samples and trigger bits of an ADC CSV (t_ns,raw,tr); a bad row
-    fails with its path and line number."""
+    """Samples and trigger bits of an ADC CSV (t_ns,raw,tr), ASCII, with
+    t_ns on the pipeline clock's grid; a bad row fails with its path and
+    line number."""
     samples, triggers = [], []
-    with open(path, "r", encoding="ascii") as fh:
-        for number, line in enumerate(fh, start=1):
-            line = line.strip()
+    with open(path, "rb") as fh:
+        for number, raw_line in enumerate(fh, start=1):
+            where = f"{path}:{number}"
+            message = run_config.non_ascii_message(raw_line)
+            if message is not None:
+                raise ConfigError(f"{where}: {message}")
+            line = raw_line.decode("ascii").strip()
             if not line or line.startswith("t_ns"):
                 continue
-            where = f"{path}:{number}"
             fields = line.split(",")
             if len(fields) != 3:
                 raise ConfigError(f"{where}: bad ADC CSV line {line!r}")
             try:
+                t_ns = int(fields[0])
                 sample = FxpSample(int(fields[1]), ADC_WIDTH)
                 tr = int(fields[2])
             except ValueError as exc:
                 raise ConfigError(f"{where}: {exc}") from None
+            if t_ns % CLOCK_PERIOD_NS:
+                raise ConfigError(f"{where}: t_ns {t_ns} is not a multiple of "
+                                  f"the {CLOCK_PERIOD_NS} ns clock period")
             if tr not in (0, 1):
                 raise ConfigError(f"{where}: trigger {tr} must be a bit")
             samples.append(sample)

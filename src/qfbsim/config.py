@@ -5,7 +5,8 @@ comments.  Every dimensioned quantity carries an explicit unit suffix
 (``6.3 MHz``, ``1.4 us``, ``16 mV``, ``114 mK``, ``3 %``); bare numbers
 are rejected for those fields so a misplaced magnitude cannot slip
 through silently.  Unknown keys are hard errors and all problems are
-reported together, not one at a time.
+reported together, not one at a time.  The document is ASCII: a line
+holding any other byte is reported by its path and line number.
 """
 
 from __future__ import annotations
@@ -199,9 +200,33 @@ def load_text(text: str) -> tuple[ExperimentConfig, float | None]:
     return _build(values)
 
 
+def non_ascii_message(line: bytes) -> str | None:
+    """None for an ASCII line, else a message naming its first other
+    character."""
+    if line.isascii():
+        return None
+    char = next(c for c in line.decode("utf-8", "replace") if not c.isascii())
+    return f"non-ASCII character {char!r}; the file must be ASCII"
+
+
 def load_file(path) -> tuple[ExperimentConfig, float | None]:
-    with open(path, "r", encoding="ascii") as fh:
-        return load_text(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    errors = []
+    for lineno, line in enumerate(data.splitlines(), start=1):
+        message = non_ascii_message(line)
+        if message is not None:
+            # a unit such as us written with a micro sign: name the
+            # spellings the key accepts
+            body = line.split(b"#", 1)[0]
+            key = body.split(b"=", 1)[0].decode("ascii", "replace").strip()
+            units = SCHEMA[key].units if key in SCHEMA else None
+            if units and not body.isascii():
+                message += f"; '{key}' takes the units " + "/".join(units)
+            errors.append(f"{path}:{lineno}: {message}")
+    if errors:
+        raise ConfigFileError(errors)
+    return load_text(data.decode("ascii"))
 
 
 def resolve_noise(cfg: ExperimentConfig,

@@ -6,11 +6,13 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 from importlib import resources
 
 import pytest
 
 from qfbsim import cli
+from qfbsim import experiment as ex
 from qfbsim.config import ConfigFileError, load_text, resolve_noise
 from qfbsim.experiment import PI_HALF_INIT, THERMAL_INIT, ExperimentConfig
 from qfbsim.sigmodel import thermal_population
@@ -570,6 +572,81 @@ def test_simulate_pipeline_bad_input_row_names_its_file_and_line(
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {adc}:4: {message}\n"
+
+
+@pytest.mark.parametrize("row,message", [
+    ("xyz,1,0", "invalid literal for int() with base 10: 'xyz'"),
+    ("15,1,0", "t_ns 15 is not a multiple of the 10 ns clock period"),
+    ("1.5e2,1,0", "invalid literal for int() with base 10: '1.5e2'"),
+    ("40,\u00e9,0", "non-ASCII character '\u00e9'; the file must be ASCII"),
+    ("40,1,0 # \u00b5s", "non-ASCII character '\u00b5'; the file must be ASCII"),
+])
+def test_simulate_pipeline_bad_input_bytes_and_times_name_their_line(
+        tmp_path, capsys, row, message):
+    cfg_path = _write_small_cfg(tmp_path)
+    adc = tmp_path / "adc.csv"
+    adc.write_bytes(f"t_ns,raw,tr\n0,1,0\n-10,2,0\n{row}\n50,1,0\n".encode())
+    assert cli.main(["simulate-pipeline", "--config", cfg_path,
+                     "--input", str(adc)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {adc}:4: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["run-experiment", "calibrate-noise",
+                                     "simulate-pipeline"])
+@pytest.mark.parametrize("lines,errors", [
+    # a micro sign for us: the message names the spellings the key takes
+    (["device.t1 = 1.4 \u00b5s"],
+     ["1: non-ASCII character '\u00b5'; the file must be ASCII; "
+      "'device.t1' takes the units s/ms/us/ns"]),
+    # in a comment, or in an unknown key, no unit applies
+    (["device.t1 = 1.4 us  # \u03c4", "experiment.threshold = 16 mV",
+      "device.\u03ba = 6.3 MHz"],
+     ["1: non-ASCII character '\u03c4'; the file must be ASCII",
+      "3: non-ASCII character '\u03ba'; the file must be ASCII"]),
+    # bytes that are not UTF-8 either
+    (["experiment.threshold = 16 mV", "device.amp_ss = 600 \udcffmV"],
+     ["2: non-ASCII character '\ufffd'; the file must be ASCII; "
+      "'device.amp_ss' takes the units V/mV"]),
+])
+def test_non_ascii_config_bytes_name_their_path_and_line(tmp_path, capsys,
+                                                         command, lines,
+                                                         errors):
+    doc = tmp_path / "bad.cfg"
+    doc.write_bytes("\n".join(lines).encode("utf-8", "surrogateescape") + b"\n")
+    out_dir = ["--out-dir", str(tmp_path / "out")] if command == "run-experiment" else []
+    assert cli.main([command, "--config", str(doc), *out_dir]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "".join(f"error: {doc}:{e}\n" for e in errors)
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_experiment_computes_the_noiseless_means_once(tmp_path, capsys,
+                                                          monkeypatch):
+    """The noise calibration and the oracle's overlap share one
+    computation of the noiseless means: the noise does not change them."""
+    calls = []
+    means = ex.noiseless_filtered_means
+
+    def counted(c):
+        calls.append(c)
+        return means(c)
+
+    monkeypatch.setattr(ex, "noiseless_filtered_means", counted)
+    cfg_path = _write_small_cfg(tmp_path)
+    assert cli.main(["run-experiment", "--config", cfg_path, "--repetitions",
+                     "256", "--jobs", "1", "--out-dir", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+    # the oracle's overlap is the one the means of a copy that kept none
+    # give at the calibrated noise
+    calibrated = resolve_noise(*load_text((tmp_path / "run.cfg").read_text()))
+    report = json.loads((tmp_path / "out" / "report_feedback_on.json").read_text())
+    assert report["oracle"]["readout_flip"] == \
+        ex.overlap_probability(replace(calibrated)) / 2
+    assert len(calls) == 3
 
 
 def test_python_m_qfbsim_runs_the_cli():

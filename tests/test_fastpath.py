@@ -120,6 +120,24 @@ def test_scaled_iq_at_saturates_like_batch(first):
     assert set(both.tolist()) & {lo, hi}
 
 
+@pytest.mark.parametrize("l", [2, 4, 8, 16, 32])
+@pytest.mark.parametrize("first", range(8))
+def test_scaled_iq_at_matches_scalar_at_every_phase_and_length(l, first):
+    """The filter's column sums at every first & 3 (twice over) and every
+    window length equal the scalar machine's mixer and moving average."""
+    rng = np.random.default_rng([l, first])
+    cfg = PipelineConfig(
+        window_len=l,
+        c_i=FxpSample(int(rng.integers(FILTER_LO, FILTER_HI)), FILTER_WIDTH),
+        c_q=FxpSample(int(rng.integers(FILTER_LO, FILTER_HI)), FILTER_WIDTH),
+        s_i=int(rng.integers(-3, 1)), s_q=int(rng.integers(-3, 1)))
+    stream = rng.integers(ADC_LO, ADC_HI + 1, size=(3, first + l + 3))
+    i_t, q_t = scaled_iq_at(cfg, stream[:, first:first + l], first)
+    want_i, want_q = _scalar_iq_t(cfg, stream, first + l + 2)
+    np.testing.assert_array_equal(i_t, want_i)
+    np.testing.assert_array_equal(q_t, want_q)
+
+
 def test_scaled_iq_at_rejects_bad_windows():
     cfg = PipelineConfig(window_len=4)
     with pytest.raises(ValueError):
@@ -398,6 +416,16 @@ def test_jump_sampler_matches_dense_loop_bitwise(seed, sizes, gamma_down,
     _sampled_per_chunk(seed, sizes, state, a, b, gamma_down, gamma_up)
 
 
+def test_jump_sampler_with_one_zero_rate_matches_dense_loop():
+    """p_therm = 0 with a finite t1: the ground state's rate is zero, so
+    a repetition decays at most once, and never jumps from g."""
+    dev = _device(p_therm=0.0)
+    assert dev.excitation_rate() == 0.0 < dev.decay_rate()
+    state = np.random.default_rng(12).integers(0, 2, 150).astype(np.uint8)
+    assert _sampled_per_chunk(6, [60, 0, 90], state, 0.0, 2e-6,
+                              dev.decay_rate(), dev.excitation_rate()) == [1, 0, 1]
+
+
 def test_jump_sampler_covers_ragged_batches():
     """The cases the property test must reach, made certain: no
     repetitions at all, an empty chunk between others, a chunk that
@@ -564,6 +592,41 @@ def test_batch_equals_its_chunks_one_at_a_time(scenario, dev_kw, protocol):
 
 def _bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
+
+
+def test_chunk_noise_drawn_in_place_equals_normal_draws(monkeypatch):
+    """Each chunk's noise is rng.normal(0.0, sigma, size=(n, observed))
+    bit for bit, its first l columns in the first window and the rest
+    in each arm's second; the in-place draw leaves each generator where
+    normal leaves it."""
+    cfg = ex.ExperimentConfig(device=_device(), scenario=ex.PI_HALF_INIT)
+    l, sigma, sizes = cfg.window_len, cfg.device.noise_sigma, [7, 3, 11]
+    noises = []
+    read = ex._read_window
+
+    def recording_read(cfg, cls, idx, alpha, noise, cols):
+        noises.append(noise.copy())
+        return read(cfg, cls, idx, alpha, noise, cols)
+
+    monkeypatch.setattr(ex, "_read_window", recording_read)
+    ex._run_chunk(cfg, ex._protocol_for(cfg), 1, 2, sizes, (False, True))
+
+    def generators():
+        return [np.random.default_rng(np.random.SeedSequence([cfg.master_seed, 1, 2 + k]))
+                for k in range(len(sizes))]
+
+    rngs = generators()
+    want = np.concatenate([rng.normal(0.0, sigma, size=(n, 2 * l))
+                           for rng, n in zip(rngs, sizes)])
+    assert len(noises) == 3
+    assert np.array_equal(_bits(noises[0]), _bits(want[:, :l]))
+    for got in noises[1:]:
+        assert np.array_equal(_bits(got), _bits(want[:, l:]))
+    in_place = generators()
+    ex._per_chunk(in_place, np.cumsum([0, *sizes]),
+                  np.random.Generator.standard_normal, 2 * l)
+    assert ([rng.bit_generator.state for rng in in_place]
+            == [rng.bit_generator.state for rng in rngs])
 
 
 def _recorded_chunk(monkeypatch, cfg, protocol, reps):

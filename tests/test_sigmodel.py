@@ -317,15 +317,32 @@ ADC_LO, ADC_HI = fxp.raw_bounds(fxp.ADC_WIDTH)
 LSB = fxp.ADC_LSB_VOLTS
 
 
+def _ties(k):
+    """(k +- 1/2) LSB and k LSB for each code k, each with its two
+    floating-point neighbours."""
+    ties = np.concatenate([(k - 0.5) * LSB, (k + 0.5) * LSB, k * LSB])
+    return np.concatenate([ties, np.nextafter(ties, -np.inf),
+                           np.nextafter(ties, np.inf)])
+
+
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_quantize_array_matches_reference_at_rounding_ties(sign):
-    """(k +- 1/2) LSB for every code and a few beyond full scale, each
-    with its two floating-point neighbours."""
-    k = np.arange(ADC_LO - 3, ADC_HI + 4, dtype=float)
-    ties = np.concatenate([(k - 0.5) * LSB, (k + 0.5) * LSB, k * LSB])
-    volts = sign * np.concatenate([ties, np.nextafter(ties, -np.inf),
-                                   np.nextafter(ties, np.inf)])
+    """The ties of every code and a few beyond full scale."""
+    volts = sign * _ties(np.arange(ADC_LO - 3, ADC_HI + 4, dtype=float))
     _assert_quantizes_like_reference(volts.reshape(-1, 3))
+
+
+def test_quantize_array_matches_scalar_at_ties_and_edges():
+    """Codes and clip count equal the scalar quantize_flagged's at the
+    ties of the codes near zero and near both ends of the range (and
+    beyond them), at -0.0, and at +-1 V."""
+    k = np.concatenate([np.arange(ADC_LO - 3, ADC_LO + 4), np.arange(-3, 4),
+                        np.arange(ADC_HI - 3, ADC_HI + 4)]).astype(float)
+    volts = np.concatenate([_ties(k), -_ties(k), [0.0, -0.0, 1.0, -1.0]])
+    raw, clipped = quantize_array(volts.reshape(-1, 2))
+    want = [fxp.quantize_flagged(v, fxp.ADC_WIDTH) for v in volts]
+    assert raw.ravel().tolist() == [sample.raw for sample, _ in want]
+    assert clipped == sum(clip for _, clip in want) > 0
 
 
 def test_quantize_array_matches_reference_at_zero_and_beyond_full_scale():
