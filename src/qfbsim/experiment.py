@@ -732,6 +732,7 @@ def overlap_probability(cfg: ExperimentConfig,
     The filtered noise is Gaussian with std sigma / sqrt(2 l) (only half
     of the window samples carry each quadrature); the overlap is the
     equal-prior average of the two tail masses across the threshold.
+    The noiseless means come from cfg's record when it has one.
     """
     sigma = cfg.device.noise_sigma if noise_sigma is None else noise_sigma
     if sigma == 0:
@@ -752,7 +753,8 @@ def calibrate_noise(target_overlap: float, cfg: ExperimentConfig) -> float:
     """Per-sample noise std that produces the requested overlap error.
 
     Bisection against the analytic overlap; the result reproduces the
-    target within 0.001 absolute.
+    target within 0.001 absolute.  The noiseless means it computes are
+    recorded on cfg, and cfg.with_noise_sigma keeps them.
     """
     if not math.isfinite(target_overlap):
         raise ValueError(f"target overlap must be finite, got {target_overlap!r}")
