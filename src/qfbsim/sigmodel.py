@@ -246,7 +246,7 @@ class AdcStream:
 
 def quantize_array(volts: np.ndarray) -> tuple[np.ndarray, int]:
     """Vectorized 14-bit ADC quantization; returns (raw, clip_count)."""
-    # rounds half away from zero on one new array: x + copysign(0.5, x)
+    # rounds half away from zero, leaving volts as it is: x + copysign(0.5, x)
     # truncates to floor(x + 0.5) for x >= +0 and to ceil(x - 0.5) for
     # x < 0 (-0.0 gives code 0); clipping first and truncating in astype
     # gives the same codes, and a code clips exactly when x reaches a
