@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -226,6 +226,10 @@ class _Protocol:
 
 @dataclass
 class _McResult:
+    """One Monte Carlo ensemble.  The readouts it1, qt1, it2 and qt2 are
+    int16, as the preprocessor saturates them (_read_window); code that
+    does arithmetic on them widens them first."""
+
     n: int
     it1: np.ndarray
     qt1: np.ndarray
@@ -486,8 +490,8 @@ def _read_window(cfg: ExperimentConfig, cls: np.ndarray, idx: np.ndarray,
     holds the window's columns only (column k is grid column
     cols.start + k).  Returns (i_t, q_t, clipped) at the readout's
     evaluation tick, i_t and q_t as int16: the preprocessor saturates
-    them to PREPROC_WIDTH = 16 bits, and a pool worker ships a quarter
-    of the bytes that int64 would take.
+    them to PREPROC_WIDTH = 16 bits, and an ensemble holds a quarter of
+    the bytes that int64 would take.
     """
     synthesized = _waveform_volts(cfg.device, alpha, cols)
     volts = np.take(synthesized[idx.size:], cls, axis=0)
@@ -632,9 +636,9 @@ def _run_chunks(cfg: ExperimentConfig, protocol: _Protocol, stream_id: int,
 
     The chunks are split evenly into contiguous batches of at most
     BATCH_CHUNKS, and into at least as many batches as there are
-    workers (with no more workers than chunks).  With jobs > 1 the
-    batches run one task each on the pool, all settings included; the
-    outputs do not depend on the split.
+    threads (with no more threads than chunks).  With jobs > 1 the
+    batches run on jobs threads, the calling one included
+    (_run_batches); the outputs do not depend on the split.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
@@ -647,25 +651,45 @@ def _run_chunks(cfg: ExperimentConfig, protocol: _Protocol, stream_id: int,
     firsts = [len(sizes) * k // count for k in range(count + 1)]
     args = [(cfg, protocol, stream_id, lo, sizes[lo:hi], feedback)
             for lo, hi in zip(firsts[:-1], firsts[1:])]
-    if jobs > 1 and len(args) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(args))) as pool:
-            batches = list(pool.map(_run_chunk, *zip(*args), chunksize=1))
-    else:
-        batches = [_run_chunk(*a) for a in args]
-    return list(zip(*batches))
+    return list(zip(*_run_batches(args, min(jobs, len(args)))))
+
+
+def _run_batches(args: list, threads: int) -> list:
+    """_run_chunk(*a) for every a in args, in order, on threads threads:
+    the calling one and a pool of the others.
+
+    The pool takes the batches from the front; the caller walks them
+    from the back and runs each one the pool has not started yet.  A
+    batch builds its own generators and arrays, so the threads share
+    nothing, and numpy releases the GIL in the draws and the large
+    array operations, which is where they run in parallel.
+    """
+    if threads == 1:
+        return [_run_chunk(*a) for a in args]
+    with ThreadPoolExecutor(max_workers=threads - 1) as pool:
+        futures = [pool.submit(_run_chunk, *a) for a in args]
+        batches = [None] * len(args)
+        try:
+            for k in reversed(range(len(args))):
+                if futures[k].cancel():
+                    batches[k] = _run_chunk(*args[k])
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+        return [batch if future.cancelled() else future.result()
+                for batch, future in zip(batches, futures)]
 
 
 def _run_mc(protocol: _Protocol, parts: list) -> _McResult:
     """One arm's Monte Carlo ensemble from its per-batch outputs, as
-    _run_chunks returns them for that arm; the int16 readouts come back
-    as int64, so no later arithmetic on them can wrap."""
-    it1 = np.concatenate([p[0] for p in parts], dtype=np.int64)
-    qt1 = np.concatenate([p[1] for p in parts], dtype=np.int64)
+    _run_chunks returns them for that arm; the readouts stay int16."""
+    it1 = np.concatenate([p[0] for p in parts])
+    qt1 = np.concatenate([p[1] for p in parts])
     fb1 = np.concatenate([p[2] for p in parts])
     it2 = qt2 = None
     if protocol.double:
-        it2 = np.concatenate([p[3] for p in parts], dtype=np.int64)
-        qt2 = np.concatenate([p[4] for p in parts], dtype=np.int64)
+        it2 = np.concatenate([p[3] for p in parts])
+        qt2 = np.concatenate([p[4] for p in parts])
     saturated = sum(p[5] for p in parts)
     return _McResult(n=it1.size, it1=it1, qt1=qt1, fb1=fb1,
                      it2=it2, qt2=qt2, saturated=saturated)
@@ -1026,7 +1050,8 @@ def optimize_threshold(cfg: ExperimentConfig, *, jobs: int = 1) -> float:
     of the tied candidate range.
     """
     res_g, res_e = _calibration_ensembles(cfg, jobs)
-    candidates = np.unique(np.concatenate([res_g.it1, res_e.it1]))
+    # int64: the midpoint's sum of two int16 candidates would wrap
+    candidates = np.unique(np.concatenate([res_g.it1, res_e.it1], dtype=np.int64))
     sorted_g = np.sort(res_g.it1)
     sorted_e = np.sort(res_e.it1)
     p_e_no = (res_g.n - np.searchsorted(sorted_g, candidates, side="left")) / res_g.n

@@ -71,11 +71,12 @@ def correlation_addresses(it1: np.ndarray, it2: np.ndarray, qt2: np.ndarray,
     """Addresses of repetitions with preprocessed readouts (it1, it2, qt2).
 
     All three values are binned to 7 bits; the second quadrature keeps
-    only the top 5 bits of its bin.
+    only the top 5 bits of its bin.  The readouts may be int16, which
+    the packing would overflow, so they are widened to int64 first.
     """
-    return pack_correlation_address(bin7_raw_array(it2),
-                                    bin7_raw_array(qt2) >> 2,
-                                    bin7_raw_array(it1), seg)
+    i2, q, i1 = (bin7_raw_array(np.asarray(v, dtype=np.int64))
+                 for v in (it2, qt2, it1))
+    return pack_correlation_address(i2, q >> 2, i1, seg)
 
 
 class HistogramRam:
@@ -117,8 +118,9 @@ class HistogramRam:
 
     # -- serialization --------------------------------------------------------
 
-    def dump_bytes(self) -> bytes:
-        """Binary dump: 64-byte header followed by 2^21 little-endian words."""
+    def dump_parts(self) -> tuple[bytes, np.ndarray]:
+        """The dump's 64-byte header and its 2^21 little-endian words,
+        the latter without a copy on a little-endian host."""
         layout = CORR_LAYOUT.encode()
         header = struct.pack(
             "<8sHHHH", DUMP_MAGIC, DUMP_VERSION, DUMP_MODE_CORRELATION,
@@ -126,5 +128,8 @@ class HistogramRam:
         )
         header += layout
         header += b"\x00" * (DUMP_HEADER_BYTES - len(header))
-        # one copy of the words: on a little-endian host astype is a view
-        return b"".join((header, self.words.astype("<u2", copy=False)))
+        return header, self.words.astype("<u2", copy=False)
+
+    def dump_bytes(self) -> bytes:
+        """Binary dump: 64-byte header followed by 2^21 little-endian words."""
+        return b"".join(self.dump_parts())

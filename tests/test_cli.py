@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -432,6 +433,35 @@ def test_run_experiment_single_mode_and_determinism(tmp_path, capsys):
         assert rc == 0
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
     assert (out1 / "histogram.bin").read_bytes() == (out2 / "histogram.bin").read_bytes()
+    capsys.readouterr()
+
+
+def test_run_experiment_writes_over_longer_and_shorter_old_outputs(tmp_path,
+                                                                  capsys):
+    """Each output is written over the old file in place and cut to its
+    own length: the bytes equal those written into an empty directory,
+    whether the old file was longer or shorter."""
+    cfg_path = _write_small_cfg(tmp_path)
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    argv = ["run-experiment", "--config", cfg_path, "--feedback", "both",
+            "--jobs", "2", "--out-dir"]
+    assert cli.main(argv + [str(fresh)]) == 0
+    names = sorted(p.name for p in fresh.iterdir())
+    reused.mkdir()
+    for k, name in enumerate(names):
+        size = (fresh / name).stat().st_size
+        (reused / name).write_bytes(b"\xff" * (size * 2 if k % 2 else size // 2))
+    assert cli.main(argv + [str(reused)]) == 0
+    for name in names:
+        assert (reused / name).read_bytes() == (fresh / name).read_bytes(), name
+    capsys.readouterr()
+
+
+def test_simulate_pipeline_writes_to_a_device(tmp_path, capsys):
+    # a character device cannot be cut to length; the write still succeeds
+    cfg_path = _write_small_cfg(tmp_path)
+    assert cli.main(["simulate-pipeline", "--config", cfg_path,
+                     "--out", os.devnull]) == 0
     capsys.readouterr()
 
 

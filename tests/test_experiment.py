@@ -7,11 +7,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from qfbsim import experiment
 from qfbsim.experiment import (
     PI_HALF_INIT,
     THERMAL_INIT,
     CalibrationError,
     ExperimentConfig,
+    _McResult,
     _Protocol,
     _config_echo,
     _run_chunks,
@@ -391,6 +393,23 @@ def test_optimize_threshold_shift_is_exact():
     shifted = replace(cfg, device=replace(cfg.device,
                                           offset_i=cfg.device.offset_i + delta))
     assert optimize_threshold(shifted) - optimize_threshold(cfg) == delta
+
+
+def test_optimize_threshold_midpoint_of_int16_readouts_does_not_wrap(monkeypatch):
+    """The ensembles' readouts are int16; the fidelity ties at candidates
+    20000 and 31000, whose int16 sum would wrap."""
+    def ensemble(values):
+        it1 = np.array(values, dtype=np.int16)
+        return _McResult(n=it1.size, it1=it1, qt1=it1, fb1=it1 >= 0,
+                         it2=None, qt2=None, saturated=0)
+
+    ensembles = (ensemble([0, 30000]), ensemble([20000, 31000]))
+    monkeypatch.setattr(experiment, "_calibration_ensembles",
+                        lambda cfg, jobs: ensembles)
+    cfg = make_config()
+    pipe = cfg.pipeline
+    assert optimize_threshold(cfg) == \
+        (pipe.c_i.raw + 25500 / (1 << pipe.s_i)) * ADC_LSB_VOLTS
 
 
 def test_optimize_threshold_flat_signal_errors():

@@ -13,7 +13,10 @@ loops they replaced, kept here, and a batch of chunks to the same
 chunks run one at a time.
 """
 
+import itertools
 import math
+import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -961,7 +964,13 @@ def test_comparison_equals_two_separate_runs(scenario, dev_kw, jobs):
 
 
 # ---------------------------------------------------------------------------
-# worker count
+# thread count
+
+
+def _assert_same_outputs(got, want):
+    for g, w in zip(got.reports, want.reports, strict=True):
+        assert g.to_json() == w.to_json()
+    assert got.histogram.dump_bytes() == want.histogram.dump_bytes()
 
 
 @pytest.mark.parametrize("jobs,chunks,workers,batches", [
@@ -974,38 +983,49 @@ def test_comparison_equals_two_separate_runs(scenario, dev_kw, jobs):
 def test_pool_starts_no_more_workers_than_chunks(monkeypatch, jobs, chunks,
                                                  workers, batches):
     """The chunks are split evenly into batches of at most BATCH_CHUNKS,
-    at least one per worker; each batch is one task, and the pooled
-    reports equal the serial ones."""
-    started, mapped = [], []
-
-    class RecordingPool:
-        """Records max_workers and maps in this process: no worker starts."""
-
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables, chunksize=1):
-            tasks = list(zip(*iterables))
-            mapped.append([len(task[4]) for task in tasks])
-            return (fn(*task) for task in tasks)
-
+    at least one per thread; each batch runs exactly once, on at most
+    workers threads (the calling one included), none of which outlives
+    the run, and the reports and dump equal the serial ones."""
     cfg = ex.ExperimentConfig(device=_device(), scenario=ex.THERMAL_INIT,
                               repetitions=(chunks - 1) * ex.CHUNK_REPS + 7)
     serial = ex.run_feedback_comparison(cfg, jobs=1)
-    monkeypatch.setattr(ex, "ProcessPoolExecutor", RecordingPool)
-    pooled = ex.run_feedback_comparison(cfg, jobs=jobs)
-    assert started == [workers]
-    assert mapped == [batches]
+    run_chunk = ex._run_chunk
+    ran, alive = [], []
+
+    def recording(cfg, protocol, stream_id, first_chunk, sizes, feedback):
+        ran.append((threading.get_ident(), (first_chunk, len(sizes))))
+        alive.append(threading.active_count())
+        return run_chunk(cfg, protocol, stream_id, first_chunk, sizes, feedback)
+
+    monkeypatch.setattr(ex, "_run_chunk", recording)
+    before = threading.active_count()
+    threaded = ex.run_feedback_comparison(cfg, jobs=jobs)
+    assert threading.active_count() == before
+    firsts = itertools.accumulate(batches[:-1], initial=0)
+    assert sorted(task for _, task in ran) == list(zip(firsts, batches))
     assert max(batches) <= ex.BATCH_CHUNKS
-    for got, want in zip(pooled.reports, serial.reports, strict=True):
-        assert got.to_json() == want.to_json()
-    assert pooled.histogram.dump_bytes() == serial.histogram.dump_bytes()
+    assert len({ident for ident, _ in ran}) <= workers
+    assert max(alive) <= before + workers - 1
+    _assert_same_outputs(threaded, serial)
+
+
+@pytest.mark.parametrize("scenario", ex.SCENARIOS)
+def test_threads_switched_every_microsecond_give_the_serial_bytes(scenario):
+    """With the interpreter switching threads as often as it can, runs
+    on 2 and 3 threads, three or more batches each, still give the
+    reports and dump of one thread."""
+    cfg = ex.ExperimentConfig(device=_device(), scenario=scenario,
+                              repetitions=2 * ex.BATCH_CHUNKS * ex.CHUNK_REPS + 5,
+                              master_seed=29)
+    serial = ex.run_feedback_comparison(cfg, jobs=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = [ex.run_feedback_comparison(cfg, jobs=jobs) for jobs in (2, 3)]
+    finally:
+        sys.setswitchinterval(interval)
+    for got in threaded:
+        _assert_same_outputs(got, serial)
 
 
 @pytest.mark.parametrize("jobs", [0, -2])

@@ -113,6 +113,19 @@ def test_every_repetition_lands_on_its_bins(reps):
         assert counts[t] == tuples.count(t)
 
 
+def test_int16_readouts_pack_like_int64_ones():
+    # the Monte Carlo hands its readouts over as int16, whose range the
+    # packing overflows; full scale packs to the top addresses
+    edges = np.array([-32768, -32767, -513, -512, -1, 0, 511, 512, 32766, 32767])
+    it1, it2, qt2 = np.meshgrid(edges, edges, edges, indexing="ij")
+    want = correlation_addresses(*(v.ravel() for v in (it1, it2, qt2)), seg=3)
+    got = correlation_addresses(*(v.ravel().astype(np.int16)
+                                  for v in (it1, it2, qt2)), seg=3)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, want)
+    assert want.max() == histo.RAM_WORDS - 1
+
+
 out_of_range = dict(pos=st.integers(0, 7), offset=st.integers(0, 1 << 20),
                     below=st.booleans())
 

@@ -2,6 +2,8 @@
 
 import ast
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -72,3 +74,14 @@ def test_benchmark_hooks_resolve(monkeypatch):
         now = vars(owner)
         assert {k for k in now.keys() - attrs.keys() if not k.startswith("__")} == set()
         assert all(now[k] is v for k, v in attrs.items()), owner
+
+
+def test_importing_the_cli_does_not_import_multiprocessing():
+    # --jobs runs threads in the calling process; a fresh interpreter,
+    # since the test runner may have imported multiprocessing itself
+    code = ("import sys, qfbsim.cli; "
+            "print(sorted(m for m in sys.modules if 'multiprocessing' in m))")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
