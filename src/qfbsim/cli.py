@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import stat
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -49,8 +48,7 @@ from .sigmodel import STATE_E, STATE_G, synthesize_adc_stream
 SEED_ENV = "QFB_SEED"
 # the feedback arms each --feedback value runs, in histogram segment order
 _FEEDBACK_ARMS = {"off": (False,), "on": (True,), "both": (False, True)}
-_JOBS_HELP = ("threads the Monte Carlo runs on, the calling one included "
-              "(default: the CPU count)")
+_JOBS_HELP = "threads the Monte Carlo runs on (default: the CPU count)"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,7 +60,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _worker_count(text: str) -> int:
-    """--jobs: the number of threads, the calling one included, at least 1."""
+    """--jobs: the number of threads the Monte Carlo runs on, at least 1."""
     try:
         jobs = int(text)
     except ValueError:
@@ -138,21 +136,9 @@ def _load(path: str) -> tuple[ExperimentConfig, float | None]:
     return cfg, target
 
 
-def _write_over(path: Path, *parts) -> None:
-    """Write the bytes-like parts to path over its old contents, then cut
-    a regular file to the new length: truncating it first would make the
-    file system release the old blocks only to allocate them again."""
-    # O_BINARY (Windows only) keeps the C runtime from translating newlines
-    flags = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
-    with open(os.open(path, flags, 0o666), "wb") as fh:
-        for part in parts:
-            fh.write(part)
-        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            fh.truncate()
-
-
 def _write_text(path: Path, text: str) -> None:
-    _write_over(path, text.encode("ascii"))
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(text)
 
 
 def _counts_csv(counts, header: str) -> str:
@@ -197,7 +183,7 @@ def cmd_run_experiment(args) -> int:
 
     arms = _FEEDBACK_ARMS[args.feedback]
     comp = run_feedback_comparison(cfg, feedback=arms, jobs=args.jobs)
-    _write_over(out_dir / "histogram.bin", *comp.histogram.dump_parts())
+    (out_dir / "histogram.bin").write_bytes(comp.histogram.dump_bytes())
     for seg, rep in enumerate(comp.reports):
         suffix = f"_feedback_{_arm(rep)}" if len(arms) > 1 else ""
         _write_text(out_dir / f"report{suffix}.json", rep.to_json() + "\n")

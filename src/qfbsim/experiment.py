@@ -637,8 +637,10 @@ def _run_chunks(cfg: ExperimentConfig, protocol: _Protocol, stream_id: int,
     The chunks are split evenly into contiguous batches of at most
     BATCH_CHUNKS, and into at least as many batches as there are
     threads (with no more threads than chunks).  With jobs > 1 the
-    batches run on jobs threads, the calling one included
-    (_run_batches); the outputs do not depend on the split.
+    batches run on a pool of threads: a batch builds its own generators
+    and arrays, so the threads share nothing, and numpy releases the
+    GIL in the draws and the large array operations, which is where
+    they run in parallel.  The outputs do not depend on the split.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
@@ -651,33 +653,12 @@ def _run_chunks(cfg: ExperimentConfig, protocol: _Protocol, stream_id: int,
     firsts = [len(sizes) * k // count for k in range(count + 1)]
     args = [(cfg, protocol, stream_id, lo, sizes[lo:hi], feedback)
             for lo, hi in zip(firsts[:-1], firsts[1:])]
-    return list(zip(*_run_batches(args, min(jobs, len(args)))))
-
-
-def _run_batches(args: list, threads: int) -> list:
-    """_run_chunk(*a) for every a in args, in order, on threads threads:
-    the calling one and a pool of the others.
-
-    The pool takes the batches from the front; the caller walks them
-    from the back and runs each one the pool has not started yet.  A
-    batch builds its own generators and arrays, so the threads share
-    nothing, and numpy releases the GIL in the draws and the large
-    array operations, which is where they run in parallel.
-    """
-    if threads == 1:
-        return [_run_chunk(*a) for a in args]
-    with ThreadPoolExecutor(max_workers=threads - 1) as pool:
-        futures = [pool.submit(_run_chunk, *a) for a in args]
-        batches = [None] * len(args)
-        try:
-            for k in reversed(range(len(args))):
-                if futures[k].cancel():
-                    batches[k] = _run_chunk(*args[k])
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
-        return [batch if future.cancelled() else future.result()
-                for batch, future in zip(batches, futures)]
+    if jobs > 1 and len(args) > 1:
+        with ThreadPoolExecutor(max_workers=min(jobs, len(args))) as pool:
+            batches = list(pool.map(_run_chunk, *zip(*args)))
+    else:
+        batches = [_run_chunk(*a) for a in args]
+    return list(zip(*batches))
 
 
 def _run_mc(protocol: _Protocol, parts: list) -> _McResult:

@@ -118,9 +118,8 @@ class HistogramRam:
 
     # -- serialization --------------------------------------------------------
 
-    def dump_parts(self) -> tuple[bytes, np.ndarray]:
-        """The dump's 64-byte header and its 2^21 little-endian words,
-        the latter without a copy on a little-endian host."""
+    def dump_bytes(self) -> bytes:
+        """Binary dump: 64-byte header followed by 2^21 little-endian words."""
         layout = CORR_LAYOUT.encode()
         header = struct.pack(
             "<8sHHHH", DUMP_MAGIC, DUMP_VERSION, DUMP_MODE_CORRELATION,
@@ -128,8 +127,5 @@ class HistogramRam:
         )
         header += layout
         header += b"\x00" * (DUMP_HEADER_BYTES - len(header))
-        return header, self.words.astype("<u2", copy=False)
-
-    def dump_bytes(self) -> bytes:
-        """Binary dump: 64-byte header followed by 2^21 little-endian words."""
-        return b"".join(self.dump_parts())
+        # one copy of the words: on a little-endian host astype is a view
+        return b"".join((header, self.words.astype("<u2", copy=False)))

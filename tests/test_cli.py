@@ -4,7 +4,6 @@ import csv
 import io
 import json
 import math
-import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -438,9 +437,8 @@ def test_run_experiment_single_mode_and_determinism(tmp_path, capsys):
 
 def test_run_experiment_writes_over_longer_and_shorter_old_outputs(tmp_path,
                                                                   capsys):
-    """Each output is written over the old file in place and cut to its
-    own length: the bytes equal those written into an empty directory,
-    whether the old file was longer or shorter."""
+    """Each output replaces the old file: the bytes equal those written
+    into an empty directory, whether the old file was longer or shorter."""
     cfg_path = _write_small_cfg(tmp_path)
     fresh, reused = tmp_path / "fresh", tmp_path / "reused"
     argv = ["run-experiment", "--config", cfg_path, "--feedback", "both",
@@ -454,14 +452,6 @@ def test_run_experiment_writes_over_longer_and_shorter_old_outputs(tmp_path,
     assert cli.main(argv + [str(reused)]) == 0
     for name in names:
         assert (reused / name).read_bytes() == (fresh / name).read_bytes(), name
-    capsys.readouterr()
-
-
-def test_simulate_pipeline_writes_to_a_device(tmp_path, capsys):
-    # a character device cannot be cut to length; the write still succeeds
-    cfg_path = _write_small_cfg(tmp_path)
-    assert cli.main(["simulate-pipeline", "--config", cfg_path,
-                     "--out", os.devnull]) == 0
     capsys.readouterr()
 
 
