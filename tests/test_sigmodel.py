@@ -392,11 +392,6 @@ def test_quantize_array_passes_nan_to_the_cast(volts):
     assert clipped == want_clipped
 
 
-def test_quantize_array_of_nothing_is_empty():
-    raw, clipped = quantize_array(np.zeros((0, 4)))
-    assert raw.shape == (0, 4) and raw.dtype == np.int64 and clipped == 0
-
-
 @settings(max_examples=200, deadline=None)
 @given(arrays(np.float64, st.tuples(st.integers(1, 64), st.integers(1, 8)),
               elements=st.floats(-1.5, 1.5, allow_nan=False)))
