@@ -129,10 +129,11 @@ def _load(path: str) -> tuple[ExperimentConfig, float | None]:
     seed = os.environ.get(SEED_ENV)
     if seed is not None:
         try:
-            cfg = replace(cfg, master_seed=int(seed, 0))
+            value = int(seed, 0)
         except ValueError:
             raise run_config.ConfigFileError(
                 [f"{SEED_ENV}={seed!r} is not an integer"])
+        cfg = replace(cfg, master_seed=value)
     return cfg, target
 
 

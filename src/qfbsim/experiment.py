@@ -72,7 +72,7 @@ from .fxp import (
     FxpSample,
     quantize_flagged,
 )
-from .histo import HistogramRam, correlation_addresses
+from .histo import HistogramRam, check_segment_count, correlation_addresses
 from .latency import BUDGET, budget_summary, tau_eltot
 from .pipeline import (
     CLOCK_PERIOD_NS,
@@ -141,9 +141,6 @@ class ExperimentConfig:
     Feedback is not a setting: each run names its arms (the feedback
     argument of run_feedback_comparison).  Nor is the latency budget:
     t_pi_ns reads the measured setup's fixed table, latency.BUDGET.
-
-    _means records noiseless_filtered_means once calibrate_noise or
-    overlap_probability has computed it for this configuration.
     """
 
     device: DeviceParams
@@ -155,14 +152,15 @@ class ExperimentConfig:
     window_len: int = PipelineConfig.window_len
     scale_shift: int = 3
     pipeline: PipelineConfig = field(init=False, compare=False, repr=False)
-    _means: tuple[float, float] | None = field(default=None, init=False,
-                                               compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be at least 1")
+        # the chunks' generators take the seed as one 64-bit word
+        if not 0 <= self.master_seed < 2 ** 64:
+            raise ConfigError(f"master_seed {self.master_seed} outside 0..2**64-1")
         if not SHIFT_MIN <= self.scale_shift <= SHIFT_MAX:
             raise ConfigError(f"scale_shift {self.scale_shift} outside "
                               f"{SHIFT_MIN}..{SHIFT_MAX}")
@@ -203,12 +201,8 @@ class ExperimentConfig:
         return self.tau_ro_ns + el + BUDGET["tau_ap"][0] / 2.0
 
     def with_noise_sigma(self, sigma: float) -> ExperimentConfig:
-        """This configuration at noise level sigma.  It keeps the
-        noiseless means recorded for this one, which the noise does not
-        change."""
-        other = replace(self, device=replace(self.device, noise_sigma=sigma))
-        object.__setattr__(other, "_means", self._means)
-        return other
+        """This configuration at noise level sigma."""
+        return replace(self, device=replace(self.device, noise_sigma=sigma))
 
     def eval_tick(self, trigger_tick: int) -> int:
         """Pipeline tick whose outputs form a readout event for a
@@ -224,19 +218,24 @@ class _Protocol:
     double: bool = True         # second readout pulse present
 
 
-@dataclass
+@dataclass(frozen=True)
 class _McResult:
-    """One Monte Carlo ensemble.  The readouts it1, qt1, it2 and qt2 are
-    int16, as the preprocessor saturates them (_read_window); code that
-    does arithmetic on them widens them first."""
+    """One Monte Carlo ensemble, or one batch's share of it.  The
+    readouts it1, qt1, it2 and qt2 are int16, as the preprocessor
+    saturates them (_read_window); code that does arithmetic on them
+    widens them first.  it2 and qt2 are None for a single readout;
+    saturated counts the ADC samples the quantizer clipped."""
 
-    n: int
     it1: np.ndarray
     qt1: np.ndarray
     fb1: np.ndarray
     it2: np.ndarray | None
     qt2: np.ndarray | None
     saturated: int
+
+    @property
+    def n(self) -> int:
+        return self.it1.size
 
 
 # ---------------------------------------------------------------------------
@@ -518,9 +517,8 @@ def _run_chunk(cfg: ExperimentConfig, protocol: _Protocol, stream_id: int,
     """A batch of consecutive chunks, once per feedback setting.
 
     Chunk first_chunk + k holds sizes[k] repetitions.  Returns one
-    (it1, qt1, fb1, it2, qt2, clipped) tuple for each entry of feedback
-    (True: the conditional pi fires on fb1), its arrays holding the
-    chunks' repetitions in order (the readouts as int16, _read_window).
+    _McResult for each entry of feedback (True: the conditional pi fires
+    on fb1), its arrays holding the chunks' repetitions in order.
 
     Each chunk draws from its own generator, seeded by (master seed,
     stream_id, chunk index), and its draws and outputs do not depend on
@@ -553,8 +551,8 @@ def _run_chunk(cfg: ExperimentConfig, protocol: _Protocol, stream_id: int,
     conditional pi, then g and e from class e's.  Every other window is
     its class's row; the draws are the same either way.
     """
-    seed = cfg.master_seed & 0xFFFFFFFFFFFFFFFF
-    rngs = [np.random.default_rng(np.random.SeedSequence([seed, stream_id, idx]))
+    rngs = [np.random.default_rng(np.random.SeedSequence([cfg.master_seed,
+                                                          stream_id, idx]))
             for idx in range(first_chunk, first_chunk + len(sizes))]
     bounds = np.cumsum([0, *sizes])
     reps = int(bounds[-1])
@@ -599,7 +597,7 @@ def _run_chunk(cfg: ExperimentConfig, protocol: _Protocol, stream_id: int,
 
     if not protocol.double:
         # nothing after the conditional pi is observed
-        return ((it1, qt1, fb1, None, None, sat),) * len(feedback)
+        return (_McResult(it1, qt1, fb1, None, None, sat),) * len(feedback)
 
     w2 = _window_cols(cfg, TRIG2_TICK)
     own_alpha, alpha_pi = np.split(filler_a.alpha, [idx_a.size])
@@ -625,14 +623,14 @@ def _run_chunk(cfg: ExperimentConfig, protocol: _Protocol, stream_id: int,
                                  sampled_b, alpha)
         it2, qt2, sat2 = _read_window(cfg, 2 * state + arm_state, idx_b,
                                       filler_b.out, noise[:, l:], w2)
-        arms.append((it1, qt1, fb1, it2, qt2, sat + sat2))
+        arms.append(_McResult(it1, qt1, fb1, it2, qt2, sat + sat2))
     return tuple(arms)
 
 
 def _run_chunks(cfg: ExperimentConfig, protocol: _Protocol, stream_id: int,
                 jobs: int, feedback: tuple) -> list:
     """Every chunk of one Monte Carlo, each branched into the feedback
-    settings; returns, per setting, the list of its per-batch outputs.
+    settings; returns, per setting, the list of its per-batch results.
 
     The chunks are split evenly into contiguous batches of at most
     BATCH_CHUNKS, and into at least as many batches as there are
@@ -661,19 +659,18 @@ def _run_chunks(cfg: ExperimentConfig, protocol: _Protocol, stream_id: int,
     return list(zip(*batches))
 
 
-def _run_mc(protocol: _Protocol, parts: list) -> _McResult:
-    """One arm's Monte Carlo ensemble from its per-batch outputs, as
-    _run_chunks returns them for that arm; the readouts stay int16."""
-    it1 = np.concatenate([p[0] for p in parts])
-    qt1 = np.concatenate([p[1] for p in parts])
-    fb1 = np.concatenate([p[2] for p in parts])
-    it2 = qt2 = None
-    if protocol.double:
-        it2 = np.concatenate([p[3] for p in parts])
-        qt2 = np.concatenate([p[4] for p in parts])
-    saturated = sum(p[5] for p in parts)
-    return _McResult(n=it1.size, it1=it1, qt1=qt1, fb1=fb1,
-                     it2=it2, qt2=qt2, saturated=saturated)
+def _run_mc(parts: list) -> _McResult:
+    """One arm's Monte Carlo ensemble from its per-batch results, as
+    _run_chunks returns them for that arm: each readout array joined in
+    batch order, the clipped samples summed."""
+
+    def joined(name):
+        arrays = [getattr(p, name) for p in parts]
+        return None if arrays[0] is None else np.concatenate(arrays)
+
+    return _McResult(joined("it1"), joined("qt1"), joined("fb1"),
+                     joined("it2"), joined("qt2"),
+                     sum(p.saturated for p in parts))
 
 
 # ---------------------------------------------------------------------------
@@ -718,14 +715,6 @@ def noiseless_filtered_means(cfg: ExperimentConfig) -> tuple[float, float]:
     return float(i[0]) * ADC_LSB_VOLTS, float(i[1]) * ADC_LSB_VOLTS
 
 
-def _record_means(cfg: ExperimentConfig) -> tuple[float, float]:
-    """noiseless_filtered_means(cfg), recorded on cfg for
-    overlap_probability."""
-    means = noiseless_filtered_means(cfg)
-    object.__setattr__(cfg, "_means", means)
-    return means
-
-
 def _gauss_tail(z: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
@@ -737,12 +726,11 @@ def overlap_probability(cfg: ExperimentConfig,
     The filtered noise is Gaussian with std sigma / sqrt(2 l) (only half
     of the window samples carry each quadrature); the overlap is the
     equal-prior average of the two tail masses across the threshold.
-    The noiseless means come from cfg's record when it has one.
     """
     sigma = cfg.device.noise_sigma if noise_sigma is None else noise_sigma
     if sigma == 0:
         return 0.0
-    return _overlap(cfg, sigma, *(cfg._means or _record_means(cfg)))
+    return _overlap(cfg, sigma, *noiseless_filtered_means(cfg))
 
 
 def _overlap(cfg: ExperimentConfig, sigma: float, mu_g: float,
@@ -757,9 +745,8 @@ def _overlap(cfg: ExperimentConfig, sigma: float, mu_g: float,
 def calibrate_noise(target_overlap: float, cfg: ExperimentConfig) -> float:
     """Per-sample noise std that produces the requested overlap error.
 
-    Bisection against the analytic overlap; the result reproduces the
-    target within 0.001 absolute.  The noiseless means it computes are
-    recorded on cfg, and cfg.with_noise_sigma keeps them.
+    Bisection against the analytic overlap, on noiseless means computed
+    once; the result reproduces the target within 0.001 absolute.
     """
     if not math.isfinite(target_overlap):
         raise ValueError(f"target overlap must be finite, got {target_overlap!r}")
@@ -767,7 +754,7 @@ def calibrate_noise(target_overlap: float, cfg: ExperimentConfig) -> float:
         raise ValueError("target overlap must be positive")
     if target_overlap >= 0.5:
         raise CalibrationError("overlap targets of 50% or more are unattainable")
-    mu_g, mu_e = _record_means(cfg)
+    mu_g, mu_e = noiseless_filtered_means(cfg)
     c = cfg.pipeline.c_i.raw * ADC_LSB_VOLTS
     if not mu_g < c < mu_e:
         raise CalibrationError(
@@ -950,13 +937,15 @@ def run_feedback_comparison(cfg: ExperimentConfig, *,
     the same whichever arms run beside it.  The readout overlap does not
     depend on the arm, so every oracle shares one computation of it.
     """
-    protocol = _protocol_for(cfg)
-    per_arm = _run_chunks(cfg, protocol, 0, jobs, feedback)
+    # the arms are checked before any chunk runs; the RAM is allocated
+    # after them, where it can reuse the chunks' freed memory
+    check_segment_count(len(feedback))
+    per_arm = _run_chunks(cfg, _protocol_for(cfg), 0, jobs, feedback)
     overlap = overlap_probability(cfg)
     ram = HistogramRam(segment_count=len(feedback))
     reports = []
     for seg, (enabled, parts) in enumerate(zip(feedback, per_arm)):
-        res = _run_mc(protocol, parts)
+        res = _run_mc(parts)
         ram.update_addresses(correlation_addresses(res.it1, res.it2, res.qt2,
                                                    seg=seg))
         reports.append(_assemble_report(cfg, enabled, res, overlap))
@@ -990,9 +979,9 @@ def _calibration_ensembles(cfg: ExperimentConfig,
     feedback off; feedback on would give the same."""
     ensembles = []
     for stream_id, gate in ((1, "none"), (2, "pi")):
-        protocol = _Protocol(gate, double=False)
-        (parts,) = _run_chunks(cfg, protocol, stream_id, jobs, (False,))
-        ensembles.append(_run_mc(protocol, parts))
+        (parts,) = _run_chunks(cfg, _Protocol(gate, double=False), stream_id,
+                               jobs, (False,))
+        ensembles.append(_run_mc(parts))
     return tuple(ensembles)
 
 

@@ -79,12 +79,17 @@ def correlation_addresses(it1: np.ndarray, it2: np.ndarray, qt2: np.ndarray,
     return pack_correlation_address(i2, q >> 2, i1, seg)
 
 
+def check_segment_count(segment_count: int) -> None:
+    """Reject a segment count the 2-bit segment field cannot address."""
+    if not 1 <= segment_count <= 4:
+        raise ValueError("segment_count must be within 1..4")
+
+
 class HistogramRam:
     """2^21 saturating 16-bit counters plus an exact 64-bit shadow."""
 
     def __init__(self, segment_count: int = 1) -> None:
-        if not 1 <= segment_count <= 4:
-            raise ValueError("segment_count must be within 1..4")
+        check_segment_count(segment_count)
         self.segment_count = segment_count
         self.words = np.zeros(RAM_WORDS, dtype=np.uint16)
         self.shadow = np.zeros(RAM_WORDS, dtype=np.int64)

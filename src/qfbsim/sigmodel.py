@@ -271,21 +271,15 @@ def trigger_lane(schedule: PulseSchedule, n: int) -> list[int]:
 
 
 def synthesize_adc_stream(params: DeviceParams, schedule: PulseSchedule,
-                          trajectory: QubitTrajectory, rng=None, *,
+                          trajectory: QubitTrajectory, *,
                           phase_offset: int = 0) -> AdcStream:
-    """Digitize the synthesized waveform and emit the trigger lane.
-
-    Additive Gaussian noise of std noise_sigma is applied per sample
-    before quantization; quantizer saturation events are counted, not
-    fatal.
-    """
-    volts = analog_waveform(params, schedule, trajectory,
-                            phase_offset=phase_offset)
+    """Digitize the noiseless synthesized waveform and emit the trigger
+    lane; quantizer saturation events are counted, not fatal."""
     if params.noise_sigma > 0:
-        if rng is None:
-            raise ValueError("noise_sigma > 0 requires an rng")
-        volts = volts + rng.normal(0.0, params.noise_sigma, size=len(volts))
-    raw, clipped = quantize_array(volts)
+        raise ValueError("the synthesized ADC stream is noiseless; "
+                         f"noise_sigma must be 0, got {params.noise_sigma:g}")
+    raw, clipped = quantize_array(analog_waveform(params, schedule, trajectory,
+                                                  phase_offset=phase_offset))
     samples = [FxpSample(int(r), ADC_WIDTH) for r in raw]
     triggers = trigger_lane(schedule, len(samples))
     return AdcStream(samples=samples, triggers=triggers, saturated_count=clipped)

@@ -6,8 +6,8 @@ import json
 import math
 import subprocess
 import sys
-from dataclasses import replace
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -479,6 +479,26 @@ def test_seed_env_override(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_seed_outside_64_bits_is_a_usage_error(tmp_path, capsys, monkeypatch, seed):
+    """A seed the chunks' generators cannot take as one 64-bit word is
+    rejected, from the document and from the environment alike."""
+    path = tmp_path / "run.cfg"
+    good = Path(_write_small_cfg(tmp_path)).read_text(encoding="ascii")
+    args = ["run-experiment", "--config", str(path), "--repetitions", "64",
+            "--jobs", "1", "--out-dir", str(tmp_path / "out")]
+    message = f"error: master_seed {seed} outside 0..2**64-1\n"
+    path.write_text(good.replace("master_seed = 11", f"master_seed = {seed}"),
+                    encoding="ascii")
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err == message
+    path.write_text(good, encoding="ascii")
+    monkeypatch.setenv(cli.SEED_ENV, str(seed))
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_pipeline_feedback_only_for_excited(tmp_path, capsys):
     cfg_path = _write_small_cfg(tmp_path)
     traces = {}
@@ -643,30 +663,17 @@ def test_non_ascii_config_bytes_name_their_path_and_line(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
-def test_run_experiment_computes_the_noiseless_means_once(tmp_path, capsys,
-                                                          monkeypatch):
-    """The noise calibration and the oracle's overlap share one
-    computation of the noiseless means: the noise does not change them."""
-    calls = []
-    means = ex.noiseless_filtered_means
-
-    def counted(c):
-        calls.append(c)
-        return means(c)
-
-    monkeypatch.setattr(ex, "noiseless_filtered_means", counted)
+def test_run_experiment_oracle_flip_is_half_the_calibrated_overlap(tmp_path,
+                                                                    capsys):
+    """The oracle's readout flip is half the overlap of the configuration
+    loaded afresh and calibrated to its noise target."""
     cfg_path = _write_small_cfg(tmp_path)
     assert cli.main(["run-experiment", "--config", cfg_path, "--repetitions",
                      "256", "--jobs", "1", "--out-dir", str(tmp_path / "out")]) == 0
     capsys.readouterr()
-    assert len(calls) == 1
-    # the oracle's overlap is the one the means of a copy that kept none
-    # give at the calibrated noise
     calibrated = resolve_noise(*load_text((tmp_path / "run.cfg").read_text()))
     report = json.loads((tmp_path / "out" / "report_feedback_on.json").read_text())
-    assert report["oracle"]["readout_flip"] == \
-        ex.overlap_probability(replace(calibrated)) / 2
-    assert len(calls) == 3
+    assert report["oracle"]["readout_flip"] == ex.overlap_probability(calibrated) / 2
 
 
 def test_python_m_qfbsim_runs_the_cli():

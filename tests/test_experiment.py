@@ -64,6 +64,11 @@ def test_config_validation():
         make_config(scenario="bogus")
     with pytest.raises(ConfigError):
         make_config(reps=0)
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(ConfigError, match=r"master_seed .* outside 0\.\.2\*\*64-1"):
+            make_config(seed=seed)
+    assert make_config(seed=0).master_seed == 0
+    assert make_config(seed=2 ** 64 - 1).master_seed == 2 ** 64 - 1
     good = make_config()
     with pytest.raises(ConfigError):
         replace(good, delay=20)
@@ -249,9 +254,8 @@ def test_noiseless_outputs_match_reference_synthesis():
     # the two levels predicted by the standalone waveform model
     dev = bench_device(t1=math.inf, p_therm=0.0, noise_sigma=0.0)
     cfg = make_config(device=dev, reps=512)
-    protocol = _Protocol("pi_half", double=True)
-    (parts,) = _run_chunks(cfg, protocol, 0, 1, (False,))
-    res = _run_mc(protocol, parts)
+    (parts,) = _run_chunks(cfg, _Protocol("pi_half", double=True), 0, 1, (False,))
+    res = _run_mc(parts)
     mu_g, mu_e = noiseless_filtered_means(cfg)
     lvl_g = (round(mu_g / ADC_LSB_VOLTS) - 131) << 3
     lvl_e = (round(mu_e / ADC_LSB_VOLTS) - 131) << 3
@@ -400,7 +404,7 @@ def test_optimize_threshold_midpoint_of_int16_readouts_does_not_wrap(monkeypatch
     20000 and 31000, whose int16 sum would wrap."""
     def ensemble(values):
         it1 = np.array(values, dtype=np.int16)
-        return _McResult(n=it1.size, it1=it1, qt1=it1, fb1=it1 >= 0,
+        return _McResult(it1=it1, qt1=it1, fb1=it1 >= 0,
                          it2=None, qt2=None, saturated=0)
 
     ensembles = (ensemble([0, 30000]), ensemble([20000, 31000]))

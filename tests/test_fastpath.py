@@ -451,8 +451,7 @@ def _reference_chunk(cfg, protocol, stream_id, chunk_idx, reps, feedback):
     (reps, N_SOURCE) array, so any draw for another column would shift
     every later one."""
     rng = np.random.default_rng(
-        np.random.SeedSequence([cfg.master_seed & 0xFFFFFFFFFFFFFFFF,
-                                stream_id, chunk_idx]))
+        np.random.SeedSequence([cfg.master_seed, stream_id, chunk_idx]))
     dev = cfg.device
     triggers = [ex.TRIG1_TICK] + ([ex.TRIG2_TICK] if protocol.double else [])
     windows = [filter_window(cfg.pipeline, cfg.eval_tick(t)) for t in triggers]
@@ -516,9 +515,9 @@ def _reference_chunk(cfg, protocol, stream_id, chunk_idx, reps, feedback):
     it1, qt1 = bt.i_t[:, m1], bt.q_t[:, m1]
     assert np.array_equal(bt.fb[:, m1 + 1], fb1)
     if not protocol.double:
-        return it1, qt1, fb1, None, None, clipped
+        return ex._McResult(it1, qt1, fb1, None, None, clipped)
     m2 = cfg.eval_tick(ex.TRIG2_TICK)
-    return it1, qt1, fb1, bt.i_t[:, m2], bt.q_t[:, m2], clipped
+    return ex._McResult(it1, qt1, fb1, bt.i_t[:, m2], bt.q_t[:, m2], clipped)
 
 
 DOUBLE = "double"
@@ -546,13 +545,17 @@ def _chunk_both_ways(cfg, protocol, stream_id, chunk_idx, reps, feedback):
     return alone, branched[feedback]
 
 
+READOUTS = ("it1", "qt1", "fb1", "it2", "qt2")
+
+
 def _assert_chunk_equal(got, want):
-    for g, w in zip(got[:5], want[:5]):
+    for name in READOUTS:
+        g, w = getattr(got, name), getattr(want, name)
         if w is None:
             assert g is None
         else:
             np.testing.assert_array_equal(g, w)
-    assert got[5] == want[5]
+    assert got.saturated == want.saturated
 
 
 @pytest.mark.parametrize("scenario,dev_kw,protocol", CASES)
@@ -566,7 +569,7 @@ def test_chunk_matches_full_window_reference(scenario, dev_kw, protocol, feedbac
     for got in _chunk_both_ways(cfg, protocol, 3, 1, 300, feedback):
         _assert_chunk_equal(got, want)
         if dev_kw.get("noise_sigma") == 0.4:
-            assert got[5] > 0
+            assert got.saturated > 0
 
 
 BATCH_CASES = CASES + [(ex.THERMAL_INIT, {"t1": 200e-9}, DOUBLE)]
@@ -587,10 +590,11 @@ def test_batch_equals_its_chunks_one_at_a_time(scenario, dev_kw, protocol):
              for k, n in enumerate(sizes)]
     for arm, got in enumerate(batch):
         parts = [chunk[arm] for chunk in alone]
-        want = [None if parts[0][f] is None
-                else np.concatenate([p[f] for p in parts]) for f in range(5)]
-        _assert_chunk_equal(got, (*want, sum(p[5] for p in parts)))
-        assert got[0].size == sum(sizes)
+        want = [None if getattr(parts[0], name) is None
+                else np.concatenate([getattr(p, name) for p in parts])
+                for name in READOUTS]
+        _assert_chunk_equal(got, ex._McResult(*want, sum(p.saturated for p in parts)))
+        assert got.n == got.it1.size == sum(sizes)
 
 
 def _bits(a):
@@ -764,10 +768,10 @@ def test_saturated_readouts_survive_the_int16_outputs():
                               master_seed=5, scale_shift=SHIFT_MAX)
     protocol = ex._protocol_for(cfg)
     want = _reference_chunk(cfg, protocol, 3, 1, 300, True)
-    readouts = np.concatenate([want[0], want[1], want[3], want[4]])
+    readouts = np.concatenate([want.it1, want.qt1, want.it2, want.qt2])
     assert set(raw_bounds(PREPROC_WIDTH)) <= set(readouts.tolist())
     for got in _chunk_both_ways(cfg, protocol, 3, 1, 300, True):
-        assert got[0].dtype == np.int16
+        assert got.it1.dtype == np.int16
         _assert_chunk_equal(got, want)
 
 
@@ -896,8 +900,8 @@ def test_chunk_repetitions_replay_through_the_scalar_machine(
     monkeypatch.setattr(ex, "quantize_array", recording_quantize)
     chunk = ex._run_chunk(cfg, ex._protocol_for(cfg), 0, 0, [reps], (False, True))
     monkeypatch.undo()
-    fb1 = chunk[0][2]
-    assert np.array_equal(chunk[1][2], fb1)
+    fb1 = chunk[0].fb1
+    assert np.array_equal(chunk[1].fb1, fb1)
 
     initial, noise, events_a, arm = _replayed_draws(cfg, reps)
     dev = replace(cfg.device, noise_sigma=0.0)
@@ -932,8 +936,8 @@ def test_chunk_repetitions_replay_through_the_scalar_machine(
             m1, m2 = [n - 1 for n, t in enumerate(trace) if t.fb_time]
             got[:, r] = (trace[m1].i_t, trace[m1].q_t, trace[m1 + 1].fb,
                          trace[m2].i_t, trace[m2].q_t)
-        for field, g, w in zip(("it1", "qt1", "fb1", "it2", "qt2"), got, chunk[k]):
-            assert np.array_equal(g, w), (enabled, field)
+        for name, g in zip(READOUTS, got):
+            assert np.array_equal(g, getattr(chunk[k], name)), (enabled, name)
     record_property("near_boundary_adc_codes", near)
 
 
@@ -1036,6 +1040,21 @@ def test_jobs_below_one_are_rejected(jobs):
         ex.run_feedback_comparison(cfg, jobs=jobs)
 
 
+@pytest.mark.parametrize("feedback", [(), (False,) * 5], ids=["none", "five"])
+def test_arm_count_is_checked_before_any_chunk_runs(monkeypatch, feedback):
+    """The histogram RAM holds one to four segments, one per arm; a run
+    naming another number of arms fails before the Monte Carlo starts."""
+    cfg = ex.ExperimentConfig(device=_device(), scenario=ex.THERMAL_INIT,
+                              repetitions=64)
+
+    def unreachable(*args):
+        raise AssertionError("a chunk ran")
+
+    monkeypatch.setattr(ex, "_run_chunk", unreachable)
+    with pytest.raises(ValueError, match="segment_count"):
+        ex.run_feedback_comparison(cfg, feedback=feedback)
+
+
 # ---------------------------------------------------------------------------
 # what the fast path leaves out must not be reachable
 
@@ -1073,16 +1092,18 @@ def test_calibrate_noise_computes_the_means_once(monkeypatch):
         calls.clear()
         sigma = ex.calibrate_noise(target, cfg)
         assert len(calls) == 1
-        # the same bisection on overlap_probability, means recomputed
-        # every step, lands on the same float
+        # the same bisection on the overlap of means computed once lands
+        # on the same float, and overlap_probability agrees at it
+        mu = means(cfg)
         lo, hi = 0.0, 10.0
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if ex.overlap_probability(cfg, mid) < target:
+            if ex._overlap(cfg, mid, *mu) < target:
                 lo = mid
             else:
                 hi = mid
         assert sigma == 0.5 * (lo + hi)
+        assert ex.overlap_probability(cfg, sigma) == ex._overlap(cfg, sigma, *mu)
 
 
 def test_feedback_comparison_computes_the_overlap_once(monkeypatch):
