@@ -133,7 +133,10 @@ def _load(path: str) -> tuple[ExperimentConfig, float | None]:
         except ValueError:
             raise run_config.ConfigFileError(
                 [f"{SEED_ENV}={seed!r} is not an integer"])
-        cfg = replace(cfg, master_seed=value)
+        try:
+            cfg = replace(cfg, master_seed=value)
+        except ConfigError as exc:
+            raise run_config.ConfigFileError([f"{SEED_ENV}={seed}: {exc}"]) from None
     return cfg, target
 
 
@@ -239,15 +242,15 @@ def cmd_simulate_pipeline(args) -> int:
         if args.ticks <= SYNC_DEPTH + 2:
             raise ConfigError(f"--ticks must exceed {SYNC_DEPTH + 2}")
         device = replace(cfg.device, noise_sigma=0.0)
+        n_source = args.ticks - SYNC_DEPTH
         schedule, trajectory = held_state_readout(
-            STATE_E if args.state == "e" else STATE_G, args.ticks - SYNC_DEPTH)
-        stream = synthesize_adc_stream(device, schedule, trajectory,
-                                       phase_offset=SYNC_DEPTH)
-        samples = [FxpSample(0, ADC_WIDTH)] * SYNC_DEPTH + stream.samples
-        triggers = stream.triggers + [0] * SYNC_DEPTH
+            STATE_E if args.state == "e" else STATE_G, n_source)
+        stream = synthesize_adc_stream(device, schedule, trajectory)
+        samples = [FxpSample(r, ADC_WIDTH) for r in stream.raw.tolist()]
+        triggers = stream.triggers.tolist()
         if stream.saturated_count:
             print(f"warning: ADC clipped {stream.saturated_count} of "
-                  f"{len(stream.samples)} synthesized samples", file=sys.stderr)
+                  f"{n_source} synthesized samples", file=sys.stderr)
     state = PipelineState(cfg.pipeline)
     text = dump_trace(run_stream(cfg.pipeline, samples, triggers, state))
     if args.out:

@@ -14,7 +14,8 @@ One repetition spans a 660 ns window sampled once per pipeline clock
 The ADC stream reaching the pipeline lags the trigger lane by the ADC
 link's transport skew of pipeline.SYNC_DEPTH samples, the depth of the
 trigger synchronizer that matches it; that is what lines the
-integration window up with the readout pulse.
+integration window up with the readout pulse.  sigmodel applies the
+skew; the chunks map each filter window back onto the source grid.
 
 run_feedback_comparison drives a vectorized Monte Carlo of the full
 loop, once for each feedback arm the run names (exact exponential jump
@@ -90,7 +91,6 @@ from .sigmodel import STATE_E, STATE_G, DeviceParams, carrier_tables, quantize_a
 NS = 1e-9
 GRID_START_NS = -80
 N_SOURCE = 66               # samples per repetition window
-N_TICKS = N_SOURCE + SYNC_DEPTH
 PULSE_NS = 160
 M1_START_NS = 0
 M2_START_NS = 360
@@ -156,6 +156,11 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
+        for name in ("repetitions", "master_seed", "delay", "window_len", "scale_shift"):
+            value = getattr(self, name)
+            # a bool is an int to Python, and a float fails only inside the chunks
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be at least 1")
         # the chunks' generators take the seed as one 64-bit word
@@ -431,7 +436,7 @@ def _jumped(sampled, reps: int) -> np.ndarray:
 def _waveform_volts(device: DeviceParams, alpha: np.ndarray,
                     cols: slice) -> np.ndarray:
     """ADC voltages of the grid columns cols from their envelope values."""
-    cos, sin = carrier_tables(N_SOURCE, SYNC_DEPTH)
+    cos, sin = carrier_tables(N_SOURCE)
     b = device.demod_gain() * alpha + complex(device.offset_i, device.offset_q)
     return 2.0 * (b.real * cos[cols] - b.imag * sin[cols])
 
@@ -454,22 +459,6 @@ def _own_envelope(device: DeviceParams, window: slice, idx: np.ndarray,
         filler.run_segment(np.concatenate([start[idx], classes]), a, b, on,
                            np.searchsorted(idx, rows), times)
     return filler
-
-
-def _trigger_lane(double: bool, ticks: int) -> np.ndarray:
-    tr = np.zeros(ticks, dtype=np.int64)
-    tr[TRIG1_TICK] = 1
-    if double:
-        tr[TRIG2_TICK] = 1
-    return tr
-
-
-def _to_pipeline_stream(raw: np.ndarray, ticks: int) -> np.ndarray:
-    """Apply the ADC transport skew: tick n carries source sample n - SYNC_DEPTH."""
-    reps = raw.shape[0]
-    stream = np.zeros((reps, ticks), dtype=np.int64)
-    stream[:, SYNC_DEPTH:SYNC_DEPTH + raw.shape[1]] = raw
-    return stream
 
 
 def _window_cols(cfg: ExperimentConfig, trigger_tick: int) -> slice:
@@ -705,12 +694,9 @@ def noiseless_filtered_means(cfg: ExperimentConfig) -> tuple[float, float]:
     demodulation transient across the integration window is included.
     """
     dev = replace(cfg.device, noise_sigma=0.0)
-    volts = [sigmodel.analog_waveform(dev, *held_state_readout(state, N_SOURCE),
-                                      phase_offset=SYNC_DEPTH)
-             for state in (STATE_G, STATE_E)]
-    raw, _ = quantize_array(np.stack(volts))
-    bt = run_stream_batch(cfg.pipeline, _to_pipeline_stream(raw, N_TICKS),
-                          _trigger_lane(False, N_TICKS))
+    g, e = (sigmodel.synthesize_adc_stream(dev, *held_state_readout(state, N_SOURCE))
+            for state in (STATE_G, STATE_E))
+    bt = run_stream_batch(cfg.pipeline, np.stack([g.raw, e.raw]), g.triggers)
     i = bt.i[:, cfg.eval_tick(TRIG1_TICK)]
     return float(i[0]) * ADC_LSB_VOLTS, float(i[1]) * ADC_LSB_VOLTS
 

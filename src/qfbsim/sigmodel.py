@@ -7,7 +7,9 @@ drives it (and toward zero otherwise), and a detection chain collapsed
 into a full-scale amplitude, static I/Q offsets and additive white
 Gaussian noise.  The waveform is sampled once per pipeline clock and the
 carrier sits at a quarter of that rate, so four consecutive samples
-step the carrier phase by 90 degrees.
+step the carrier phase by 90 degrees.  The ADC link delivers sample n
+at tick n + SYNC_DEPTH (pipeline.SYNC_DEPTH), so its carrier follows the
+mixer phase of that tick, and synthesize_adc_stream applies that skew.
 
 The qubit's trajectory is an input here (a QubitTrajectory of
 piecewise-constant states); DeviceParams supplies the decay and
@@ -30,8 +32,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import fxp
-from .fxp import ADC_WIDTH, ConfigError, FxpSample
-from .pipeline import CLOCK_PERIOD_NS, COS_SEQ, NSIN_SEQ
+from .fxp import ADC_WIDTH, ConfigError
+from .pipeline import CLOCK_PERIOD_NS, COS_SEQ, NSIN_SEQ, SYNC_DEPTH
 
 PLANCK = 6.62607015e-34      # J s
 BOLTZMANN = 1.380649e-23     # J / K
@@ -207,40 +209,42 @@ def envelope_at_times(params: DeviceParams, schedule: PulseSchedule,
     return out
 
 
-def carrier_tables(n: int, phase_offset: int) -> tuple[np.ndarray, np.ndarray]:
+def carrier_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     """cos/sin of the quarter-rate carrier at sample indices 0..n-1: the
-    demodulator's local oscillator, pipeline.COS_SEQ and -NSIN_SEQ."""
-    idx = (np.arange(n) + phase_offset) & 3
+    demodulator's local oscillator, pipeline.COS_SEQ and -NSIN_SEQ, at
+    the mixer phase of tick k + SYNC_DEPTH, where sample k reaches it."""
+    idx = (np.arange(n) + SYNC_DEPTH) & 3
     cos = np.array(COS_SEQ)[idx]
     sin = -np.array(NSIN_SEQ)[idx]
     return cos, sin
 
 
 def analog_waveform(params: DeviceParams, schedule: PulseSchedule,
-                    trajectory: QubitTrajectory, *,
-                    phase_offset: int = 0) -> np.ndarray:
+                    trajectory: QubitTrajectory) -> np.ndarray:
     """Noiseless pre-quantization ADC voltage at every sample instant.
 
-    V(t_n) = Re[2 b(t_n) e^{i pi (n + phase_offset) / 2}] where b is the
+    V(t_n) = Re[2 b(t_n) e^{i pi (n + SYNC_DEPTH) / 2}] where b is the
     detected complex baseband: the cavity envelope scaled into the
-    in-phase separation convention plus the static offsets.  The integer
-    phase_offset ties the carrier phase to a downstream demodulator whose
-    phase counter started that many samples earlier.
+    in-phase separation convention plus the static offsets.  The carrier
+    phase is the demodulator's at tick n + SYNC_DEPTH, when the ADC link
+    delivers sample n.
     """
     n = round(schedule.repetition_period / SAMPLE_PERIOD)
     times = schedule.t_start + np.arange(n) * SAMPLE_PERIOD
     alpha = envelope_at_times(params, schedule, trajectory, times)
     b = params.demod_gain() * alpha + complex(params.offset_i, params.offset_q)
-    cos, sin = carrier_tables(n, phase_offset)
+    cos, sin = carrier_tables(n)
     return 2.0 * (b.real * cos - b.imag * sin)
 
 
 @dataclass
 class AdcStream:
-    """Digitized waveform plus the trigger bit lane."""
+    """The digitized waveform as the pipeline receives it, int64 per tick:
+    raw opens with the ADC link's SYNC_DEPTH reset zeros, and triggers
+    marks each pulse's first sample and closes with as many zeros."""
 
-    samples: list[FxpSample]
-    triggers: list[int]
+    raw: np.ndarray
+    triggers: np.ndarray
     saturated_count: int
 
 
@@ -260,9 +264,9 @@ def quantize_array(volts: np.ndarray) -> tuple[np.ndarray, int]:
     return x.astype(np.int64), clipped
 
 
-def trigger_lane(schedule: PulseSchedule, n: int) -> list[int]:
+def trigger_lane(schedule: PulseSchedule, n: int) -> np.ndarray:
     """1 during the first sample of each readout pulse, else 0."""
-    triggers = [0] * n
+    triggers = np.zeros(n, dtype=np.int64)
     for start, _ in schedule.readout_pulses:
         j = round((start - schedule.t_start) / SAMPLE_PERIOD)
         if 0 <= j < n:
@@ -271,15 +275,13 @@ def trigger_lane(schedule: PulseSchedule, n: int) -> list[int]:
 
 
 def synthesize_adc_stream(params: DeviceParams, schedule: PulseSchedule,
-                          trajectory: QubitTrajectory, *,
-                          phase_offset: int = 0) -> AdcStream:
+                          trajectory: QubitTrajectory) -> AdcStream:
     """Digitize the noiseless synthesized waveform and emit the trigger
-    lane; quantizer saturation events are counted, not fatal."""
+    lane, as AdcStream; quantizer saturation events are counted, not fatal."""
     if params.noise_sigma > 0:
         raise ValueError("the synthesized ADC stream is noiseless; "
                          f"noise_sigma must be 0, got {params.noise_sigma:g}")
-    raw, clipped = quantize_array(analog_waveform(params, schedule, trajectory,
-                                                  phase_offset=phase_offset))
-    samples = [FxpSample(int(r), ADC_WIDTH) for r in raw]
-    triggers = trigger_lane(schedule, len(samples))
-    return AdcStream(samples=samples, triggers=triggers, saturated_count=clipped)
+    raw, clipped = quantize_array(analog_waveform(params, schedule, trajectory))
+    return AdcStream(raw=np.pad(raw, (SYNC_DEPTH, 0)),
+                     triggers=np.pad(trigger_lane(schedule, raw.size), (0, SYNC_DEPTH)),
+                     saturated_count=clipped)

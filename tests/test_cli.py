@@ -482,20 +482,21 @@ def test_seed_env_override(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("seed", [-1, 2 ** 64])
 def test_seed_outside_64_bits_is_a_usage_error(tmp_path, capsys, monkeypatch, seed):
     """A seed the chunks' generators cannot take as one 64-bit word is
-    rejected, from the document and from the environment alike."""
+    rejected, from the document and from the environment alike; an
+    environment seed's message names the variable."""
     path = tmp_path / "run.cfg"
     good = Path(_write_small_cfg(tmp_path)).read_text(encoding="ascii")
     args = ["run-experiment", "--config", str(path), "--repetitions", "64",
             "--jobs", "1", "--out-dir", str(tmp_path / "out")]
-    message = f"error: master_seed {seed} outside 0..2**64-1\n"
+    problem = f"master_seed {seed} outside 0..2**64-1"
     path.write_text(good.replace("master_seed = 11", f"master_seed = {seed}"),
                     encoding="ascii")
     assert cli.main(args) == 1
-    assert capsys.readouterr().err == message
+    assert capsys.readouterr().err == f"error: {problem}\n"
     path.write_text(good, encoding="ascii")
     monkeypatch.setenv(cli.SEED_ENV, str(seed))
     assert cli.main(args) == 1
-    assert capsys.readouterr().err == message
+    assert capsys.readouterr().err == f"error: {cli.SEED_ENV}={seed}: {problem}\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -3,14 +3,18 @@
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qfbsim import experiment
+from qfbsim.config import load_file
 from qfbsim.experiment import (
+    N_SOURCE,
     PI_HALF_INIT,
     THERMAL_INIT,
+    TRIG1_TICK,
     CalibrationError,
     ExperimentConfig,
     _McResult,
@@ -19,6 +23,7 @@ from qfbsim.experiment import (
     _run_chunks,
     _run_mc,
     calibrate_noise,
+    held_state_readout,
     noiseless_filtered_means,
     optimize_threshold,
     oracle_probabilities,
@@ -26,11 +31,18 @@ from qfbsim.experiment import (
     readout_fidelity,
     run_feedback_comparison,
 )
-from qfbsim.fxp import ADC_LSB_VOLTS, ConfigError, quantize
-from qfbsim.pipeline import FILTER_WIDTH
-from qfbsim.sigmodel import DeviceParams, thermal_population
+from qfbsim.fxp import ADC_LSB_VOLTS, ADC_WIDTH, ConfigError, FxpSample, quantize
+from qfbsim.pipeline import FILTER_WIDTH, run_stream
+from qfbsim.sigmodel import (
+    STATE_E,
+    STATE_G,
+    DeviceParams,
+    synthesize_adc_stream,
+    thermal_population,
+)
 
 P_THERM = thermal_population(0.114, 6.148e9)
+CONFIG_DIR = Path(experiment.__file__).parent / "configs"
 
 
 def bench_device(**kw):
@@ -76,6 +88,16 @@ def test_config_validation():
         replace(good, delay=2)
     # the pipeline follows the threshold instead of contradicting it
     assert replace(good, threshold_volts=0.05).pipeline.c_i == quantize(0.05, FILTER_WIDTH)
+
+
+@pytest.mark.parametrize("name", ["repetitions", "master_seed", "delay",
+                                  "window_len", "scale_shift"])
+def test_integer_settings_must_be_integers(name):
+    good = make_config()
+    # a bool passes as an int, a whole float as its value: neither may
+    for value in (True, False, float(getattr(good, name)), 1.5, "10"):
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            replace(good, **{name: value})
 
 
 @pytest.mark.parametrize("change", [
@@ -147,6 +169,22 @@ def test_noiseless_means_bracket_threshold():
     assert mu_g < 0.016 < mu_e
     # conjugate-symmetric envelopes put the midpoint at the static offset
     assert 0.5 * (mu_g + mu_e) == pytest.approx(0.013, abs=1e-3)
+
+
+@pytest.mark.parametrize("name", ["scenario_pi_half.cfg", "scenario_thermal.cfg"])
+def test_noiseless_means_are_the_scalar_machines_register(name):
+    # the batch filter on both held-state streams at once == the scalar
+    # tick() machine's in-phase register on each, at the readout tick
+    cfg, _ = load_file(CONFIG_DIR / name)
+    device = replace(cfg.device, noise_sigma=0.0)
+    want = []
+    for state in (STATE_G, STATE_E):
+        stream = synthesize_adc_stream(device, *held_state_readout(state, N_SOURCE))
+        trace = run_stream(cfg.pipeline,
+                           [FxpSample(r, ADC_WIDTH) for r in stream.raw.tolist()],
+                           stream.triggers.tolist())
+        want.append(trace[cfg.eval_tick(TRIG1_TICK)].i * ADC_LSB_VOLTS)
+    assert noiseless_filtered_means(cfg) == tuple(want)
 
 
 def test_calibrate_noise_hits_target():

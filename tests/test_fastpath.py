@@ -443,6 +443,23 @@ def test_jump_sampler_covers_ragged_batches():
     assert _sampled_per_chunk(5, [40, 0, 26], state, 0.0, 200e-9, 0.0, 0.0) == [0, 0, 0]
 
 
+def _readout_schedule(double):
+    """The repetition window's readout pulses: the first, and the second
+    when double."""
+    pulses = ((ex.M1_START_NS * ex.NS, ex.PULSE_NS * ex.NS),
+              (ex.M2_START_NS * ex.NS, ex.PULSE_NS * ex.NS))
+    return PulseSchedule(
+        readout_pulses=pulses if double else pulses[:1],
+        t_start=ex.GRID_START_NS * ex.NS,
+        repetition_period=ex.N_SOURCE * CLOCK_PERIOD_NS * ex.NS)
+
+
+def _pipeline_triggers(double):
+    """The trigger lane of the N_SOURCE + SYNC_DEPTH pipeline ticks."""
+    return np.pad(trigger_lane(_readout_schedule(double), ex.N_SOURCE),
+                  (0, SYNC_DEPTH))
+
+
 def _reference_chunk(cfg, protocol, stream_id, chunk_idx, reps, feedback):
     """The chunk as the whole window would compute it: every segment of
     the envelope propagated, every sample synthesized, every tick of the
@@ -476,9 +493,10 @@ def _reference_chunk(cfg, protocol, stream_id, chunk_idx, reps, feedback):
         return ex._waveform_volts(dev, filler.out, slice(None)) + noise
 
     def pipeline(raw, double):
+        # the ADC link's skew: tick n carries source sample n - SYNC_DEPTH
         return run_stream_batch(cfg.pipeline,
-                                ex._to_pipeline_stream(raw, ex.N_TICKS),
-                                ex._trigger_lane(double, ex.N_TICKS))
+                                np.pad(raw, ((0, 0), (SYNC_DEPTH, 0))),
+                                _pipeline_triggers(double))
 
     a_segs, b_segs = _full_segments(cfg)
     if protocol.double:
@@ -906,11 +924,8 @@ def test_chunk_repetitions_replay_through_the_scalar_machine(
     initial, noise, events_a, arm = _replayed_draws(cfg, reps)
     dev = replace(cfg.device, noise_sigma=0.0)
     t0 = ex.GRID_START_NS * ex.NS
-    sched = PulseSchedule(
-        readout_pulses=((ex.M1_START_NS * ex.NS, ex.PULSE_NS * ex.NS),
-                        (ex.M2_START_NS * ex.NS, ex.PULSE_NS * ex.NS)),
-        t_start=t0, repetition_period=ex.N_SOURCE * CLOCK_PERIOD_NS * ex.NS)
-    triggers = trigger_lane(sched, ex.N_TICKS)
+    sched = _readout_schedule(True)
+    triggers = _pipeline_triggers(True).tolist()
     cols = np.concatenate([np.arange(w.start, w.stop) - SYNC_DEPTH for w in
                            (filter_window(cfg.pipeline, cfg.eval_tick(t))
                             for t in (ex.TRIG1_TICK, ex.TRIG2_TICK))])
@@ -922,7 +937,7 @@ def test_chunk_repetitions_replay_through_the_scalar_machine(
         got = np.zeros((5, reps), dtype=np.int64)
         for r in range(reps):
             traj = QubitTrajectory(((t0, int(initial[r])), *events_a[r], *second[r]))
-            volts = analog_waveform(dev, sched, traj, phase_offset=SYNC_DEPTH)
+            volts = analog_waveform(dev, sched, traj)
             volts[cols] += noise[r]
             raw, _ = quantize_array(volts)
             differ = raw[cols] != chunk_codes[r]
@@ -930,8 +945,7 @@ def test_chunk_repetitions_replay_through_the_scalar_machine(
                 assert _near_rounding_boundary(volts[cols][differ]).all(), r
                 near += int(differ.sum())
                 raw[cols] = chunk_codes[r]
-            samples = [FxpSample(0, 14)] * SYNC_DEPTH + [FxpSample(int(v), 14)
-                                                         for v in raw]
+            samples = [FxpSample(v, 14) for v in np.pad(raw, (SYNC_DEPTH, 0)).tolist()]
             trace = run_stream(cfg.pipeline, samples, triggers)
             m1, m2 = [n - 1 for n, t in enumerate(trace) if t.fb_time]
             got[:, r] = (trace[m1].i_t, trace[m1].q_t, trace[m1 + 1].fb,

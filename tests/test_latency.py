@@ -95,17 +95,16 @@ def test_proc_delay_matches_pipeline_measurement():
 def _fb_rise_after_analog_edge(delay: int, ticks: int = 64) -> int:
     """Clock cycles from the analog readout edge to the registered fb rise.
 
-    The input is a noiseless held-e readout built as simulate-pipeline
-    builds it: the trigger lane marks the sample at which the readout
-    pulse reaches the converter, and the ADC data lane carries the
-    samples SYNC_DEPTH cycles later.  lut1 fires on every sign pair, so
-    fb rises whenever the gated trigger does.
+    The input is a noiseless held-e readout as the synthesizer delivers
+    it to the pipeline: the trigger lane marks the sample at which the
+    readout pulse reaches the converter, and the ADC data lane carries
+    the samples SYNC_DEPTH cycles later.  lut1 fires on every sign pair,
+    so fb rises whenever the gated trigger does.
     """
     sched, traj = held_state_readout(STATE_E, ticks - SYNC_DEPTH)
-    stream = synthesize_adc_stream(DeviceParams(), sched, traj,
-                                   phase_offset=SYNC_DEPTH)
-    samples = [FxpSample(0, ADC_WIDTH)] * SYNC_DEPTH + stream.samples
-    triggers = stream.triggers + [0] * SYNC_DEPTH
+    stream = synthesize_adc_stream(DeviceParams(), sched, traj)
+    samples = [FxpSample(r, ADC_WIDTH) for r in stream.raw.tolist()]
+    triggers = stream.triggers.tolist()
     edge = round((sched.readout_pulses[0][0] - sched.t_start) / SAMPLE_PERIOD)
     assert triggers.index(1) == edge
     trace = run_stream(PipelineConfig(delay=delay, lut1=(1, 1, 1, 1)),

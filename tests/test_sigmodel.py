@@ -13,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 from qfbsim import experiment as ex
 from qfbsim import fxp
 from qfbsim.fxp import ConfigError
+from qfbsim.pipeline import COS_SEQ, NSIN_SEQ, SYNC_DEPTH
 from qfbsim.sigmodel import (
     STATE_E,
     STATE_G,
@@ -227,17 +228,18 @@ def test_envelope_batch_matches_scalar():
 
 def test_waveform_quarter_rate_carrier_pattern():
     # held state, steady envelope, no offsets: V repeats every 4 samples
-    # with the (x, -y, -x, y) quadrature pattern
+    # with the (x, -y, -x, y) quadrature pattern, sample n at the mixer
+    # phase of tick n + SYNC_DEPTH
     params = DeviceParams(amp_ss=0.6)
     sched = PulseSchedule(readout_pulses=((0.0, 2.0 * US),),
                           repetition_period=2.0 * US)
     v = analog_waveform(params, sched, held(STATE_E))
     b = params.demod_gain() * params.steady_alpha(STATE_E)
-    tail = v[-40:]
-    assert tail[0::4] == pytest.approx(np.full(10, 2 * b.real), abs=1e-9)
-    assert tail[1::4] == pytest.approx(np.full(10, -2 * b.imag), abs=1e-9)
-    assert tail[2::4] == pytest.approx(np.full(10, -2 * b.real), abs=1e-9)
-    assert tail[3::4] == pytest.approx(np.full(10, 2 * b.imag), abs=1e-9)
+    pattern = (2 * b.real, -2 * b.imag, -2 * b.real, 2 * b.imag)
+    first = v.size - 40
+    for k in range(4):
+        want = pattern[(first + k + SYNC_DEPTH) & 3]
+        assert v[first + k::4] == pytest.approx(np.full(10, want), abs=1e-9)
 
 
 def test_waveform_state_separation_sign():
@@ -245,10 +247,10 @@ def test_waveform_state_separation_sign():
     params = DeviceParams(amp_ss=0.6)
     sched = PulseSchedule(readout_pulses=((0.0, 2.0 * US),),
                           repetition_period=2.0 * US)
-    cos, _ = carrier_tables(200, 0)
+    cos, _ = carrier_tables(200)
     for state, sign in ((STATE_E, 1), (STATE_G, -1)):
         v = analog_waveform(params, sched, held(state))
-        i_avg = float(np.mean(v[-200:] * cos[:200] * 2))
+        i_avg = float(np.mean(v * cos * 2))
         assert sign * i_avg > 0.05
 
 
@@ -265,16 +267,18 @@ def test_waveform_offsets_add_carrier():
     params = DeviceParams(amp_ss=0.0, offset_i=0.013, offset_q=-0.005)
     sched = PulseSchedule(readout_pulses=(), repetition_period=0.2 * US)
     v = analog_waveform(params, sched, held(STATE_G))
-    assert v[0::4] == pytest.approx(np.full(5, 2 * 0.013))
-    assert v[1::4] == pytest.approx(np.full(5, 2 * 0.005))
+    # the first sample at the demodulator's phase 0
+    k = -SYNC_DEPTH % 4
+    assert v[k::4] == pytest.approx(np.full(5, 2 * 0.013))
+    assert v[k + 1::4] == pytest.approx(np.full(5, 2 * 0.005))
 
 
-def test_waveform_phase_offset_rolls_carrier():
-    params = DeviceParams(offset_i=0.1)
-    sched = PulseSchedule(readout_pulses=(), repetition_period=0.2 * US)
-    v0 = analog_waveform(params, sched, held(STATE_G), phase_offset=0)
-    v2 = analog_waveform(params, sched, held(STATE_G), phase_offset=2)
-    assert v2 == pytest.approx(-v0)
+def test_carrier_follows_the_mixer_phase_of_the_receiving_tick():
+    # sample k reaches the demodulator SYNC_DEPTH ticks after it is taken
+    cos, sin = carrier_tables(12)
+    for k in range(12):
+        assert cos[k] == COS_SEQ[(k + SYNC_DEPTH) & 3]
+        assert sin[k] == -NSIN_SEQ[(k + SYNC_DEPTH) & 3]
 
 
 # ---------------------------------------------------------------------------
@@ -410,10 +414,16 @@ def test_stream_trigger_per_pulse():
     sched = PulseSchedule(readout_pulses=((80 * NS, 360 * NS), (440 * NS, 360 * NS)),
                           repetition_period=1.0 * US)
     stream = synthesize_adc_stream(params, sched, held(STATE_G))
-    assert len(stream.samples) == 100
+    assert stream.raw.dtype == stream.triggers.dtype == np.int64
+    assert stream.raw.shape == stream.triggers.shape == (100 + SYNC_DEPTH,)
     assert sum(stream.triggers) == 2
     assert stream.triggers[8] == 1
     assert stream.triggers[44] == 1
+    # the data lane runs SYNC_DEPTH ticks behind the trigger lane
+    assert not stream.triggers[-SYNC_DEPTH:].any()
+    assert not stream.raw[:SYNC_DEPTH].any()
+    raw, _ = quantize_array(analog_waveform(params, sched, held(STATE_G)))
+    np.testing.assert_array_equal(stream.raw[SYNC_DEPTH:], raw)
 
 
 def test_stream_saturation_count():
@@ -423,7 +433,7 @@ def test_stream_saturation_count():
     stream = synthesize_adc_stream(params, sched, held(STATE_E))
     assert stream.saturated_count > 0
     lo, hi = fxp.raw_bounds(fxp.ADC_WIDTH)
-    assert all(lo <= s.raw <= hi for s in stream.samples)
+    assert lo <= stream.raw.min() and stream.raw.max() <= hi
 
 
 def test_stream_rejects_a_noisy_device():
