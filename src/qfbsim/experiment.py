@@ -42,7 +42,9 @@ chunks, and every other stage runs once over the whole batch.
 The envelope is not propagated before the first pulse (it is exactly
 zero there), the second phase stops at the end of the second integration
 window, and each batch's first phase runs once and branches into the
-run's feedback arms from a snapshot of it.
+run's feedback arms from a snapshot of it.  A run with no feedback arms
+is a single readout, such as the calibration ensembles: it stops at the
+first pulse's end.
 
 Until its first jump after the first pulse starts, a repetition's
 noiseless windows are fixed by its history class: its state at the
@@ -213,14 +215,6 @@ class ExperimentConfig:
         """Pipeline tick whose outputs form a readout event for a
         trigger asserted at trigger_tick."""
         return trigger_tick + trigger_to_eval_cycles(self.pipeline)
-
-
-@dataclass(frozen=True)
-class _Protocol:
-    """What happens inside one repetition window."""
-
-    init_gate: str              # "none" | "pi" | "pi_half"
-    double: bool = True         # second readout pulse present
 
 
 @dataclass(frozen=True)
@@ -501,13 +495,17 @@ def _per_chunk(rngs, bounds, draw, *shape) -> np.ndarray:
     return out
 
 
-def _run_chunk(cfg: ExperimentConfig, protocol: _Protocol, stream_id: int,
+def _run_chunk(cfg: ExperimentConfig, init_gate: str, stream_id: int,
                first_chunk: int, sizes, feedback: tuple):
     """A batch of consecutive chunks, once per feedback setting.
 
-    Chunk first_chunk + k holds sizes[k] repetitions.  Returns one
-    _McResult for each entry of feedback (True: the conditional pi fires
-    on fb1), its arrays holding the chunks' repetitions in order.
+    init_gate is applied at the first pulse's start: "none", "pi" or
+    "pi_half" (a fresh uniform state).  Chunk first_chunk + k holds
+    sizes[k] repetitions.  Returns one _McResult for each entry of
+    feedback (True: the conditional pi fires on fb1), its arrays holding
+    the chunks' repetitions in order.  No entries (feedback == ()) is a
+    single readout: the one _McResult holds the first readout, with it2
+    and qt2 None.
 
     Each chunk draws from its own generator, seeded by (master seed,
     stream_id, chunk index), and its draws and outputs do not depend on
@@ -522,7 +520,9 @@ def _run_chunk(cfg: ExperimentConfig, protocol: _Protocol, stream_id: int,
     phase influences the first readout, so the first phase runs once:
     each generator's state is snapshotted after it, and each feedback
     setting runs the second phase from those snapshots, drawing exactly
-    what a run for that setting alone would draw.
+    what a run for that setting alone would draw.  A single readout
+    stops the first phase at the first pulse's end: its draws after that
+    would come after every draw it reads.
 
     Only the samples inside the integration windows (both, or the first
     for a single readout) reach a result, so only those get noise, are
@@ -549,7 +549,7 @@ def _run_chunk(cfg: ExperimentConfig, protocol: _Protocol, stream_id: int,
     pipe = cfg.pipeline
     l = pipe.window_len
     w1 = _window_cols(cfg, TRIG1_TICK)
-    observed = 2 * l if protocol.double else l
+    observed = 2 * l if feedback else l
     if dev.noise_sigma > 0:
         # rng.normal(0.0, sigma) per chunk, drawn in place: normal returns
         # 0.0 + sigma z, which differs from sigma z only in the sign of a
@@ -564,12 +564,13 @@ def _run_chunk(cfg: ExperimentConfig, protocol: _Protocol, stream_id: int,
              < dev.p_therm).view(np.uint8)
 
     rates = (dev.decay_rate(), dev.excitation_rate())
-    (a, b, _), *segments_a = _phase_a_segments(cfg)
+    segments = _phase_a_segments(cfg)
+    (a, b, _), *segments_a = segments if feedback else segments[:2]
     _, _, state = _sample_jump_columns(rngs, bounds, state, a, b, *rates)
-    if protocol.init_gate == "pi_half":
+    if init_gate == "pi_half":
         state = (_per_chunk(rngs, bounds, np.random.Generator.random)
                  < 0.5).view(np.uint8)
-    elif protocol.init_gate == "pi":
+    elif init_gate == "pi":
         state = state ^ 1
     start = state
     sampled_a, state = _sample_segments(rngs, bounds, start, segments_a, rates)
@@ -584,9 +585,8 @@ def _run_chunk(cfg: ExperimentConfig, protocol: _Protocol, stream_id: int,
                                  noise[:, :l], w1)
     fb1 = lut_bits(pipe.lut1, it1, qt1)
 
-    if not protocol.double:
-        # nothing after the conditional pi is observed
-        return (_McResult(it1, qt1, fb1, None, None, sat),) * len(feedback)
+    if not feedback:
+        return (_McResult(it1, qt1, fb1, None, None, sat),)
 
     w2 = _window_cols(cfg, TRIG2_TICK)
     own_alpha, alpha_pi = np.split(filler_a.alpha, [idx_a.size])
@@ -616,10 +616,11 @@ def _run_chunk(cfg: ExperimentConfig, protocol: _Protocol, stream_id: int,
     return tuple(arms)
 
 
-def _run_chunks(cfg: ExperimentConfig, protocol: _Protocol, stream_id: int,
+def _run_chunks(cfg: ExperimentConfig, init_gate: str, stream_id: int,
                 jobs: int, feedback: tuple) -> list:
     """Every chunk of one Monte Carlo, each branched into the feedback
-    settings; returns, per setting, the list of its per-batch results.
+    settings (or a single readout for feedback == (), _run_chunk);
+    returns, per setting, the list of its per-batch results.
 
     The chunks are split evenly into contiguous batches of at most
     BATCH_CHUNKS, and into at least as many batches as there are
@@ -629,8 +630,9 @@ def _run_chunks(cfg: ExperimentConfig, protocol: _Protocol, stream_id: int,
     GIL in the draws and the large array operations, which is where
     they run in parallel.  The outputs do not depend on the split.
     """
-    if jobs < 1:
-        raise ConfigError(f"jobs must be at least 1, got {jobs}")
+    # a bool is an int to Python, and a float fails only inside range()
+    if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
+        raise ConfigError(f"jobs must be an integer of at least 1, got {jobs!r}")
     sizes = []
     remaining = cfg.repetitions
     while remaining > 0:
@@ -638,7 +640,7 @@ def _run_chunks(cfg: ExperimentConfig, protocol: _Protocol, stream_id: int,
         remaining -= sizes[-1]
     count = max(math.ceil(len(sizes) / BATCH_CHUNKS), min(jobs, len(sizes)))
     firsts = [len(sizes) * k // count for k in range(count + 1)]
-    args = [(cfg, protocol, stream_id, lo, sizes[lo:hi], feedback)
+    args = [(cfg, init_gate, stream_id, lo, sizes[lo:hi], feedback)
             for lo, hi in zip(firsts[:-1], firsts[1:])]
     if jobs > 1 and len(args) > 1:
         with ThreadPoolExecutor(max_workers=min(jobs, len(args))) as pool:
@@ -866,11 +868,6 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _protocol_for(cfg: ExperimentConfig) -> _Protocol:
-    gate = "pi_half" if cfg.scenario == PI_HALF_INIT else "none"
-    return _Protocol(init_gate=gate, double=True)
-
-
 def _assemble_report(cfg: ExperimentConfig, feedback: bool, res: _McResult,
                      overlap: float) -> ExperimentReport:
     n = res.n
@@ -926,7 +923,8 @@ def run_feedback_comparison(cfg: ExperimentConfig, *,
     # the arms are checked before any chunk runs; the RAM is allocated
     # after them, where it can reuse the chunks' freed memory
     check_segment_count(len(feedback))
-    per_arm = _run_chunks(cfg, _protocol_for(cfg), 0, jobs, feedback)
+    gate = "pi_half" if cfg.scenario == PI_HALF_INIT else "none"
+    per_arm = _run_chunks(cfg, gate, 0, jobs, feedback)
     overlap = overlap_probability(cfg)
     ram = HistogramRam(segment_count=len(feedback))
     reports = []
@@ -961,12 +959,11 @@ def _calibration_ensembles(cfg: ExperimentConfig,
                            jobs: int) -> tuple[_McResult, _McResult]:
     """The single-readout ensembles both calibrations read: no pulse
     (stream id 1) and a pi pulse at the first pulse's start (stream id 2).
-    Nothing after the conditional pi is read, so each runs one arm with
-    feedback off; feedback on would give the same."""
+    Each runs no feedback arms, so its chunks stop after the first
+    pulse."""
     ensembles = []
     for stream_id, gate in ((1, "none"), (2, "pi")):
-        (parts,) = _run_chunks(cfg, _Protocol(gate, double=False), stream_id,
-                               jobs, (False,))
+        (parts,) = _run_chunks(cfg, gate, stream_id, jobs, ())
         ensembles.append(_run_mc(parts))
     return tuple(ensembles)
 
@@ -1018,4 +1015,5 @@ def optimize_threshold(cfg: ExperimentConfig, *, jobs: int = 1) -> float:
     best = np.flatnonzero(fidelity == fidelity.max())
     t_scaled = 0.5 * (candidates[best[0]] + candidates[best[-1]])
     pipe = cfg.pipeline
-    return (pipe.c_i.raw + t_scaled / (1 << pipe.s_i)) * ADC_LSB_VOLTS
+    # ldexp scales exactly, and by a negative shift too
+    return (pipe.c_i.raw + math.ldexp(t_scaled, -pipe.s_i)) * ADC_LSB_VOLTS

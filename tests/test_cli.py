@@ -247,6 +247,14 @@ def test_scale_shift_out_of_range_names_the_document_key(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_optimize_threshold_with_a_negative_scale_shift(tmp_path, capsys):
+    cfg = _write_small_cfg(tmp_path, **{"pipeline.scale_shift": "-2"})
+    assert cli.main(["optimize-threshold", "--config", cfg, "--json",
+                     "--jobs", "1"]) == 0
+    best = json.loads(capsys.readouterr().out)["threshold_volts"]
+    assert 0.0 < best < 0.016
+
+
 @pytest.mark.parametrize("line,name", [
     ("experiment.threshold = 3 V", "threshold_volts"),
     ("experiment.threshold = -3 V", "threshold_volts"),

@@ -18,7 +18,6 @@ from qfbsim.experiment import (
     CalibrationError,
     ExperimentConfig,
     _McResult,
-    _Protocol,
     _config_echo,
     _run_chunks,
     _run_mc,
@@ -292,7 +291,7 @@ def test_noiseless_outputs_match_reference_synthesis():
     # the two levels predicted by the standalone waveform model
     dev = bench_device(t1=math.inf, p_therm=0.0, noise_sigma=0.0)
     cfg = make_config(device=dev, reps=512)
-    (parts,) = _run_chunks(cfg, _Protocol("pi_half", double=True), 0, 1, (False,))
+    (parts,) = _run_chunks(cfg, "pi_half", 0, 1, (False,))
     res = _run_mc(parts)
     mu_g, mu_e = noiseless_filtered_means(cfg)
     lvl_g = (round(mu_g / ADC_LSB_VOLTS) - 131) << 3
@@ -437,9 +436,12 @@ def test_optimize_threshold_shift_is_exact():
     assert optimize_threshold(shifted) - optimize_threshold(cfg) == delta
 
 
-def test_optimize_threshold_midpoint_of_int16_readouts_does_not_wrap(monkeypatch):
+@pytest.mark.parametrize("shift", [-2, 3])
+def test_optimize_threshold_midpoint_of_int16_readouts_does_not_wrap(monkeypatch,
+                                                                      shift):
     """The ensembles' readouts are int16; the fidelity ties at candidates
-    20000 and 31000, whose int16 sum would wrap."""
+    20000 and 31000, whose int16 sum would wrap.  A negative scale shift
+    multiplies the midpoint back onto the filter grid."""
     def ensemble(values):
         it1 = np.array(values, dtype=np.int16)
         return _McResult(it1=it1, qt1=it1, fb1=it1 >= 0,
@@ -448,10 +450,10 @@ def test_optimize_threshold_midpoint_of_int16_readouts_does_not_wrap(monkeypatch
     ensembles = (ensemble([0, 30000]), ensemble([20000, 31000]))
     monkeypatch.setattr(experiment, "_calibration_ensembles",
                         lambda cfg, jobs: ensembles)
-    cfg = make_config()
+    cfg = replace(make_config(), scale_shift=shift)
     pipe = cfg.pipeline
-    assert optimize_threshold(cfg) == \
-        (pipe.c_i.raw + 25500 / (1 << pipe.s_i)) * ADC_LSB_VOLTS
+    assert pipe.s_i == shift
+    assert optimize_threshold(cfg) == (pipe.c_i.raw + 25500 * 2.0 ** -shift) * ADC_LSB_VOLTS
 
 
 def test_optimize_threshold_flat_signal_errors():

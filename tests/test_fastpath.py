@@ -2,8 +2,9 @@
 
 The chunk evaluates the pipeline only at the two readout ticks, from the
 2 l samples inside the integration windows, skips the envelope before
-the first pulse and after the second window, and runs its first phase
-once for all feedback settings.  These tests hold it to the full-stream
+the first pulse and after the second window (after the first pulse for
+a single readout), and runs its first phase once for all feedback
+settings.  These tests hold it to the full-stream
 batch pipeline, whose filter it shares and which is held to the scalar
 machine, each repetition's readouts to the scalar synthesizer and
 machine replaying its draws, its batch envelope to the scalar envelope
@@ -460,17 +461,19 @@ def _pipeline_triggers(double):
                   (0, SYNC_DEPTH))
 
 
-def _reference_chunk(cfg, protocol, stream_id, chunk_idx, reps, feedback):
+def _reference_chunk(cfg, gate, stream_id, chunk_idx, reps, feedback):
     """The chunk as the whole window would compute it: every segment of
     the envelope propagated, every sample synthesized, every tick of the
-    72-tick stream run, same draws, the one feedback setting given.  The noise is
+    72-tick stream run, same draws, the one feedback setting given
+    ((False,) or (True,)), or a single readout for ().  The noise is
     drawn for the observed columns only and scattered into a zero
     (reps, N_SOURCE) array, so any draw for another column would shift
     every later one."""
     rng = np.random.default_rng(
         np.random.SeedSequence([cfg.master_seed, stream_id, chunk_idx]))
     dev = cfg.device
-    triggers = [ex.TRIG1_TICK] + ([ex.TRIG2_TICK] if protocol.double else [])
+    double = bool(feedback)
+    triggers = [ex.TRIG1_TICK] + ([ex.TRIG2_TICK] if double else [])
     windows = [filter_window(cfg.pipeline, cfg.eval_tick(t)) for t in triggers]
     observed = np.concatenate([np.arange(w.start, w.stop) for w in windows]) - SYNC_DEPTH
     noise = np.zeros((reps, ex.N_SOURCE))
@@ -499,7 +502,7 @@ def _reference_chunk(cfg, protocol, stream_id, chunk_idx, reps, feedback):
                                 _pipeline_triggers(double))
 
     a_segs, b_segs = _full_segments(cfg)
-    if protocol.double:
+    if double:
         # a segment draws one exponential per repetition still jumping,
         # so the second pulse is split where the chunk's second phase
         # stops, at the end of the second window, to draw the same numbers
@@ -508,9 +511,9 @@ def _reference_chunk(cfg, protocol, stream_id, chunk_idx, reps, feedback):
         (m2_start, m2_end, on) = b_segs[1]
         b_segs = [b_segs[0], (m2_start, t_w2, on), (t_w2, m2_end, on), b_segs[2]]
     state = segments(a_segs[:1], state)
-    if protocol.init_gate == "pi_half":
+    if gate == "pi_half":
         state = (rng.random(reps) < 0.5).astype(np.uint8)
-    elif protocol.init_gate == "pi":
+    elif gate == "pi":
         state = state ^ 1
     state = segments(a_segs[1:], state)
 
@@ -519,48 +522,52 @@ def _reference_chunk(cfg, protocol, stream_id, chunk_idx, reps, feedback):
     m1 = cfg.eval_tick(ex.TRIG1_TICK)
     fb1 = pipeline(quantize_array(volts())[0], False).fb[:, m1 + 1]
 
-    if protocol.double and feedback:
+    if feedback == (True,):
         state = np.where(fb1.astype(bool), state ^ 1, state)
-    segments(b_segs if protocol.double
+    segments(b_segs if double
              else [(b_segs[0][0], b_segs[-1][1], False)], state)
 
     v = volts()
-    bt = pipeline(quantize_array(v)[0], protocol.double)
+    bt = pipeline(quantize_array(v)[0], double)
     clipped = 0
     for ticks in windows:
         clipped += quantize_array(v[:, ticks.start - SYNC_DEPTH:
                                     ticks.stop - SYNC_DEPTH])[1]
     it1, qt1 = bt.i_t[:, m1], bt.q_t[:, m1]
     assert np.array_equal(bt.fb[:, m1 + 1], fb1)
-    if not protocol.double:
+    if not double:
         return ex._McResult(it1, qt1, fb1, None, None, clipped)
     m2 = cfg.eval_tick(ex.TRIG2_TICK)
     return ex._McResult(it1, qt1, fb1, bt.i_t[:, m2], bt.q_t[:, m2], clipped)
 
 
-DOUBLE = "double"
+# each scenario's init gate, as run_feedback_comparison applies it
+GATE = {ex.PI_HALF_INIT: "pi_half", ex.THERMAL_INIT: "none"}
+# the feedback arms of a chunk: both, or none for a single readout
+BOTH, SINGLE = (False, True), ()
 CASES = [
-    (ex.PI_HALF_INIT, {}, DOUBLE),
-    (ex.THERMAL_INIT, {}, DOUBLE),
-    (ex.PI_HALF_INIT, {}, ex._Protocol("none", double=False)),
-    (ex.PI_HALF_INIT, {}, ex._Protocol("pi", double=False)),
-    (ex.THERMAL_INIT, {}, ex._Protocol("none", double=False)),
-    (ex.THERMAL_INIT, {}, ex._Protocol("pi", double=False)),
-    (ex.PI_HALF_INIT, {"noise_sigma": 0.0}, DOUBLE),
-    (ex.THERMAL_INIT, {"t1": math.inf}, DOUBLE),
-    (ex.PI_HALF_INIT, {"noise_sigma": 0.4}, DOUBLE),   # ADC clipping
+    (ex.PI_HALF_INIT, {}, "pi_half", BOTH),
+    (ex.THERMAL_INIT, {}, "none", BOTH),
+    (ex.PI_HALF_INIT, {}, "none", SINGLE),
+    (ex.PI_HALF_INIT, {}, "pi", SINGLE),
+    (ex.THERMAL_INIT, {}, "none", SINGLE),
+    (ex.THERMAL_INIT, {}, "pi", SINGLE),
+    (ex.PI_HALF_INIT, {"noise_sigma": 0.0}, "pi_half", BOTH),
+    (ex.THERMAL_INIT, {"t1": math.inf}, "none", BOTH),
+    (ex.PI_HALF_INIT, {"noise_sigma": 0.4}, "pi_half", BOTH),   # ADC clipping
 ]
 
 
-def _chunk_both_ways(cfg, protocol, stream_id, chunk_idx, reps, feedback):
-    """The chunk run for one feedback setting alone, and branched from
-    one first phase into both settings; both must give the same output."""
-    (alone,) = ex._run_chunk(cfg, protocol, stream_id, chunk_idx, [reps],
-                             (feedback,))
-    branched = ex._run_chunk(cfg, protocol, stream_id, chunk_idx, [reps],
-                             (False, True))
+def _chunk_both_ways(cfg, gate, stream_id, chunk_idx, reps, feedback):
+    """The chunk run for feedback alone, and, for one arm, branched from
+    one first phase into both arms; every run must give the same output.
+    A single readout (feedback == ()) has no arms to branch into."""
+    (alone,) = ex._run_chunk(cfg, gate, stream_id, chunk_idx, [reps], feedback)
+    if not feedback:
+        return [alone]
+    branched = ex._run_chunk(cfg, gate, stream_id, chunk_idx, [reps], BOTH)
     assert len(branched) == 2
-    return alone, branched[feedback]
+    return alone, branched[feedback[0]]
 
 
 READOUTS = ("it1", "qt1", "fb1", "it2", "qt2")
@@ -576,35 +583,32 @@ def _assert_chunk_equal(got, want):
     assert got.saturated == want.saturated
 
 
-@pytest.mark.parametrize("scenario,dev_kw,protocol", CASES)
-@pytest.mark.parametrize("feedback", [False, True])
-def test_chunk_matches_full_window_reference(scenario, dev_kw, protocol, feedback):
+@pytest.mark.parametrize("scenario,dev_kw,gate,feedback", [
+    (scenario, dev_kw, gate, arm) for scenario, dev_kw, gate, arms in CASES
+    for arm in [(enabled,) for enabled in arms] or [SINGLE]])
+def test_chunk_matches_full_window_reference(scenario, dev_kw, gate, feedback):
     cfg = ex.ExperimentConfig(device=_device(**dev_kw), scenario=scenario,
                               repetitions=300, master_seed=5)
-    if protocol == DOUBLE:
-        protocol = ex._protocol_for(cfg)
-    want = _reference_chunk(cfg, protocol, 3, 1, 300, feedback)
-    for got in _chunk_both_ways(cfg, protocol, 3, 1, 300, feedback):
+    want = _reference_chunk(cfg, gate, 3, 1, 300, feedback)
+    for got in _chunk_both_ways(cfg, gate, 3, 1, 300, feedback):
         _assert_chunk_equal(got, want)
         if dev_kw.get("noise_sigma") == 0.4:
             assert got.saturated > 0
 
 
-BATCH_CASES = CASES + [(ex.THERMAL_INIT, {"t1": 200e-9}, DOUBLE)]
+BATCH_CASES = CASES + [(ex.THERMAL_INIT, {"t1": 200e-9}, "none", BOTH)]
 
 
-@pytest.mark.parametrize("scenario,dev_kw,protocol", BATCH_CASES)
-def test_batch_equals_its_chunks_one_at_a_time(scenario, dev_kw, protocol):
+@pytest.mark.parametrize("scenario,dev_kw,gate,feedback", BATCH_CASES)
+def test_batch_equals_its_chunks_one_at_a_time(scenario, dev_kw, gate, feedback):
     """A batch of chunks 0..3, the last one ragged, equals bit for bit
     the concatenation of each chunk run as a batch of its own, in both
-    arms."""
+    arms, or in the single readout."""
     sizes = [700, 700, 700, 123]
     cfg = ex.ExperimentConfig(device=_device(**dev_kw), scenario=scenario,
                               repetitions=sum(sizes), master_seed=5)
-    if protocol == DOUBLE:
-        protocol = ex._protocol_for(cfg)
-    batch = ex._run_chunk(cfg, protocol, 3, 0, sizes, (False, True))
-    alone = [ex._run_chunk(cfg, protocol, 3, k, [n], (False, True))
+    batch = ex._run_chunk(cfg, gate, 3, 0, sizes, feedback)
+    alone = [ex._run_chunk(cfg, gate, 3, k, [n], feedback)
              for k, n in enumerate(sizes)]
     for arm, got in enumerate(batch):
         parts = [chunk[arm] for chunk in alone]
@@ -634,7 +638,7 @@ def test_chunk_noise_drawn_in_place_equals_normal_draws(monkeypatch):
         return read(cfg, cls, idx, alpha, noise, cols)
 
     monkeypatch.setattr(ex, "_read_window", recording_read)
-    ex._run_chunk(cfg, ex._protocol_for(cfg), 1, 2, sizes, (False, True))
+    ex._run_chunk(cfg, GATE[cfg.scenario], 1, 2, sizes, BOTH)
 
     def generators():
         return [np.random.default_rng(np.random.SeedSequence([cfg.master_seed, 1, 2 + k]))
@@ -654,10 +658,10 @@ def test_chunk_noise_drawn_in_place_equals_normal_draws(monkeypatch):
             == [rng.bit_generator.state for rng in rngs])
 
 
-def _recorded_chunk(monkeypatch, cfg, protocol, reps):
-    """Run one chunk of both arms; return its quantizer inputs, in call
-    order, and the jumping rows and times it sampled with the states
-    they were sampled from."""
+def _recorded_chunk(monkeypatch, cfg, gate, feedback, reps):
+    """Run one chunk of the feedback arms; return its quantizer inputs,
+    in call order, and the jumping rows and times it sampled with the
+    states they were sampled from."""
     volts, sampled = [], []
     quantize, sample = ex.quantize_array, ex._sample_jump_columns
 
@@ -672,25 +676,25 @@ def _recorded_chunk(monkeypatch, cfg, protocol, reps):
 
     monkeypatch.setattr(ex, "quantize_array", recording_quantize)
     monkeypatch.setattr(ex, "_sample_jump_columns", recording_sample)
-    ex._run_chunk(cfg, protocol, 3, 1, [reps], (False, True))
+    ex._run_chunk(cfg, gate, 3, 1, [reps], feedback)
     monkeypatch.undo()
     return volts, sampled
 
 
 CLASS_CASES = [
-    (ex.PI_HALF_INIT, {}, DOUBLE),
-    (ex.THERMAL_INIT, {}, DOUBLE),
-    (ex.PI_HALF_INIT, {}, ex._Protocol("none", double=False)),
-    (ex.PI_HALF_INIT, {}, ex._Protocol("pi", double=False)),
-    (ex.THERMAL_INIT, {"t1": math.inf}, DOUBLE),
-    (ex.PI_HALF_INIT, {"noise_sigma": 0.0}, DOUBLE),
-    (ex.THERMAL_INIT, {"t1": 200e-9}, DOUBLE),         # most repetitions jump
+    (ex.PI_HALF_INIT, {}, "pi_half", BOTH),
+    (ex.THERMAL_INIT, {}, "none", BOTH),
+    (ex.PI_HALF_INIT, {}, "none", SINGLE),
+    (ex.PI_HALF_INIT, {}, "pi", SINGLE),
+    (ex.THERMAL_INIT, {"t1": math.inf}, "none", BOTH),
+    (ex.PI_HALF_INIT, {"noise_sigma": 0.0}, "pi_half", BOTH),
+    (ex.THERMAL_INIT, {"t1": 200e-9}, "none", BOTH),   # most repetitions jump
 ]
 
 
-@pytest.mark.parametrize("scenario,dev_kw,protocol", CLASS_CASES)
+@pytest.mark.parametrize("scenario,dev_kw,gate,feedback", CLASS_CASES)
 def test_chunk_window_volts_equal_the_filler_over_every_repetition(
-        monkeypatch, scenario, dev_kw, protocol):
+        monkeypatch, scenario, dev_kw, gate, feedback):
     """A chunk's window volts, taken from its class rows and its jumpers'
     own envelopes, equal bit for bit those of the filler run over every
     repetition of the chunk, from the same jump columns, followed by
@@ -700,26 +704,28 @@ def test_chunk_window_volts_equal_the_filler_over_every_repetition(
     reps = ex.CHUNK_REPS
     cfg = ex.ExperimentConfig(device=_device(**dev_kw), scenario=scenario,
                               repetitions=reps, master_seed=5)
-    if protocol == DOUBLE:
-        protocol = ex._protocol_for(cfg)
-    got, sampled = _recorded_chunk(monkeypatch, cfg, protocol, reps)
+    got, sampled = _recorded_chunk(monkeypatch, cfg, gate, feedback, reps)
 
     dev, l = cfg.device, cfg.window_len
     w1, w2 = ex._window_cols(cfg, ex.TRIG1_TICK), ex._window_cols(cfg, ex.TRIG2_TICK)
-    observed = np.r_[w1, w2] if protocol.double else np.r_[w1]
+    observed = np.r_[w1, w2] if feedback else np.r_[w1]
     rng = np.random.default_rng(
         np.random.SeedSequence([cfg.master_seed, 3, 1]))
     noise = (rng.normal(0.0, dev.noise_sigma, size=(reps, observed.size))
              if dev.noise_sigma > 0 else np.zeros((reps, observed.size)))
     filler = ex._EnvelopeFiller(dev, reps, observed)
-    for (a, b, on), (state, rows, times) in zip(ex._phase_a_segments(cfg)[1:],
-                                                sampled[1:3]):
+    # a single readout's first phase ends with the first pulse
+    segments_a = ex._phase_a_segments(cfg)[1:3 if feedback else 2]
+    sampled_a = sampled[1:1 + len(segments_a)]
+    for (a, b, on), (state, rows, times) in zip(segments_a, sampled_a):
         filler.run_segment(state, a, b, on, rows, times)
     want = [ex._waveform_volts(dev, filler.out[:, :l], w1) + noise[:, :l]]
     start = sampled[1][0]
-    jumped_a = ex._jumped(sampled[1:3], reps)
+    jumped_a = ex._jumped(sampled_a, reps)
     first_classes, second_classes = set(start[~jumped_a].tolist()), set()
-    if protocol.double:
+    if not feedback:
+        assert len(sampled) == 2
+    else:
         alpha_pi = filler.alpha
         arms = [sampled[3:5], sampled[5:7]]
         for arm in arms:
@@ -733,8 +739,9 @@ def test_chunk_window_volts_equal_the_filler_over_every_repetition(
                         + noise[:, l:])
         assert len(sampled) == 7
         if not dev_kw:
-            assert first_classes == {ex.STATE_G, ex.STATE_E}
             assert second_classes == {0, 1, 2, 3}
+    if not dev_kw:
+        assert first_classes == {ex.STATE_G, ex.STATE_E}
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert np.array_equal(_bits(g), _bits(w))
@@ -784,11 +791,10 @@ def test_saturated_readouts_survive_the_int16_outputs():
     cfg = ex.ExperimentConfig(device=_device(noise_sigma=0.4),
                               scenario=ex.PI_HALF_INIT, repetitions=300,
                               master_seed=5, scale_shift=SHIFT_MAX)
-    protocol = ex._protocol_for(cfg)
-    want = _reference_chunk(cfg, protocol, 3, 1, 300, True)
+    want = _reference_chunk(cfg, "pi_half", 3, 1, 300, (True,))
     readouts = np.concatenate([want.it1, want.qt1, want.it2, want.qt2])
     assert set(raw_bounds(PREPROC_WIDTH)) <= set(readouts.tolist())
-    for got in _chunk_both_ways(cfg, protocol, 3, 1, 300, True):
+    for got in _chunk_both_ways(cfg, "pi_half", 3, 1, 300, (True,)):
         assert got.it1.dtype == np.int16
         _assert_chunk_equal(got, want)
 
@@ -797,9 +803,8 @@ def test_chunk_with_wider_window_and_longer_delay():
     cfg = ex.ExperimentConfig(device=_device(), scenario=ex.PI_HALF_INIT,
                               repetitions=200, master_seed=9)
     cfg = replace(cfg, window_len=8, delay=12)
-    protocol = ex._protocol_for(cfg)
-    want = _reference_chunk(cfg, protocol, 0, 0, 200, True)
-    for got in _chunk_both_ways(cfg, protocol, 0, 0, 200, True):
+    want = _reference_chunk(cfg, "pi_half", 0, 0, 200, (True,))
+    for got in _chunk_both_ways(cfg, "pi_half", 0, 0, 200, (True,)):
         _assert_chunk_equal(got, want)
 
 
@@ -811,6 +816,33 @@ def test_second_phase_ends_with_the_second_window():
     # the window covers 40..120 ns into the pulse: its last sample is at
     # 110 ns, the pulse itself ends at 160 ns
     assert b == (ex.M2_START_NS + 120) * ex.NS
+
+
+@pytest.mark.parametrize("gate", ["none", "pi", "pi_half"])
+def test_single_readout_stops_at_the_first_pulse_end(monkeypatch, gate):
+    """A run with no feedback arms reads the first window alone: it
+    draws no jumps and propagates no envelope past the first pulse's
+    end, and its one result has no second readout."""
+    cfg = ex.ExperimentConfig(device=_device(t1=200e-9), scenario=ex.THERMAL_INIT,
+                              repetitions=700, master_seed=5)
+    sampled_to, filled_to = [], []
+    sample, run_segment = ex._sample_jump_columns, ex._EnvelopeFiller.run_segment
+
+    def recording_sample(rngs, bounds, state, a, b, gamma_down, gamma_up):
+        sampled_to.append(b)
+        return sample(rngs, bounds, state, a, b, gamma_down, gamma_up)
+
+    def recording_segment(self, state, a, b, *rest):
+        filled_to.append(b)
+        return run_segment(self, state, a, b, *rest)
+
+    monkeypatch.setattr(ex, "_sample_jump_columns", recording_sample)
+    monkeypatch.setattr(ex._EnvelopeFiller, "run_segment", recording_segment)
+    (res,) = ex._run_chunk(cfg, gate, 3, 0, [700], SINGLE)
+    pulse_end = (ex.M1_START_NS + ex.PULSE_NS) * ex.NS
+    assert sampled_to and max(sampled_to) <= pulse_end
+    assert filled_to and max(filled_to) <= pulse_end
+    assert res.it2 is None and res.qt2 is None and res.n == 700
 
 
 # ---------------------------------------------------------------------------
@@ -916,7 +948,7 @@ def test_chunk_repetitions_replay_through_the_scalar_machine(
         return quantize(v)
 
     monkeypatch.setattr(ex, "quantize_array", recording_quantize)
-    chunk = ex._run_chunk(cfg, ex._protocol_for(cfg), 0, 0, [reps], (False, True))
+    chunk = ex._run_chunk(cfg, GATE[cfg.scenario], 0, 0, [reps], BOTH)
     monkeypatch.undo()
     fb1 = chunk[0].fb1
     assert np.array_equal(chunk[1].fb1, fb1)
@@ -1010,10 +1042,10 @@ def test_pool_starts_no_more_workers_than_chunks(monkeypatch, jobs, chunks,
     run_chunk = ex._run_chunk
     ran, alive = [], []
 
-    def recording(cfg, protocol, stream_id, first_chunk, sizes, feedback):
+    def recording(cfg, gate, stream_id, first_chunk, sizes, feedback):
         ran.append((threading.get_ident(), (first_chunk, len(sizes))))
         alive.append(threading.active_count())
-        return run_chunk(cfg, protocol, stream_id, first_chunk, sizes, feedback)
+        return run_chunk(cfg, gate, stream_id, first_chunk, sizes, feedback)
 
     monkeypatch.setattr(ex, "_run_chunk", recording)
     before = threading.active_count()
@@ -1052,6 +1084,24 @@ def test_jobs_below_one_are_rejected(jobs):
                               repetitions=64)
     with pytest.raises(ConfigError, match="jobs"):
         ex.run_feedback_comparison(cfg, jobs=jobs)
+
+
+@pytest.mark.parametrize("run", [ex.run_feedback_comparison, ex.readout_fidelity],
+                         ids=["comparison", "fidelity"])
+@pytest.mark.parametrize("jobs", [2.5, 2.0, True])
+def test_jobs_must_be_an_integer(monkeypatch, run, jobs):
+    """A float jobs would fail inside range() with three chunks and run
+    silently with one, as would a bool; each is rejected by name before
+    any chunk runs."""
+    cfg = ex.ExperimentConfig(device=_device(), scenario=ex.THERMAL_INIT,
+                              repetitions=64)
+
+    def unreachable(*args):
+        raise AssertionError("a chunk ran")
+
+    monkeypatch.setattr(ex, "_run_chunk", unreachable)
+    with pytest.raises(ConfigError, match="jobs must be an integer"):
+        run(cfg, jobs=jobs)
 
 
 @pytest.mark.parametrize("feedback", [(), (False,) * 5], ids=["none", "five"])

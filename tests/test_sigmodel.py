@@ -98,19 +98,20 @@ def test_trajectory_infinite_t1_is_constant():
     assert (state == STATE_E).all()
 
 
-def noiseless_chunk(protocol, reps, seed, **device):
-    """First- and second-readout outputs of one Monte Carlo chunk, per
-    feedback setting (off, on), for a qubit that never jumps."""
+def noiseless_chunk(gate, feedback, reps, seed, **device):
+    """The outputs of one Monte Carlo chunk, one per feedback setting, or
+    the first readout alone for feedback == (), for a qubit that never
+    jumps."""
     dev = DeviceParams(t1=math.inf, amp_ss=0.6, offset_i=0.013, **device)
     cfg = ex.ExperimentConfig(device=dev, scenario=ex.PI_HALF_INIT,
                               repetitions=reps, master_seed=seed)
-    return ex._run_chunk(cfg, protocol, 0, 0, [reps], (False, True))
+    return ex._run_chunk(cfg, gate, 0, 0, [reps], feedback)
 
 
 def test_gates_apply_population_maps():
     # the pi init gate excites every repetition; the conditional pi
     # returns exactly those whose feedback bit fired to the ground state
-    off, on = noiseless_chunk(ex._Protocol("pi"), 64, 1)
+    off, on = noiseless_chunk("pi", (False, True), 64, 1)
     assert off.fb1.all() and on.fb1.all()
     assert (off.it2 >= 0).all()
     assert (on.it2 < 0).all()
@@ -118,14 +119,13 @@ def test_gates_apply_population_maps():
 
 def test_pi_half_gate_is_unbiased():
     n = 40_000
-    (arm, _) = noiseless_chunk(ex._Protocol("pi_half", double=False), n, 2)
+    (arm,) = noiseless_chunk("pi_half", (), n, 2)
     assert abs(np.mean(arm.fb1) - 0.5) < 3 * math.sqrt(0.25 / n)
 
 
 def test_thermal_initial_state_fraction():
     n = 50_000
-    (arm, _) = noiseless_chunk(ex._Protocol("none", double=False),
-                               n, 7, p_therm=0.07)
+    (arm,) = noiseless_chunk("none", (), n, 7, p_therm=0.07)
     assert abs(np.mean(arm.fb1) - 0.07) < 3 * math.sqrt(0.07 * 0.93 / n)
 
 
