@@ -129,7 +129,7 @@ def _load(path: str) -> tuple[ExperimentConfig, float | None]:
     seed = os.environ.get(SEED_ENV)
     if seed is not None:
         try:
-            value = int(seed, 0)
+            value = int(seed, 10)
         except ValueError:
             raise run_config.ConfigFileError(
                 [f"{SEED_ENV}={seed!r} is not an integer"])
@@ -291,7 +291,7 @@ def cmd_calibrate_noise(args) -> int:
     if target is None:
         target = 0.03
     sigma = calibrate_noise(target, cfg)
-    verified = overlap_probability(cfg, sigma)
+    verified = overlap_probability(cfg.with_noise_sigma(sigma))
     if args.json:
         print(json.dumps({"target": target, "noise_sigma_volts": sigma,
                           "verified_overlap": verified}, indent=2))

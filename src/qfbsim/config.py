@@ -38,42 +38,32 @@ class _Field:
     units: dict | None = None      # unit table for dimensioned quantities
     kind: str = "quantity"         # quantity | int | choice
     choices: tuple = ()
+    arg: str | None = None         # DeviceParams/ExperimentConfig argument it sets
+    scale: float = 1.0             # applied after the unit
 
 
+# device.* rows set DeviceParams, the others ExperimentConfig; a row with
+# no arg is read by _build itself
 SCHEMA = {
-    "device.f_q": _Field(FREQUENCY_UNITS),
-    "device.kappa": _Field(FREQUENCY_UNITS),      # linewidth kappa / 2 pi
-    "device.chi": _Field(FREQUENCY_UNITS),        # dispersive shift chi / 2 pi
-    "device.t1": _Field(TIME_UNITS),
-    "device.temperature": _Field(TEMPERATURE_UNITS),
-    "device.amp_ss": _Field(VOLTAGE_UNITS),
-    "device.noise_sigma": _Field(VOLTAGE_UNITS),
-    "device.offset_i": _Field(VOLTAGE_UNITS),
-    "device.offset_q": _Field(VOLTAGE_UNITS),
+    "device.f_q": _Field(FREQUENCY_UNITS, arg="f_q"),
+    # the linewidth and the dispersive shift are given as kappa / 2 pi
+    # and chi / 2 pi
+    "device.kappa": _Field(FREQUENCY_UNITS, arg="kappa", scale=2.0 * math.pi),
+    "device.chi": _Field(FREQUENCY_UNITS, arg="chi", scale=2.0 * math.pi),
+    "device.t1": _Field(TIME_UNITS, arg="t1"),
+    "device.temperature": _Field(TEMPERATURE_UNITS),    # sets p_therm
+    "device.amp_ss": _Field(VOLTAGE_UNITS, arg="amp_ss"),
+    "device.noise_sigma": _Field(VOLTAGE_UNITS, arg="noise_sigma"),
+    "device.offset_i": _Field(VOLTAGE_UNITS, arg="offset_i"),
+    "device.offset_q": _Field(VOLTAGE_UNITS, arg="offset_q"),
     "calibration.noise_overlap_target": _Field(FRACTION_UNITS),
-    "pipeline.window_len": _Field(kind="int"),
-    "pipeline.delay": _Field(kind="int"),
-    "pipeline.scale_shift": _Field(kind="int"),
-    "experiment.scenario": _Field(kind="choice", choices=SCENARIOS),
-    "experiment.repetitions": _Field(kind="int"),
-    "experiment.master_seed": _Field(kind="int"),
-    "experiment.threshold": _Field(VOLTAGE_UNITS),
-}
-
-_DEVICE_SCALE = {"device.kappa": 2.0 * math.pi, "device.chi": 2.0 * math.pi}
-
-# DeviceParams fields a document sets by name; the temperature sets p_therm
-_DEVICE_ARGS = {key: key.removeprefix("device.") for key in SCHEMA
-                if key.startswith("device.") and key != "device.temperature"}
-
-# ExperimentConfig arguments a document may set; the rest keep their defaults
-_EXPERIMENT_ARGS = {
-    "experiment.repetitions": "repetitions",
-    "experiment.master_seed": "master_seed",
-    "experiment.threshold": "threshold_volts",
-    "pipeline.window_len": "window_len",
-    "pipeline.delay": "delay",
-    "pipeline.scale_shift": "scale_shift",
+    "pipeline.window_len": _Field(kind="int", arg="window_len"),
+    "pipeline.delay": _Field(kind="int", arg="delay"),
+    "pipeline.scale_shift": _Field(kind="int", arg="scale_shift"),
+    "experiment.scenario": _Field(kind="choice", choices=SCENARIOS, arg="scenario"),
+    "experiment.repetitions": _Field(kind="int", arg="repetitions"),
+    "experiment.master_seed": _Field(kind="int", arg="master_seed"),
+    "experiment.threshold": _Field(VOLTAGE_UNITS, arg="threshold_volts"),
 }
 
 
@@ -113,7 +103,6 @@ def parse_document(text: str) -> dict[str, tuple[int, str]]:
 
 def _convert(key: str, lineno: int, value: str, errors: list):
     field = SCHEMA[key]
-    tokens = _split_tokens(value)
     if field.kind == "choice":
         if value not in field.choices:
             errors.append(f"line {lineno}: '{key}' must be one of "
@@ -122,12 +111,13 @@ def _convert(key: str, lineno: int, value: str, errors: list):
         return value
     if field.kind == "int":
         try:
-            return int(tokens[0], 0) if len(tokens) == 1 else int(value)
+            return int(value, 10)
         except ValueError:
             errors.append(f"line {lineno}: '{key}' expects an integer")
             return None
     # dimensioned quantity: exactly "number unit"
     names = "/".join(field.units)
+    tokens = _split_tokens(value)
     if len(tokens) != 2:
         errors.append(f"line {lineno}: '{key}' needs a unit ({names})")
         return None
@@ -140,7 +130,7 @@ def _convert(key: str, lineno: int, value: str, errors: list):
     except ValueError:
         errors.append(f"line {lineno}: '{key}' value '{number}' is not a number")
         return None
-    return magnitude * field.units[unit] * _DEVICE_SCALE.get(key, 1.0)
+    return magnitude * field.units[unit] * field.scale
 
 
 def _build(values: dict) -> tuple[ExperimentConfig, float | None]:
@@ -149,8 +139,13 @@ def _build(values: dict) -> tuple[ExperimentConfig, float | None]:
         errors.append("device.noise_sigma and calibration.noise_overlap_target"
                       " are mutually exclusive")
 
-    dev_kwargs = {arg: values[key] for key, arg in _DEVICE_ARGS.items()
-                  if key in values}
+    # a document without experiment.scenario runs the pi/2 scenario
+    dev_kwargs, exp_kwargs = {}, {"scenario": PI_HALF_INIT}
+    for key, value in values.items():
+        arg = SCHEMA[key].arg
+        if arg is not None:
+            kwargs = dev_kwargs if key.startswith("device.") else exp_kwargs
+            kwargs[arg] = value
     if "device.temperature" in values:
         f_q = dev_kwargs.get("f_q", DeviceParams.__dataclass_fields__["f_q"].default)
         try:
@@ -167,13 +162,8 @@ def _build(values: dict) -> tuple[ExperimentConfig, float | None]:
 
     cfg = None
     if device is not None:
-        exp_kwargs = {arg: values[key] for key, arg in _EXPERIMENT_ARGS.items()
-                      if key in values}
         try:
-            cfg = ExperimentConfig(
-                device=device,
-                scenario=values.get("experiment.scenario", PI_HALF_INIT),
-                **exp_kwargs)
+            cfg = ExperimentConfig(device=device, **exp_kwargs)
         except (ConfigError, ValueError) as exc:
             errors.append(str(exc))
 

@@ -326,11 +326,13 @@ class _EnvelopeFiller:
     def _step(self, alpha, state, decay, pulse_on):
         """One relaxation step; alpha and decay have the same shape.
 
-        numpy rounds a complex product differently on some broadcast
-        operands (its vector kernel fuses a multiply-add), so the
-        product only ever sees equal shapes.  The sum is taken in
-        place: numpy would inspect the call stack before reusing a
-        large temporary, which costs more than the sum.
+        numpy may round a complex product's last bit differently on
+        broadcast operands.  Equal shapes keep a row's value independent
+        of the rows beside it on one host, which the class rows rely on;
+        they do not make numpy's kernel sets agree (the 14-bit quantizer
+        absorbs those last-bit differences).  The sum is taken in place:
+        numpy would inspect the call stack before reusing a large
+        temporary, which costs more than the sum.
         """
         target = self.target[state] if pulse_on else 0.0
         value = (alpha - target) * decay
@@ -707,15 +709,14 @@ def _gauss_tail(z: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
-def overlap_probability(cfg: ExperimentConfig,
-                        noise_sigma: float | None = None) -> float:
+def overlap_probability(cfg: ExperimentConfig) -> float:
     """Expected state-misidentification probability from noise overlap.
 
     The filtered noise is Gaussian with std sigma / sqrt(2 l) (only half
     of the window samples carry each quadrature); the overlap is the
     equal-prior average of the two tail masses across the threshold.
     """
-    sigma = cfg.device.noise_sigma if noise_sigma is None else noise_sigma
+    sigma = cfg.device.noise_sigma
     if sigma == 0:
         return 0.0
     return _overlap(cfg, sigma, *noiseless_filtered_means(cfg))
@@ -950,9 +951,6 @@ class ReadoutFidelity:
     p_therm: float
     budget_sum: float
     identity_gap: float
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
 
 def _calibration_ensembles(cfg: ExperimentConfig,

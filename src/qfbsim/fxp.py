@@ -74,8 +74,6 @@ def quantize(volts: float, width: int) -> FxpSample:
 
 def quantize_flagged(volts: float, width: int) -> tuple[FxpSample, bool]:
     """Like quantize() but also reports whether the value saturated."""
-    if width < 2:
-        raise ConfigError(f"width {width} too small to quantize into")
     if not math.isfinite(volts):
         raise ValueError(f"cannot quantize non-finite voltage {volts!r}")
     raw, clipped = saturate(round_half_away(volts / ADC_LSB_VOLTS), width)

@@ -17,6 +17,8 @@ import struct
 
 import numpy as np
 
+from .pipeline import PREPROC_WIDTH
+
 RAM_WORDS = 1 << 21
 WORD_MAX = 0xFFFF
 
@@ -31,14 +33,14 @@ DUMP_MODE_CORRELATION = 2
 CORR_LAYOUT = "i2:7|q:5|i1:7|seg:2"
 
 
-def bin7_raw_array(raw: np.ndarray, width: int = 16) -> np.ndarray:
-    """Map preprocessed values onto 128 bins.
+def bin7_raw_array(raw: np.ndarray) -> np.ndarray:
+    """Map 16-bit preprocessed values onto 128 bins.
 
     Takes the top 7 bits of the two's-complement value and inverts the
     MSB (offset binary): a monotone truncation of the full scale onto
     0..127 with zero landing on bin 64.
     """
-    return (raw >> (width - 7)) + 64
+    return (raw >> (PREPROC_WIDTH - 7)) + 64
 
 
 def _check_field(name: str, value, bits: int) -> None:
@@ -109,16 +111,14 @@ class HistogramRam:
         """Shadow counts reshaped to (i2, q, i1, seg)."""
         return self.shadow.reshape(128, 32, 128, 4)
 
-    def joint_i1_i2(self, seg: int | None = None) -> np.ndarray:
-        """Joint counts over (i1, i2) bins, optionally for one segment."""
-        c = self.correlation_counts()
-        c = c[:, :, :, seg] if seg is not None else c.sum(axis=3)
-        return c.sum(axis=1).T  # -> [i1, i2]
+    def joint_i1_i2(self, seg: int) -> np.ndarray:
+        """Joint counts over (i1, i2) bins of one segment."""
+        return self.correlation_counts()[:, :, :, seg].sum(axis=1).T  # -> [i1, i2]
 
-    def marginal_i1(self, seg: int | None = None) -> np.ndarray:
+    def marginal_i1(self, seg: int) -> np.ndarray:
         return self.joint_i1_i2(seg).sum(axis=1)
 
-    def marginal_i2(self, seg: int | None = None) -> np.ndarray:
+    def marginal_i2(self, seg: int) -> np.ndarray:
         return self.joint_i1_i2(seg).sum(axis=0)
 
     # -- serialization --------------------------------------------------------

@@ -127,8 +127,8 @@ class PipelineState:
         self.adc_phase = 0
         self.mix_re = 0
         self.mix_im = 0
-        self.ma_re = MovingAverageBranch(cfg.window_len)
-        self.ma_im = MovingAverageBranch(cfg.window_len)
+        self.ma_re = MovingAverageBranch(cfg)
+        self.ma_im = MovingAverageBranch(cfg)
         self.i_reg = 0
         self.q_reg = 0
         self.sync = [0] * SYNC_DEPTH        # trigger synchronization stages
@@ -181,16 +181,13 @@ class MovingAverageBranch:
     sum and the normalized output is an arithmetic right shift by
     log2(l).  Registers start at zero, so the first l-1 outputs equal
     direct sums over the available samples with implicit leading zeros.
+    l and its shift are the config's, which PipelineConfig validates.
     """
 
-    def __init__(self, window_len: int) -> None:
-        if window_len < 2 or window_len % 2:
-            raise ConfigError(f"window_len {window_len} must be even and >= 2")
-        if window_len & (window_len - 1):
-            raise ConfigError(f"window_len {window_len} must be a power of two")
-        self.window_len = window_len
-        self.norm_shift = window_len.bit_length() - 1
-        self.dly = [0] * window_len
+    def __init__(self, config: PipelineConfig) -> None:
+        self.window_len = config.window_len
+        self.norm_shift = config.norm_shift
+        self.dly = [0] * self.window_len
         self.pos = 0
         self.acc = 0
         self.overflow = False
@@ -290,15 +287,16 @@ def tick(config: PipelineConfig, state: PipelineState, adc_sample: FxpSample,
 
 
 def run_stream(config: PipelineConfig, samples: list[FxpSample],
-               triggers: list[int], state: PipelineState | None = None,
-               start_cycle: int = 0) -> list[TickOutput]:
-    """Fold tick() over a sample/trigger stream from reset (deterministic)."""
+               triggers: list[int],
+               state: PipelineState | None = None) -> list[TickOutput]:
+    """Fold tick() over a sample/trigger stream from reset or from state;
+    the returned cycles count from 0."""
     if len(samples) != len(triggers):
         raise ValueError("samples and triggers must have equal length")
     if state is None:
         state = PipelineState(config)
     return [
-        tick(config, state, s, t, cycle=start_cycle + n)
+        tick(config, state, s, t, cycle=n)
         for n, (s, t) in enumerate(zip(samples, triggers))
     ]
 

@@ -92,7 +92,7 @@ def test_criterion_02_moving_average_identity():
         a = rng.integers(-8192, 8193, size=10_000)
         cums = np.concatenate(([0], np.cumsum(a)))
         sums = cums[1:] - cums[np.maximum(np.arange(10_000) + 1 - window, 0)]
-        branch = MovingAverageBranch(window)
+        branch = MovingAverageBranch(PipelineConfig(window_len=window))
         shift = branch.norm_shift
         for n, value in enumerate(a):
             out = branch.step_raw(int(value))

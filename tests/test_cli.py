@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import fields
 from importlib import resources
 from pathlib import Path
 
@@ -13,9 +14,9 @@ import pytest
 
 from qfbsim import cli
 from qfbsim import experiment as ex
-from qfbsim.config import ConfigFileError, load_text, resolve_noise
+from qfbsim.config import SCHEMA, ConfigFileError, _convert, load_text, resolve_noise
 from qfbsim.experiment import PI_HALF_INIT, THERMAL_INIT, ExperimentConfig
-from qfbsim.sigmodel import thermal_population
+from qfbsim.sigmodel import DeviceParams, thermal_population
 
 GOOD_DOC = """\
 # comment line
@@ -90,6 +91,30 @@ def test_unit_enforcement():
         load_text("experiment.repetitions = 10 ns\n")
     with pytest.raises(ConfigFileError, match="must be one of"):
         load_text("experiment.scenario = superposition\n")
+
+
+@pytest.mark.parametrize("key", [k for k, f in SCHEMA.items() if f.kind == "int"])
+def test_integer_keys_are_decimal(key):
+    errors = []
+    assert _convert(key, 3, "010", errors) == 10
+    for text in ("0x10", "0o10", "0b10"):
+        assert _convert(key, 3, text, errors) is None
+    assert errors == [f"line 3: '{key}' expects an integer"] * 3
+
+
+def test_every_schema_arg_names_a_field_of_its_target():
+    """device.* rows set DeviceParams, the others ExperimentConfig; the
+    two rows without an argument are read by the builder itself."""
+    targets = {cls: {f.name for f in fields(cls) if f.init}
+               for cls in (DeviceParams, ExperimentConfig)}
+    unset = set()
+    for key, field in SCHEMA.items():
+        if field.arg is None:
+            unset.add(key)
+            continue
+        cls = DeviceParams if key.startswith("device.") else ExperimentConfig
+        assert field.arg in targets[cls], key
+    assert unset == {"device.temperature", "calibration.noise_overlap_target"}
 
 
 def test_cross_field_validation():
@@ -506,6 +531,34 @@ def test_seed_outside_64_bits_is_a_usage_error(tmp_path, capsys, monkeypatch, se
     assert cli.main(args) == 1
     assert capsys.readouterr().err == f"error: {cli.SEED_ENV}={seed}: {problem}\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("source", ["document", "environment"])
+def test_seed_integers_are_decimal(tmp_path, capsys, monkeypatch, source):
+    """A zero-padded seed reads as decimal and a prefixed one exits 1,
+    from the document and from the environment alike."""
+    path = tmp_path / "run.cfg"
+    good = Path(_write_small_cfg(tmp_path)).read_text(encoding="ascii")
+    out = tmp_path / "out"
+
+    def run(seed):
+        if source == "document":
+            path.write_text(good.replace("master_seed = 11", f"master_seed = {seed}"),
+                            encoding="ascii")
+        else:
+            monkeypatch.setenv(cli.SEED_ENV, seed)
+        return cli.main(["run-experiment", "--config", str(path), "--repetitions",
+                         "64", "--feedback", "off", "--jobs", "1",
+                         "--out-dir", str(out)])
+
+    assert run("010") == 0
+    assert json.loads((out / "report.json").read_text())["master_seed"] == 10
+    capsys.readouterr()
+    assert run("0x10") == 1
+    assert capsys.readouterr().err == (
+        "error: line 7: 'experiment.master_seed' expects an integer\n"
+        if source == "document"
+        else f"error: {cli.SEED_ENV}='0x10' is not an integer\n")
 
 
 def test_simulate_pipeline_feedback_only_for_excited(tmp_path, capsys):

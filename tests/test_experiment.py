@@ -190,7 +190,8 @@ def test_calibrate_noise_hits_target():
     cfg = make_config()
     for target in (0.01, 0.03, 0.1):
         sigma = calibrate_noise(target, cfg)
-        assert overlap_probability(cfg, sigma) == pytest.approx(target, abs=1e-3)
+        assert overlap_probability(cfg.with_noise_sigma(sigma)) == pytest.approx(
+            target, abs=1e-3)
     assert calibrate_noise(0.01, cfg) < calibrate_noise(0.03, cfg)
 
 
@@ -309,12 +310,12 @@ def test_report_identities_and_histogram_consistency():
     assert sum(rep.quadrants.values()) == pytest.approx(1.0, abs=1e-12)
     # bin 64 is the sign boundary of the scaled output, so the blocks of
     # the joint (i1, i2) histogram split there reproduce the report exactly
-    joint = comp.histogram.joint_i1_i2()
+    joint = comp.histogram.joint_i1_i2(0)
     blocks = {"gg": joint[:64, :64], "ge": joint[:64, 64:],
               "eg": joint[64:, :64], "ee": joint[64:, 64:]}
     assert {k: int(b.sum()) / rep.repetitions for k, b in blocks.items()} \
         == rep.quadrants
-    assert int(comp.histogram.marginal_i1().sum()) == rep.repetitions
+    assert int(comp.histogram.marginal_i1(0).sum()) == rep.repetitions
 
 
 def test_determinism_and_worker_independence():

@@ -550,8 +550,6 @@ CASES = [
     (ex.THERMAL_INIT, {}, "none", BOTH),
     (ex.PI_HALF_INIT, {}, "none", SINGLE),
     (ex.PI_HALF_INIT, {}, "pi", SINGLE),
-    (ex.THERMAL_INIT, {}, "none", SINGLE),
-    (ex.THERMAL_INIT, {}, "pi", SINGLE),
     (ex.PI_HALF_INIT, {"noise_sigma": 0.0}, "pi_half", BOTH),
     (ex.THERMAL_INIT, {"t1": math.inf}, "none", BOTH),
     (ex.PI_HALF_INIT, {"noise_sigma": 0.4}, "pi_half", BOTH),   # ADC clipping
@@ -1167,7 +1165,8 @@ def test_calibrate_noise_computes_the_means_once(monkeypatch):
             else:
                 hi = mid
         assert sigma == 0.5 * (lo + hi)
-        assert ex.overlap_probability(cfg, sigma) == ex._overlap(cfg, sigma, *mu)
+        assert (ex.overlap_probability(cfg.with_noise_sigma(sigma))
+                == ex._overlap(cfg, sigma, *mu))
 
 
 def test_feedback_comparison_computes_the_overlap_once(monkeypatch):

@@ -2,14 +2,14 @@
 
 Each pinned SHA-256 covers the exact bytes the command line writes: both
 report JSONs and the histogram dump of a feedback comparison, the
-readout-fidelity JSON, the simulate-pipeline trace of an excited
-qubit, and the remaining command-line outputs: the calibrate-noise,
-optimize-threshold and latency-report JSON, the marginal and joint CSVs
+simulate-pipeline trace of an excited qubit, and the remaining
+command-line outputs: the calibrate-noise, optimize-threshold,
+readout-fidelity and latency-report JSON, the marginal and joint CSVs
 and the single-arm report.  The repetition count is not a multiple of CHUNK_REPS so the
 trailing partial chunk is part of every digest.  A second set of
 comparison digests is pinned at a repetition count that spans more
-than one batch of chunks.  The comparison digests hold in-process and
-on the process pool alike.  A speed-only change must
+than one batch of chunks.  The comparison digests hold on one thread
+and on two alike.  A speed-only change must
 leave every digest as it is; a change that moves one must say so and
 why.
 """
@@ -26,7 +26,6 @@ from qfbsim import config as run_config
 from qfbsim.experiment import (
     BATCH_CHUNKS,
     CHUNK_REPS,
-    readout_fidelity,
     run_feedback_comparison,
 )
 
@@ -42,8 +41,6 @@ GOLDEN = {
             "aff6cd993c1b0aeacf5310f2c2b0dbce9ced2cbfc9b6d4948f3ab8d47771154a",
         "histogram.bin":
             "0611c313f443e0cb9de7449e88fca6523505664f8b2a9b443efbc36b7594131e",
-        "readout_fidelity.json":
-            "8c06585311d2d43639f0a201a51b03e84ea28324bcb533093f39d0a249bb6838",
     },
     "scenario_thermal.cfg": {
         "report_feedback_off.json":
@@ -52,8 +49,6 @@ GOLDEN = {
             "3c4e1b733ae1c60aac45bb73598d3fc47ca1fe5a45ef1d3f57afdcffa82f06cb",
         "histogram.bin":
             "0521cdbda80e5c73b1f243bdcd42b74191acf691ba186d488df4a378560c9c94",
-        "readout_fidelity.json":
-            "8c06585311d2d43639f0a201a51b03e84ea28324bcb533093f39d0a249bb6838",
     },
 }
 
@@ -88,6 +83,8 @@ JSON_OUTPUTS = {
         "b53bb231c03fa8e5d1bebecdfa4919e6de01964c310aef2c097cd63d85622700",
     "optimize-threshold":
         "ed19980b32662a888a37ca5b76e6718dcfe29fcd11c972b3b5081e3d87c3535c",
+    "readout-fidelity":
+        "47278e11e60fcfc9ac9f9e5869740366d7cedb40bc6492e473874f5d6733a87a",
     "latency-report":
         "ff7e17e3a7083610c2af02ea49d07d6eec361345e95711c2c866da247c967ad3",
 }
@@ -141,16 +138,12 @@ def _comparison_digests(cfg, jobs: int) -> dict:
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_shipped_scenario_digests(name):
     cfg = _shipped(name)
-    digests = _comparison_digests(cfg, jobs=1)
-    digests["readout_fidelity.json"] = _sha(readout_fidelity(cfg).to_json().encode())
-    assert digests == GOLDEN[name]
+    assert _comparison_digests(cfg, jobs=1) == GOLDEN[name]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_shipped_comparison_digests_on_two_workers(name):
-    digests = _comparison_digests(_shipped(name), jobs=2)
-    want = {k: v for k, v in GOLDEN[name].items() if k in digests}
-    assert digests == want
+    assert _comparison_digests(_shipped(name), jobs=2) == GOLDEN[name]
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -185,6 +178,7 @@ def test_json_output_digests(tmp_path, monkeypatch, capsys):
     doc = _pi_half_doc(tmp_path)
     argvs = {"calibrate-noise": ["--config", doc],
              "optimize-threshold": ["--config", doc, "--jobs", "1"],
+             "readout-fidelity": ["--config", doc, "--jobs", "1"],
              "latency-report": []}
     digests = {}
     for command, args in argvs.items():

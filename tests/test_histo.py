@@ -37,7 +37,7 @@ def test_bin7_boundaries():
 
 def test_bin7_monotone_exhaustive():
     raws = np.arange(-32768, 32768, dtype=np.int64)
-    bins = bin7_raw_array(raws, 16)
+    bins = bin7_raw_array(raws)
     assert bins.min() == 0 and bins.max() == 127
     assert np.all(np.diff(bins) >= 0)
     np.testing.assert_array_equal(bins, _bin(raws))
@@ -250,11 +250,11 @@ def test_correlation_marginal_matches_event_log():
     ram = _addresses(i2s, qs, i1s, segs)
     # marginals over the other fields reproduce the 1D histograms of
     # each readout, recomputed independently from the repetitions
-    np.testing.assert_array_equal(ram.marginal_i2(), np.bincount(i2s, minlength=128))
-    np.testing.assert_array_equal(ram.marginal_i1(), np.bincount(i1s, minlength=128))
     for s in (0, 1):
         np.testing.assert_array_equal(ram.marginal_i1(s),
                                       np.bincount(i1s[segs == s], minlength=128))
+        np.testing.assert_array_equal(ram.marginal_i2(s),
+                                      np.bincount(i2s[segs == s], minlength=128))
 
 
 # ---------------------------------------------------------------------------
@@ -269,14 +269,14 @@ def _quadrants(joint):
 def test_quadrants_single_quadrant():
     # first readout bin 10 (G), second readout bin 100 (E)
     ram = _addresses(np.full(5, 100), 0, np.full(5, 10), 0)
-    assert _quadrants(ram.joint_i1_i2()) == {"gg": 0, "ge": 5, "eg": 0, "ee": 0}
+    assert _quadrants(ram.joint_i1_i2(0)) == {"gg": 0, "ge": 5, "eg": 0, "ee": 0}
 
 
 def test_quadrants_sum_to_one():
     rng = np.random.default_rng(6)
     ram = _addresses(rng.integers(0, 128, 400), rng.integers(0, 32, 400),
                      rng.integers(0, 128, 400), 0)
-    assert sum(_quadrants(ram.joint_i1_i2()).values()) == 400
+    assert sum(_quadrants(ram.joint_i1_i2(0)).values()) == 400
 
 
 def test_quadrants_per_segment():
