@@ -62,7 +62,7 @@ class _Parser(argparse.ArgumentParser):
 def _worker_count(text: str) -> int:
     """--jobs: the number of threads the Monte Carlo runs on, at least 1."""
     try:
-        jobs = int(text)
+        jobs = run_config.integer(text)
     except ValueError:
         jobs = 0
     if jobs < 1:
@@ -82,7 +82,7 @@ def _build_parser() -> _Parser:
                       help="held qubit state for the synthetic input")
     pipe.add_argument("--input", help="ADC CSV (t_ns,raw,tr) instead of "
                                       "synthesizing a waveform")
-    pipe.add_argument("--ticks", type=int, default=48,
+    pipe.add_argument("--ticks", type=run_config.integer, default=48,
                       help="synthetic stream length in clock cycles")
     pipe.add_argument("--out", help="output path (default: stdout)")
 
@@ -90,14 +90,16 @@ def _build_parser() -> _Parser:
                          help="run the two-measurement feedback experiment")
     run.add_argument("--config", required=True)
     run.add_argument("--out-dir", required=True)
-    run.add_argument("--repetitions", type=int, help="override the document")
+    run.add_argument("--repetitions", type=run_config.integer,
+                     help="override the document")
     run.add_argument("--feedback", choices=tuple(_FEEDBACK_ARMS),
                      default="both", help="feedback arms to run")
     run.add_argument("--jobs", type=_worker_count, default=os.cpu_count() or 1,
                      help=_JOBS_HELP)
 
     lat = sub.add_parser("latency-report", help="print the latency budget")
-    lat.add_argument("--delay-cycles", type=int, default=PipelineConfig().delay)
+    lat.add_argument("--delay-cycles", type=run_config.integer,
+                     default=PipelineConfig().delay)
     lat.add_argument("--json", action="store_true")
 
     cal = sub.add_parser("calibrate-noise",
@@ -129,14 +131,9 @@ def _load(path: str) -> tuple[ExperimentConfig, float | None]:
     seed = os.environ.get(SEED_ENV)
     if seed is not None:
         try:
-            value = int(seed, 10)
-        except ValueError:
-            raise run_config.ConfigFileError(
-                [f"{SEED_ENV}={seed!r} is not an integer"])
-        try:
-            cfg = replace(cfg, master_seed=value)
-        except ConfigError as exc:
-            raise run_config.ConfigFileError([f"{SEED_ENV}={seed}: {exc}"]) from None
+            cfg = replace(cfg, master_seed=run_config.integer(seed))
+        except ValueError as exc:
+            raise ConfigError(f"{SEED_ENV}={seed}: {exc}") from None
     return cfg, target
 
 
@@ -198,10 +195,12 @@ def cmd_run_experiment(args) -> int:
 
 
 def _parse_adc_csv(path: str) -> tuple[list[FxpSample], list[int]]:
-    """Samples and trigger bits of an ADC CSV (t_ns,raw,tr), ASCII, with
-    t_ns on the pipeline clock's grid; a bad row fails with its path and
-    line number."""
+    """Samples and trigger bits of an ADC CSV (t_ns,raw,tr), ASCII, one
+    row per clock cycle: the first t_ns lies on the pipeline clock's
+    grid and each next one is a clock period later.  A bad row fails
+    with its path and line number."""
     samples, triggers = [], []
+    t_next = None
     with open(path, "rb") as fh:
         for number, raw_line in enumerate(fh, start=1):
             where = f"{path}:{number}"
@@ -215,20 +214,23 @@ def _parse_adc_csv(path: str) -> tuple[list[FxpSample], list[int]]:
             if len(fields) != 3:
                 raise ConfigError(f"{where}: bad ADC CSV line {line!r}")
             try:
-                t_ns = int(fields[0])
-                sample = FxpSample(int(fields[1]), ADC_WIDTH)
-                tr = int(fields[2])
+                t_ns, raw, tr = map(run_config.integer, fields)
+                sample = FxpSample(raw, ADC_WIDTH)
             except ValueError as exc:
                 raise ConfigError(f"{where}: {exc}") from None
             if t_ns % CLOCK_PERIOD_NS:
                 raise ConfigError(f"{where}: t_ns {t_ns} is not a multiple of "
                                   f"the {CLOCK_PERIOD_NS} ns clock period")
+            if t_next is not None and t_ns != t_next:
+                raise ConfigError(f"{where}: t_ns {t_ns} is not the next clock "
+                                  f"cycle; expected {t_next}")
+            t_next = t_ns + CLOCK_PERIOD_NS
             if tr not in (0, 1):
                 raise ConfigError(f"{where}: trigger {tr} must be a bit")
             samples.append(sample)
             triggers.append(tr)
     if not samples:
-        raise ConfigError(f"no samples in {path}")
+        raise ConfigError(f"{path}: no samples")
     return samples, triggers
 
 
@@ -349,13 +351,11 @@ def main(argv=None) -> int:
         return 1
     try:
         return _COMMANDS[args.command](args)
-    except run_config.ConfigFileError as exc:
-        for line in exc.errors:
+    except (FileExistsError, FileNotFoundError, IsADirectoryError,
+            NotADirectoryError, ValueError) as exc:
+        # a ConfigError (a ValueError) holds one problem a line
+        for line in str(exc).split("\n"):
             print(f"error: {line}", file=sys.stderr)
-        return 1
-    except (ConfigError, FileExistsError, FileNotFoundError,
-            IsADirectoryError, NotADirectoryError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 1
     except (CalibrationError, MemoryError, RuntimeError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)

@@ -5,8 +5,8 @@ comments.  Every dimensioned quantity carries an explicit unit suffix
 (``6.3 MHz``, ``1.4 us``, ``16 mV``, ``114 mK``, ``3 %``); bare numbers
 are rejected for those fields so a misplaced magnitude cannot slip
 through silently.  Unknown keys are hard errors and all problems are
-reported together, not one at a time.  The document is ASCII: a line
-holding any other byte is reported by its path and line number.
+reported together, not one at a time, each under the document's path.
+The document is ASCII: a line holding any other byte is an error.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .experiment import ExperimentConfig, PI_HALF_INIT, SCENARIOS, calibrate_noise
+from .experiment import (PI_HALF_INIT, SCENARIOS, ExperimentConfig, calibrate_noise,
+                         check_overlap_target)
 from .fxp import ConfigError
 from .sigmodel import DeviceParams, thermal_population
 
@@ -23,14 +24,6 @@ TIME_UNITS = {"s": 1.0, "ms": 1e-3, "us": 1e-6, "ns": 1e-9}
 VOLTAGE_UNITS = {"V": 1.0, "mV": 1e-3}
 TEMPERATURE_UNITS = {"K": 1.0, "mK": 1e-3}
 FRACTION_UNITS = {"%": 1e-2}
-
-
-class ConfigFileError(ValueError):
-    """Carries the full list of problems found in a config document."""
-
-    def __init__(self, errors):
-        self.errors = list(errors)
-        super().__init__("\n".join(self.errors))
 
 
 @dataclass(frozen=True)
@@ -74,70 +67,57 @@ def _split_tokens(value: str) -> list[str]:
     return value.split()
 
 
-def parse_document(text: str) -> dict[str, tuple[int, str]]:
-    """Structural pass: line grammar, known keys, duplicates."""
-    entries: dict[str, tuple[int, str]] = {}
-    errors = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        if "=" not in body:
-            errors.append(f"line {lineno}: expected 'section.key = value'")
-            continue
-        key, value = (part.strip() for part in body.split("=", 1))
-        if key not in SCHEMA:
-            errors.append(f"line {lineno}: unknown key '{key}'")
-            continue
-        if key in entries:
-            errors.append(f"line {lineno}: duplicate key '{key}'")
-            continue
-        if not value:
-            errors.append(f"line {lineno}: '{key}' has no value")
-            continue
-        entries[key] = (lineno, value)
-    if errors:
-        raise ConfigFileError(errors)
-    return entries
+def integer(text: str) -> int:
+    """Read an integer from user text: an optional '-' followed by ASCII
+    decimal digits, where leading zeros stay decimal ('010' is 10).
+    Anything else, such as '+7', '1_0', ' 7' or '0x10', is a ValueError
+    quoting the text.  Every integer a user gives is read here."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{text!r} is not an integer")
+    return int(text, 10)
 
 
-def _convert(key: str, lineno: int, value: str, errors: list):
+def _convert(key: str, value: str):
+    """The value of one entry; a ValueError names the key."""
     field = SCHEMA[key]
     if field.kind == "choice":
         if value not in field.choices:
-            errors.append(f"line {lineno}: '{key}' must be one of "
-                          + "/".join(field.choices))
-            return None
+            raise ValueError(f"'{key}' must be one of " + "/".join(field.choices))
         return value
     if field.kind == "int":
         try:
-            return int(value, 10)
+            return integer(value)
         except ValueError:
-            errors.append(f"line {lineno}: '{key}' expects an integer")
-            return None
+            raise ValueError(f"'{key}' expects an integer") from None
     # dimensioned quantity: exactly "number unit"
     names = "/".join(field.units)
     tokens = _split_tokens(value)
     if len(tokens) != 2:
-        errors.append(f"line {lineno}: '{key}' needs a unit ({names})")
-        return None
+        raise ValueError(f"'{key}' needs a unit ({names})")
     number, unit = tokens
     if unit not in field.units:
-        errors.append(f"line {lineno}: '{key}' unit '{unit}' is not one of {names}")
-        return None
+        raise ValueError(f"'{key}' unit '{unit}' is not one of {names}")
     try:
         magnitude = float(number)
     except ValueError:
-        errors.append(f"line {lineno}: '{key}' value '{number}' is not a number")
-        return None
+        raise ValueError(f"'{key}' value '{number}' is not a number") from None
     return magnitude * field.units[unit] * field.scale
 
 
-def _build(values: dict) -> tuple[ExperimentConfig, float | None]:
+def _build(values: dict, path) -> tuple[ExperimentConfig, float | None]:
+    """The run configuration the converted values set.  Its problems are
+    those of the document as a whole, so they name the path alone."""
     errors = []
-    if "device.noise_sigma" in values and "calibration.noise_overlap_target" in values:
-        errors.append("device.noise_sigma and calibration.noise_overlap_target"
-                      " are mutually exclusive")
+    target = values.get("calibration.noise_overlap_target")
+    if target is not None:
+        if "device.noise_sigma" in values:
+            errors.append("device.noise_sigma and calibration.noise_overlap_target"
+                          " are mutually exclusive")
+        try:
+            check_overlap_target(target)
+        except ValueError as exc:
+            errors.append(str(exc))
 
     # a document without experiment.scenario runs the pi/2 scenario
     dev_kwargs, exp_kwargs = {}, {"scenario": PI_HALF_INIT}
@@ -154,40 +134,13 @@ def _build(values: dict) -> tuple[ExperimentConfig, float | None]:
         except ValueError as exc:
             errors.append(f"device.temperature: {exc}")
 
-    device = None
     try:
-        device = DeviceParams(**dev_kwargs)
-    except (ConfigError, ValueError) as exc:
+        cfg = ExperimentConfig(device=DeviceParams(**dev_kwargs), **exp_kwargs)
+    except ValueError as exc:
         errors.append(str(exc))
-
-    cfg = None
-    if device is not None:
-        try:
-            cfg = ExperimentConfig(device=device, **exp_kwargs)
-        except (ConfigError, ValueError) as exc:
-            errors.append(str(exc))
-
     if errors:
-        raise ConfigFileError(errors)
-    return cfg, values.get("calibration.noise_overlap_target")
-
-
-def load_text(text: str) -> tuple[ExperimentConfig, float | None]:
-    """Parse a config document into a run configuration.
-
-    Returns the configuration and the requested overlap target, or None
-    when the noise level was given directly (or left at zero).
-    """
-    entries = parse_document(text)
-    errors: list[str] = []
-    values = {}
-    for key, (lineno, raw) in entries.items():
-        converted = _convert(key, lineno, raw, errors)
-        if converted is not None:
-            values[key] = converted
-    if errors:
-        raise ConfigFileError(errors)
-    return _build(values)
+        raise ConfigError("\n".join(f"{path}: {e}" for e in errors))
+    return cfg, target
 
 
 def non_ascii_message(line: bytes) -> str | None:
@@ -200,10 +153,19 @@ def non_ascii_message(line: bytes) -> str | None:
 
 
 def load_file(path) -> tuple[ExperimentConfig, float | None]:
+    """Parse a config document into a run configuration.
+
+    Returns the configuration and the requested overlap target, or None
+    when the noise level was given directly (or left at zero).  All
+    problems are raised together as one ConfigError, one a line: a
+    fault of one line reads '<path>:<line>: ...', one of the document as
+    a whole '<path>: ...'.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
-    errors = []
+    values, seen, errors = {}, set(), []
     for lineno, line in enumerate(data.splitlines(), start=1):
+        where = f"{path}:{lineno}"
         message = non_ascii_message(line)
         if message is not None:
             # a unit such as us written with a micro sign: name the
@@ -213,10 +175,30 @@ def load_file(path) -> tuple[ExperimentConfig, float | None]:
             units = SCHEMA[key].units if key in SCHEMA else None
             if units and not body.isascii():
                 message += f"; '{key}' takes the units " + "/".join(units)
-            errors.append(f"{path}:{lineno}: {message}")
+            errors.append(f"{where}: {message}")
+            continue
+        body = line.decode("ascii").split("#", 1)[0].strip()
+        if not body:
+            continue
+        if "=" not in body:
+            errors.append(f"{where}: expected 'section.key = value'")
+            continue
+        key, value = (part.strip() for part in body.split("=", 1))
+        if key not in SCHEMA:
+            errors.append(f"{where}: unknown key '{key}'")
+        elif key in seen:
+            errors.append(f"{where}: duplicate key '{key}'")
+        elif not value:
+            errors.append(f"{where}: '{key}' has no value")
+        else:
+            seen.add(key)
+            try:
+                values[key] = _convert(key, value)
+            except ValueError as exc:
+                errors.append(f"{where}: {exc}")
     if errors:
-        raise ConfigFileError(errors)
-    return load_text(data.decode("ascii"))
+        raise ConfigError("\n".join(errors))
+    return _build(values, path)
 
 
 def resolve_noise(cfg: ExperimentConfig,

@@ -176,7 +176,8 @@ class ExperimentConfig:
         object.__setattr__(self, "pipeline", PipelineConfig(
             window_len=self.window_len, delay=self.delay,
             c_i=_filter_offset(self.threshold_volts, "threshold_volts"),
-            c_q=_filter_offset(q_mean, "quadrature offset set by device offset_q"),
+            c_q=_filter_offset(q_mean, "quadrature offset set by device.amp_ss"
+                                       " and device.offset_q"),
             s_i=self.scale_shift, s_q=self.scale_shift,
             lut1=FEEDBACK_LUT, lut2=COMPLEMENT_LUT))
         if self.tau_ro_ns > PULSE_NS:
@@ -731,16 +732,20 @@ def _overlap(cfg: ExperimentConfig, sigma: float, mu_g: float,
                   + _gauss_tail((mu_e - c) / sigma_f))
 
 
+def check_overlap_target(target_overlap: float) -> None:
+    """Reject an overlap target that is not a positive finite number."""
+    if not 0 < target_overlap < math.inf:
+        raise ValueError("target overlap must be positive and finite, "
+                         f"got {target_overlap!r}")
+
+
 def calibrate_noise(target_overlap: float, cfg: ExperimentConfig) -> float:
     """Per-sample noise std that produces the requested overlap error.
 
     Bisection against the analytic overlap, on noiseless means computed
     once; the result reproduces the target within 0.001 absolute.
     """
-    if not math.isfinite(target_overlap):
-        raise ValueError(f"target overlap must be finite, got {target_overlap!r}")
-    if target_overlap <= 0:
-        raise ValueError("target overlap must be positive")
+    check_overlap_target(target_overlap)
     if target_overlap >= 0.5:
         raise CalibrationError("overlap targets of 50% or more are unattainable")
     mu_g, mu_e = noiseless_filtered_means(cfg)

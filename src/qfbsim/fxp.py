@@ -76,7 +76,9 @@ def quantize_flagged(volts: float, width: int) -> tuple[FxpSample, bool]:
     """Like quantize() but also reports whether the value saturated."""
     if not math.isfinite(volts):
         raise ValueError(f"cannot quantize non-finite voltage {volts!r}")
-    raw, clipped = saturate(round_half_away(volts / ADC_LSB_VOLTS), width)
+    # clamped past every width's range, so an LSB count of inf saturates too
+    lsbs = min(max(volts / ADC_LSB_VOLTS, -2.0 ** MAX_WIDTH), 2.0 ** MAX_WIDTH)
+    raw, clipped = saturate(round_half_away(lsbs), width)
     return FxpSample(raw, width), clipped
 
 

@@ -5,7 +5,7 @@ RAM.  In correlation mode each repetition counts one word whose 21-bit
 address packs its two readouts: the 7-bit bin of the second in-phase
 value, the second quadrature's bin truncated to 5 bits, the 7-bit bin of
 the first in-phase value and a 2-bit segment tagging the experimental
-scenario (CORR_LAYOUT).  This module is the only place that knows that
+scenario (CORR_FIELDS).  This module is the only place that knows that
 layout.  A 64-bit host-side shadow mirrors every update so exact
 statistics survive counter saturation; the RAM words are what the
 hardware would transfer, the shadow is what analysis uses.
@@ -19,7 +19,6 @@ import numpy as np
 
 from .pipeline import PREPROC_WIDTH
 
-RAM_WORDS = 1 << 21
 WORD_MAX = 0xFFFF
 
 DUMP_MAGIC = b"QFBHISTO"
@@ -28,9 +27,13 @@ DUMP_HEADER_BYTES = 64
 # the hardware's code for correlation mode (2D is 1, time-resolved 3)
 DUMP_MODE_CORRELATION = 2
 
-# Field widths of the correlation layout, most significant first:
-# (i2: 7 bits, q: 5 bits, i1: 7 bits, seg: 2 bits).
-CORR_LAYOUT = "i2:7|q:5|i1:7|seg:2"
+# The correlation layout, most significant field first: (name, bits).
+# Every width, shift, mask and size below derives from this table.
+CORR_FIELDS = (("i2", 7), ("q", 5), ("i1", 7), ("seg", 2))
+_BITS = dict(CORR_FIELDS)
+ADDRESS_BITS = sum(_BITS.values())
+RAM_WORDS = 1 << ADDRESS_BITS
+CORR_LAYOUT = "|".join(f"{name}:{bits}" for name, bits in CORR_FIELDS)
 
 
 def bin7_raw_array(raw: np.ndarray) -> np.ndarray:
@@ -55,17 +58,17 @@ def pack_correlation_address(i2, q, i1, seg):
 
     Takes integers or integer arrays (broadcast against each other).
     """
-    _check_field("i2", i2, 7)
-    _check_field("q", q, 5)
-    _check_field("i1", i1, 7)
-    _check_field("seg", seg, 2)
-    return (((i2 << 5 | q) << 7 | i1) << 2) | seg
+    for (name, bits), value in zip(CORR_FIELDS, (i2, q, i1, seg)):
+        _check_field(name, value, bits)
+    # one expression, so that numpy reuses each temporary in place
+    return ((i2 << _BITS["q"] | q) << _BITS["i1"] | i1) << _BITS["seg"] | seg
 
 
 def unpack_correlation_address(addr):
     """(i2, q, i1, seg) of an address or an array of addresses."""
-    _check_field("address", addr, 21)
-    return (addr >> 14) & 0x7F, (addr >> 9) & 0x1F, (addr >> 2) & 0x7F, addr & 3
+    _check_field("address", addr, ADDRESS_BITS)
+    shifts = [sum(b for _, b in CORR_FIELDS[k + 1:]) for k in range(len(CORR_FIELDS))]
+    return tuple((addr >> s) & ((1 << b) - 1) for s, (_, b) in zip(shifts, CORR_FIELDS))
 
 
 def correlation_addresses(it1: np.ndarray, it2: np.ndarray, qt2: np.ndarray,
@@ -78,13 +81,13 @@ def correlation_addresses(it1: np.ndarray, it2: np.ndarray, qt2: np.ndarray,
     """
     i2, q, i1 = (bin7_raw_array(np.asarray(v, dtype=np.int64))
                  for v in (it2, qt2, it1))
-    return pack_correlation_address(i2, q >> 2, i1, seg)
+    return pack_correlation_address(i2, q >> (_BITS["i2"] - _BITS["q"]), i1, seg)
 
 
 def check_segment_count(segment_count: int) -> None:
     """Reject a segment count the 2-bit segment field cannot address."""
-    if not 1 <= segment_count <= 4:
-        raise ValueError("segment_count must be within 1..4")
+    if not 1 <= segment_count <= 1 << _BITS["seg"]:
+        raise ValueError(f"segment_count must be within 1..{1 << _BITS['seg']}")
 
 
 class HistogramRam:
@@ -109,7 +112,7 @@ class HistogramRam:
 
     def correlation_counts(self) -> np.ndarray:
         """Shadow counts reshaped to (i2, q, i1, seg)."""
-        return self.shadow.reshape(128, 32, 128, 4)
+        return self.shadow.reshape([1 << bits for _, bits in CORR_FIELDS])
 
     def joint_i1_i2(self, seg: int) -> np.ndarray:
         """Joint counts over (i1, i2) bins of one segment."""

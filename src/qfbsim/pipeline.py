@@ -33,7 +33,7 @@ element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -301,15 +301,13 @@ def run_stream(config: PipelineConfig, samples: list[FxpSample],
     ]
 
 
-TRACE_COLUMNS = ("cycle", "adc_raw", "tr", "re_sm", "im_sm", "i", "q",
-                 "i_t", "q_t", "fb_time", "fb", "fb2")
-
-
 def dump_trace(trace: list[TickOutput]) -> str:
-    """CSV rendering of a trace, one row per clock cycle."""
-    lines = [",".join(TRACE_COLUMNS)]
+    """CSV rendering of a trace, one row per clock cycle and one column
+    per TickOutput field, in declaration order."""
+    columns = [f.name for f in fields(TickOutput)]
+    lines = [",".join(columns)]
     for t in trace:
-        lines.append(",".join(str(getattr(t, c)) for c in TRACE_COLUMNS))
+        lines.append(",".join(str(getattr(t, c)) for c in columns))
     return "\n".join(lines) + "\n"
 
 

@@ -67,13 +67,17 @@ class DeviceParams:
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            # t1 = +inf is a qubit that never decays
-            if not (math.isfinite(value) or (f.name == "t1" and value == math.inf)):
-                raise ConfigError(f"{f.name} must be finite, got {value!r}")
+            # t1 = +inf is a qubit that never decays; past 1e300 in
+            # magnitude the synthesizer's arithmetic would overflow
+            if not (abs(value) <= 1e300 or f.name == "t1" and value == math.inf):
+                raise ConfigError(f"{f.name} must be within +-1e300, got {value!r}")
         if not 0.0 <= self.p_therm < 0.5:
             raise ConfigError("p_therm must be within [0, 0.5)")
-        if not self.t1 > 0:
-            raise ConfigError("t1 must be positive")
+        # a qubit relaxing within one sample leaves nothing to read, and
+        # the jumps to sample grow as 1/t1
+        if not self.t1 >= SAMPLE_PERIOD:
+            raise ConfigError("t1 must be at least one sample period, "
+                              f"{CLOCK_PERIOD_NS} ns")
         if not self.kappa > 0:
             raise ConfigError("kappa must be positive")
         if self.noise_sigma < 0:
@@ -164,7 +168,11 @@ def thermal_population(t_env: float, f_q: float) -> float:
     """Equilibrium excited-state population of a two-level system."""
     if not 0 < t_env < math.inf:
         raise ValueError("t_env must be positive and finite")
-    x = math.exp(-PLANCK * f_q / (BOLTZMANN * t_env))
+    if not f_q > 0:
+        raise ValueError("f_q must be positive")
+    kt = BOLTZMANN * t_env
+    # a k T that underflows to 0 leaves no excited population
+    x = math.exp(-PLANCK * f_q / kt) if kt > 0 else 0.0
     return x / (1.0 + x)
 
 

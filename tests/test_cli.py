@@ -14,8 +14,9 @@ import pytest
 
 from qfbsim import cli
 from qfbsim import experiment as ex
-from qfbsim.config import SCHEMA, ConfigFileError, _convert, load_text, resolve_noise
+from qfbsim.config import SCHEMA, load_file, resolve_noise
 from qfbsim.experiment import PI_HALF_INIT, THERMAL_INIT, ExperimentConfig
+from qfbsim.fxp import ConfigError
 from qfbsim.sigmodel import DeviceParams, thermal_population
 
 GOOD_DOC = """\
@@ -39,12 +40,19 @@ def shipped(name):
     return str(resources.files("qfbsim") / "configs" / name)
 
 
+def load(tmp_path, text):
+    """load_file of a document written to tmp_path / "doc.cfg"."""
+    path = tmp_path / "doc.cfg"
+    path.write_text(text, encoding="ascii")
+    return load_file(path)
+
+
 # ---------------------------------------------------------------------------
 # document parsing
 
 
-def test_parse_good_document():
-    cfg, target = load_text(GOOD_DOC)
+def test_parse_good_document(tmp_path):
+    cfg, target = load(tmp_path, GOOD_DOC)
     assert cfg.device.kappa == pytest.approx(2 * math.pi * 6.3e6)
     assert cfg.device.chi == pytest.approx(-2 * math.pi * 1.1e6)
     assert cfg.device.t1 == pytest.approx(1.4e-6)
@@ -57,49 +65,43 @@ def test_parse_good_document():
     assert target == pytest.approx(0.03)
 
 
-def test_parse_unit_variants():
-    cfg, target = load_text("device.t1 = 1400 ns\n"
-                            "experiment.threshold = 0.016 V\n"
-                            "calibration.noise_overlap_target = 3%\n")
+def test_parse_unit_variants(tmp_path):
+    cfg, target = load(tmp_path, "device.t1 = 1400 ns\n"
+                                 "experiment.threshold = 0.016 V\n"
+                                 "calibration.noise_overlap_target = 3%\n")
     assert cfg.device.t1 == pytest.approx(1.4e-6)
     assert cfg.pipeline.c_i.raw == 131
     assert target == pytest.approx(0.03)
 
 
-def test_errors_are_collected_exhaustively():
+def test_errors_are_collected_exhaustively(tmp_path):
     doc = ("device.bogus = 1 MHz\n"
            "no equals sign here\n"
            "device.t1 = 1.4 us\n"
-           "device.t1 = 2 us\n")
-    with pytest.raises(ConfigFileError) as err:
-        load_text(doc)
-    text = str(err.value)
-    assert "line 1: unknown key 'device.bogus'" in text
-    assert "line 2: expected" in text
-    assert "line 4: duplicate key 'device.t1'" in text
-    assert len(err.value.errors) == 3
+           "device.t1 = 2 us\n"
+           "experiment.repetitions = 4k\n")
+    with pytest.raises(ConfigError) as err:
+        load(tmp_path, doc)
+    path = tmp_path / "doc.cfg"
+    assert str(err.value).split("\n") == [
+        f"{path}:1: unknown key 'device.bogus'",
+        f"{path}:2: expected 'section.key = value'",
+        f"{path}:4: duplicate key 'device.t1'",
+        f"{path}:5: 'experiment.repetitions' expects an integer",
+    ]
 
 
-def test_unit_enforcement():
-    with pytest.raises(ConfigFileError, match="needs a unit"):
-        load_text("device.t1 = 1.4\n")
-    with pytest.raises(ConfigFileError, match="not one of"):
-        load_text("device.t1 = 1.4 MHz\n")
-    with pytest.raises(ConfigFileError, match="is not a number"):
-        load_text("device.t1 = fast us\n")
-    with pytest.raises(ConfigFileError, match="expects an integer"):
-        load_text("experiment.repetitions = 10 ns\n")
-    with pytest.raises(ConfigFileError, match="must be one of"):
-        load_text("experiment.scenario = superposition\n")
-
-
-@pytest.mark.parametrize("key", [k for k, f in SCHEMA.items() if f.kind == "int"])
-def test_integer_keys_are_decimal(key):
-    errors = []
-    assert _convert(key, 3, "010", errors) == 10
-    for text in ("0x10", "0o10", "0b10"):
-        assert _convert(key, 3, text, errors) is None
-    assert errors == [f"line 3: '{key}' expects an integer"] * 3
+def test_unit_enforcement(tmp_path):
+    with pytest.raises(ConfigError, match="needs a unit"):
+        load(tmp_path, "device.t1 = 1.4\n")
+    with pytest.raises(ConfigError, match="not one of"):
+        load(tmp_path, "device.t1 = 1.4 MHz\n")
+    with pytest.raises(ConfigError, match="is not a number"):
+        load(tmp_path, "device.t1 = fast us\n")
+    with pytest.raises(ConfigError, match="expects an integer"):
+        load(tmp_path, "experiment.repetitions = 10 ns\n")
+    with pytest.raises(ConfigError, match="must be one of"):
+        load(tmp_path, "experiment.scenario = superposition\n")
 
 
 def test_every_schema_arg_names_a_field_of_its_target():
@@ -117,23 +119,23 @@ def test_every_schema_arg_names_a_field_of_its_target():
     assert unset == {"device.temperature", "calibration.noise_overlap_target"}
 
 
-def test_cross_field_validation():
-    with pytest.raises(ConfigFileError, match="mutually exclusive"):
-        load_text("device.noise_sigma = 60 mV\n"
-                  "calibration.noise_overlap_target = 3 %\n")
-    with pytest.raises(ConfigFileError):
-        load_text("experiment.repetitions = 0\n")
-    with pytest.raises(ConfigFileError):
-        load_text("pipeline.delay = 30\n")  # integration past pulse end
+def test_cross_field_validation(tmp_path):
+    with pytest.raises(ConfigError, match="mutually exclusive"):
+        load(tmp_path, "device.noise_sigma = 60 mV\n"
+                       "calibration.noise_overlap_target = 3 %\n")
+    with pytest.raises(ConfigError):
+        load(tmp_path, "experiment.repetitions = 0\n")
+    with pytest.raises(ConfigError):
+        load(tmp_path, "pipeline.delay = 30\n")  # integration past pulse end
 
 
-def test_pipeline_overrides():
-    cfg, _ = load_text("pipeline.window_len = 8\npipeline.delay = 12\n")
+def test_pipeline_overrides(tmp_path):
+    cfg, _ = load(tmp_path, "pipeline.window_len = 8\npipeline.delay = 12\n")
     assert cfg.pipeline.window_len == 8
     assert cfg.pipeline.delay == 12
     assert cfg.tau_ro_ns == 120
     # keys the document leaves out keep ExperimentConfig's defaults
-    cfg, _ = load_text("pipeline.delay = 8\n")
+    cfg, _ = load(tmp_path, "pipeline.delay = 8\n")
     fresh = ExperimentConfig(device=cfg.device, scenario=PI_HALF_INIT, delay=8)
     assert (cfg, cfg.pipeline) == (fresh, fresh.pipeline)
 
@@ -141,8 +143,7 @@ def test_pipeline_overrides():
 def test_shipped_configs_load():
     for name, scenario in (("scenario_pi_half.cfg", PI_HALF_INIT),
                            ("scenario_thermal.cfg", THERMAL_INIT)):
-        with open(shipped(name), encoding="ascii") as fh:
-            cfg, target = load_text(fh.read())
+        cfg, target = load_file(shipped(name))
         assert cfg.scenario == scenario
         assert cfg.repetitions == 1 << 17
         assert cfg.master_seed == 20260825
@@ -150,8 +151,8 @@ def test_shipped_configs_load():
         assert target == pytest.approx(0.03)
 
 
-def test_resolve_noise_applies_calibration():
-    cfg, target = load_text(GOOD_DOC)
+def test_resolve_noise_applies_calibration(tmp_path):
+    cfg, target = load(tmp_path, GOOD_DOC)
     resolved = resolve_noise(cfg, target)
     assert 0.05 < resolved.device.noise_sigma < 0.075
     assert resolve_noise(cfg, None) is cfg
@@ -227,8 +228,10 @@ def test_bad_config_lists_every_error(tmp_path, capsys):
     rc = cli.main(["run-experiment", "--config", str(bad),
                    "--out-dir", str(tmp_path / "out")])
     assert rc == 1
-    err = capsys.readouterr().err
-    assert "unknown key 'device.nope'" in err
+    assert capsys.readouterr().err == (
+        f"error: {bad}:1: unknown key 'device.nope'\n"
+        f"error: {bad}:2: 'experiment.scenario' must be one of "
+        "pi_half_init/thermal_init\n")
 
 
 @pytest.mark.parametrize("key", ["device.f_s = 200 MHz", "device.f_if = 50 MHz",
@@ -283,7 +286,8 @@ def test_optimize_threshold_with_a_negative_scale_shift(tmp_path, capsys):
 @pytest.mark.parametrize("line,name", [
     ("experiment.threshold = 3 V", "threshold_volts"),
     ("experiment.threshold = -3 V", "threshold_volts"),
-    ("device.offset_q = 2 V", "offset_q"),
+    ("device.offset_q = 2 V", "device.amp_ss and device.offset_q"),
+    ("device.amp_ss = 5 V", "device.amp_ss and device.offset_q"),
 ])
 def test_offset_beyond_the_filter_range_is_usage_error(tmp_path, capsys, line,
                                                        name):
@@ -323,6 +327,31 @@ def test_non_finite_values_are_usage_errors(tmp_path, capsys, line, target,
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert name in err and "runtime error" not in err
+
+
+@pytest.mark.parametrize("lines,rc,err", [
+    # k T underflows to 0: no thermal population, not a division by zero
+    (["device.temperature = 1e-300 mK"], 0, ""),
+    # a negative frequency would overflow the Boltzmann factor
+    (["device.f_q = -6 GHz", "device.temperature = 1e-3 mK"], 1,
+     "device.temperature: f_q must be positive"),
+    # the jumps to sample grow as 1/t1: this one would never finish
+    (["device.t1 = 1e-300 us", "device.temperature = 114 mK"], 1,
+     "t1 must be at least one sample period, 10 ns"),
+    # the synthesizer's arithmetic would overflow
+    (["device.noise_sigma = 1.7e308 V"], 1,
+     "noise_sigma must be within +-1e300, got 1.7e+308"),
+    # its LSB count overflows, so the offset saturates
+    (["experiment.threshold = 1.7e308 V"], 1,
+     "threshold_volts (1.7e+308 V) lies outside the filtered-signal range"),
+])
+def test_extreme_device_values_run_or_are_usage_errors(tmp_path, capsys, lines,
+                                                       rc, err):
+    doc = tmp_path / "extreme.cfg"
+    doc.write_text("\n".join(lines) + "\n", encoding="ascii")
+    assert cli.main(["run-experiment", "--config", str(doc), "--repetitions",
+                     "64", "--jobs", "1", "--out-dir", str(tmp_path / "out")]) == rc
+    assert err in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["run-experiment", "optimize-threshold",
@@ -402,7 +431,7 @@ def _write_small_cfg(tmp_path, **extra):
     for key, value in extra.items():
         lines.append(f"{key} = {value}")
     path = tmp_path / "run.cfg"
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return str(path)
 
 
@@ -525,7 +554,7 @@ def test_seed_outside_64_bits_is_a_usage_error(tmp_path, capsys, monkeypatch, se
     path.write_text(good.replace("master_seed = 11", f"master_seed = {seed}"),
                     encoding="ascii")
     assert cli.main(args) == 1
-    assert capsys.readouterr().err == f"error: {problem}\n"
+    assert capsys.readouterr().err == f"error: {path}: {problem}\n"
     path.write_text(good, encoding="ascii")
     monkeypatch.setenv(cli.SEED_ENV, str(seed))
     assert cli.main(args) == 1
@@ -533,32 +562,90 @@ def test_seed_outside_64_bits_is_a_usage_error(tmp_path, capsys, monkeypatch, se
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("source", ["document", "environment"])
-def test_seed_integers_are_decimal(tmp_path, capsys, monkeypatch, source):
-    """A zero-padded seed reads as decimal and a prefixed one exits 1,
-    from the document and from the environment alike."""
-    path = tmp_path / "run.cfg"
-    good = Path(_write_small_cfg(tmp_path)).read_text(encoding="ascii")
-    out = tmp_path / "out"
+# every integer a user gives, where it is read: a document's integer key,
+# QFB_SEED, four options and the three columns of an ADC CSV
+INTEGER_SITES = ["document", "QFB_SEED", "--jobs", "--repetitions", "--ticks",
+                 "--delay-cycles", "t_ns", "raw", "tr"]
+_CSV_SITES = ("t_ns", "raw", "tr")
+# the line grammars of a document and of an ADC CSV trim the spaces around
+# a value and around a row, so " 7" reads as 7 there
+_TRIMMED = {("document", " 7"), ("t_ns", " 7")}
 
-    def run(seed):
-        if source == "document":
-            path.write_text(good.replace("master_seed = 11", f"master_seed = {seed}"),
-                            encoding="ascii")
-        else:
-            monkeypatch.setenv(cli.SEED_ENV, seed)
-        return cli.main(["run-experiment", "--config", str(path), "--repetitions",
-                         "64", "--feedback", "off", "--jobs", "1",
-                         "--out-dir", str(out)])
 
-    assert run("010") == 0
-    assert json.loads((out / "report.json").read_text())["master_seed"] == 10
-    capsys.readouterr()
-    assert run("0x10") == 1
-    assert capsys.readouterr().err == (
-        "error: line 7: 'experiment.master_seed' expects an integer\n"
-        if source == "document"
-        else f"error: {cli.SEED_ENV}='0x10' is not an integer\n")
+def _integer_site_argv(tmp_path, monkeypatch, site, text):
+    """A command line that reads `text` as the integer at `site`."""
+    cfg = _write_small_cfg(tmp_path, **({"pipeline.delay": text}
+                                        if site == "document" else {}))
+    if site == "QFB_SEED":
+        monkeypatch.setenv(cli.SEED_ENV, text)
+    if site in _CSV_SITES:
+        row = {"t_ns": "10", "raw": "0", "tr": "0", site: text}
+        adc = tmp_path / "adc.csv"
+        adc.write_text("t_ns,raw,tr\n" + ",".join(row.values()) + "\n20,0,0\n",
+                       encoding="utf-8")
+        return ["simulate-pipeline", "--config", cfg, "--input", str(adc)]
+    return {
+        "--jobs": ["readout-fidelity", "--config", cfg, "--jobs", text],
+        "--repetitions": ["run-experiment", "--config", cfg, "--out-dir",
+                          str(tmp_path / "out"), "--repetitions", text],
+        "--ticks": ["simulate-pipeline", "--config", cfg, "--ticks", text],
+        "--delay-cycles": ["latency-report", "--delay-cycles", text],
+    }.get(site, ["calibrate-noise", "--config", cfg])
+
+
+def _exit_code(argv):
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:  # a usage error the argument parser found
+        return exc.code
+
+
+@pytest.mark.parametrize("site,text", [
+    (site, text) for site in INTEGER_SITES
+    for text in ("1_0", "+7", " 7", "1 7", "0x10", "\u0663", "-")
+    if (site, text) not in _TRIMMED])
+def test_every_integer_input_rejects_other_spellings(tmp_path, capsys,
+                                                     monkeypatch, site, text):
+    """An integer is an optional '-' and ASCII decimal digits, wherever it
+    is read; any other spelling exits 1 before a run."""
+    argv = _integer_site_argv(tmp_path, monkeypatch, site, text)
+    assert _exit_code(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    if site == "document":
+        problem = "'pipeline.delay' expects an integer"
+    elif site == "QFB_SEED":
+        problem = f"{cli.SEED_ENV}={text}: {text!r} is not an integer"
+    elif site == "--jobs":
+        problem = f"expected a whole number of at least 1, got {text!r}"
+    elif site in _CSV_SITES:
+        problem = f"{text!r} is not an integer"
+    else:
+        problem = f"invalid integer value: {text!r}"
+    if site in ("document", *_CSV_SITES) and not text.isascii():
+        problem = f"non-ASCII character {text!r}"  # the file must be ASCII
+    assert problem in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("site", INTEGER_SITES)
+def test_every_integer_input_reads_leading_zeros_as_decimal(tmp_path,
+                                                            monkeypatch, site):
+    argv = _integer_site_argv(tmp_path, monkeypatch, site, "010")
+    if site in ("document", "QFB_SEED"):
+        cfg, _ = cli._load(argv[-1])
+        assert (cfg.delay if site == "document" else cfg.master_seed) == 10
+    elif site == "t_ns":
+        # the next row, at 20 ns, is one clock period after 10 ns
+        assert len(cli._parse_adc_csv(argv[-1])[0]) == 2
+    elif site == "raw":
+        assert cli._parse_adc_csv(argv[-1])[0][0].raw == 10
+    elif site == "tr":
+        with pytest.raises(ConfigError, match="trigger 10 must be a bit"):
+            cli._parse_adc_csv(argv[-1])
+    else:
+        args = cli._build_parser().parse_args(argv)
+        assert getattr(args, site[2:].replace("-", "_")) == 10
 
 
 def test_simulate_pipeline_feedback_only_for_excited(tmp_path, capsys):
@@ -653,22 +740,22 @@ def test_simulate_pipeline_empty_input_is_usage_error(tmp_path, capsys):
     rc = cli.main(["simulate-pipeline", "--config", cfg_path,
                    "--input", str(empty)])
     assert rc == 1
-    assert "no samples" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {empty}: no samples\n"
 
 
 @pytest.mark.parametrize("row,message", [
-    ("0,5.5,0", "invalid literal for int() with base 10: '5.5'"),
-    ("0,99999,0", "raw 99999 does not fit in 14 bits"),
-    ("0,-8193,0", "raw -8193 does not fit in 14 bits"),
-    ("0,5,2", "trigger 2 must be a bit"),
-    ("0,5,x", "invalid literal for int() with base 10: 'x'"),
-    ("0,5", "bad ADC CSV line '0,5'"),
+    ("10,5.5,0", "'5.5' is not an integer"),
+    ("10,99999,0", "raw 99999 does not fit in 14 bits"),
+    ("10,-8193,0", "raw -8193 does not fit in 14 bits"),
+    ("10,5,2", "trigger 2 must be a bit"),
+    ("10,5,x", "'x' is not an integer"),
+    ("10,5", "bad ADC CSV line '10,5'"),
 ])
 def test_simulate_pipeline_bad_input_row_names_its_file_and_line(
         tmp_path, capsys, row, message):
     cfg_path = _write_small_cfg(tmp_path)
     adc = tmp_path / "adc.csv"
-    adc.write_text(f"t_ns,raw,tr\n0,1,0\n\n{row}\n0,1,0\n")
+    adc.write_text(f"t_ns,raw,tr\n0,1,0\n\n{row}\n20,1,0\n")
     assert cli.main(["simulate-pipeline", "--config", cfg_path,
                      "--input", str(adc)]) == 1
     out, err = capsys.readouterr()
@@ -677,17 +764,21 @@ def test_simulate_pipeline_bad_input_row_names_its_file_and_line(
 
 
 @pytest.mark.parametrize("row,message", [
-    ("xyz,1,0", "invalid literal for int() with base 10: 'xyz'"),
+    ("xyz,1,0", "'xyz' is not an integer"),
     ("15,1,0", "t_ns 15 is not a multiple of the 10 ns clock period"),
-    ("1.5e2,1,0", "invalid literal for int() with base 10: '1.5e2'"),
-    ("40,\u00e9,0", "non-ASCII character '\u00e9'; the file must be ASCII"),
-    ("40,1,0 # \u00b5s", "non-ASCII character '\u00b5'; the file must be ASCII"),
+    ("1.5e2,1,0", "'1.5e2' is not an integer"),
+    ("10,\u00e9,0", "non-ASCII character '\u00e9'; the file must be ASCII"),
+    ("10,1,0 # \u00b5s", "non-ASCII character '\u00b5'; the file must be ASCII"),
+    # each row is the clock cycle after the one before it
+    ("20,1,0", "t_ns 20 is not the next clock cycle; expected 10"),
+    ("0,1,0", "t_ns 0 is not the next clock cycle; expected 10"),
+    ("-20,1,0", "t_ns -20 is not the next clock cycle; expected 10"),
 ])
 def test_simulate_pipeline_bad_input_bytes_and_times_name_their_line(
         tmp_path, capsys, row, message):
     cfg_path = _write_small_cfg(tmp_path)
     adc = tmp_path / "adc.csv"
-    adc.write_bytes(f"t_ns,raw,tr\n0,1,0\n-10,2,0\n{row}\n50,1,0\n".encode())
+    adc.write_bytes(f"t_ns,raw,tr\n-10,1,0\n0,2,0\n{row}\n20,1,0\n".encode())
     assert cli.main(["simulate-pipeline", "--config", cfg_path,
                      "--input", str(adc)]) == 1
     out, err = capsys.readouterr()
@@ -725,6 +816,48 @@ def test_non_ascii_config_bytes_name_their_path_and_line(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["run-experiment", "calibrate-noise",
+                                     "simulate-pipeline"])
+@pytest.mark.parametrize("lines,errors", [
+    # faults of one line each
+    (["device.t1 = 1.4", "device.kappa = 6.3 us", "device.chi = fast MHz",
+      "pipeline.delay = +10", "no equals sign", "device.nope = 1 V",
+      "device.t1 = 2 us", "experiment.threshold =",
+      "experiment.scenario = reset", "device.amp_ss = 600 \u00b5V"],
+     ["1: 'device.t1' needs a unit (s/ms/us/ns)",
+      "2: 'device.kappa' unit 'us' is not one of GHz/MHz/Hz",
+      "3: 'device.chi' value 'fast' is not a number",
+      "4: 'pipeline.delay' expects an integer",
+      "5: expected 'section.key = value'",
+      "6: unknown key 'device.nope'",
+      "7: duplicate key 'device.t1'",
+      "8: 'experiment.threshold' has no value",
+      "9: 'experiment.scenario' must be one of pi_half_init/thermal_init",
+      "10: non-ASCII character '\u00b5'; the file must be ASCII; "
+      "'device.amp_ss' takes the units V/mV"]),
+    # faults of the document as a whole
+    (["device.noise_sigma = 60 mV", "calibration.noise_overlap_target = -3 %",
+      "device.temperature = -1 mK", "experiment.repetitions = 0"],
+     [" device.noise_sigma and calibration.noise_overlap_target are "
+      "mutually exclusive",
+      " target overlap must be positive and finite, got -0.03",
+      " device.temperature: t_env must be positive and finite",
+      " repetitions must be at least 1"]),
+    (["device.t1 = -1 us"], [" t1 must be at least one sample period, 10 ns"]),
+])
+def test_every_document_error_names_the_document(tmp_path, capsys, command,
+                                                  lines, errors):
+    """A fault of one line reads '<path>:<line>: ...', one of the whole
+    document '<path>: ...', from every command that reads a document."""
+    doc = tmp_path / "bad.cfg"
+    doc.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out_dir = ["--out-dir", str(tmp_path / "out")] if command == "run-experiment" else []
+    assert cli.main([command, "--config", str(doc), *out_dir]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "".join(f"error: {doc}:{e}\n" for e in errors)
+
+
 def test_run_experiment_oracle_flip_is_half_the_calibrated_overlap(tmp_path,
                                                                     capsys):
     """The oracle's readout flip is half the overlap of the configuration
@@ -733,7 +866,7 @@ def test_run_experiment_oracle_flip_is_half_the_calibrated_overlap(tmp_path,
     assert cli.main(["run-experiment", "--config", cfg_path, "--repetitions",
                      "256", "--jobs", "1", "--out-dir", str(tmp_path / "out")]) == 0
     capsys.readouterr()
-    calibrated = resolve_noise(*load_text((tmp_path / "run.cfg").read_text()))
+    calibrated = resolve_noise(*load_file(cfg_path))
     report = json.loads((tmp_path / "out" / "report_feedback_on.json").read_text())
     assert report["oracle"]["readout_flip"] == ex.overlap_probability(calibrated) / 2
 
