@@ -21,7 +21,7 @@ from .experiment import (
     readout_fidelity,
     run_feedback_comparison,
 )
-from .fxp import ADC_LSB_VOLTS, ADC_WIDTH, ConfigError, FxpSample, quantize
+from .fxp import ADC_LSB_VOLTS, ADC_WIDTH, ConfigError, quantize
 from .histo import HistogramRam
 from .latency import BUDGET, tau_eltot, total_feedback_latency
 from .pipeline import PipelineConfig, run_stream, run_stream_batch
@@ -45,7 +45,6 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentReport",
     "FeedbackComparison",
-    "FxpSample",
     "HistogramRam",
     "PipelineConfig",
     "PulseSchedule",

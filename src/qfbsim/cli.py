@@ -27,7 +27,7 @@ from .experiment import (
     readout_fidelity,
     run_feedback_comparison,
 )
-from .fxp import ADC_WIDTH, ConfigError, FxpSample
+from .fxp import ADC_WIDTH, ConfigError, check_fits
 from .latency import (
     BUDGET,
     budget_report,
@@ -194,12 +194,12 @@ def cmd_run_experiment(args) -> int:
     return 0
 
 
-def _parse_adc_csv(path: str) -> tuple[list[FxpSample], list[int]]:
-    """Samples and trigger bits of an ADC CSV (t_ns,raw,tr), ASCII, one
+def _parse_adc_csv(path: str) -> tuple[list[int], list[int]]:
+    """ADC codes and trigger bits of an ADC CSV (t_ns,raw,tr), ASCII, one
     row per clock cycle: the first t_ns lies on the pipeline clock's
-    grid and each next one is a clock period later.  A bad row fails
-    with its path and line number."""
-    samples, triggers = [], []
+    grid and each next one is a clock period later.  A field holds no
+    spaces.  A bad row fails with its path and line number."""
+    codes, triggers = [], []
     t_next = None
     with open(path, "rb") as fh:
         for number, raw_line in enumerate(fh, start=1):
@@ -207,7 +207,7 @@ def _parse_adc_csv(path: str) -> tuple[list[FxpSample], list[int]]:
             message = run_config.non_ascii_message(raw_line)
             if message is not None:
                 raise ConfigError(f"{where}: {message}")
-            line = raw_line.decode("ascii").strip()
+            line = raw_line.decode("ascii").removesuffix("\n").removesuffix("\r")
             if not line or line.startswith("t_ns"):
                 continue
             fields = line.split(",")
@@ -215,7 +215,7 @@ def _parse_adc_csv(path: str) -> tuple[list[FxpSample], list[int]]:
                 raise ConfigError(f"{where}: bad ADC CSV line {line!r}")
             try:
                 t_ns, raw, tr = map(run_config.integer, fields)
-                sample = FxpSample(raw, ADC_WIDTH)
+                check_fits(raw, ADC_WIDTH)
             except ValueError as exc:
                 raise ConfigError(f"{where}: {exc}") from None
             if t_ns % CLOCK_PERIOD_NS:
@@ -227,17 +227,17 @@ def _parse_adc_csv(path: str) -> tuple[list[FxpSample], list[int]]:
             t_next = t_ns + CLOCK_PERIOD_NS
             if tr not in (0, 1):
                 raise ConfigError(f"{where}: trigger {tr} must be a bit")
-            samples.append(sample)
+            codes.append(raw)
             triggers.append(tr)
-    if not samples:
+    if not codes:
         raise ConfigError(f"{path}: no samples")
-    return samples, triggers
+    return codes, triggers
 
 
 def cmd_simulate_pipeline(args) -> int:
     cfg, _ = _load(args.config)
     if args.input:
-        samples, triggers = _parse_adc_csv(args.input)
+        raw, triggers = _parse_adc_csv(args.input)
     else:
         # noiseless single readout with the state held; the ADC data lane
         # runs SYNC_DEPTH cycles behind the trigger lane, as in hardware
@@ -248,13 +248,12 @@ def cmd_simulate_pipeline(args) -> int:
         schedule, trajectory = held_state_readout(
             STATE_E if args.state == "e" else STATE_G, n_source)
         stream = synthesize_adc_stream(device, schedule, trajectory)
-        samples = [FxpSample(r, ADC_WIDTH) for r in stream.raw.tolist()]
-        triggers = stream.triggers.tolist()
+        raw, triggers = stream.raw, stream.triggers
         if stream.saturated_count:
             print(f"warning: ADC clipped {stream.saturated_count} of "
                   f"{n_source} synthesized samples", file=sys.stderr)
     state = PipelineState(cfg.pipeline)
-    text = dump_trace(run_stream(cfg.pipeline, samples, triggers, state))
+    text = dump_trace(run_stream(cfg.pipeline, raw, triggers, state))
     if args.out:
         _write_text(Path(args.out), text)
     else:

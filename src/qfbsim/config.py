@@ -60,6 +60,13 @@ SCHEMA = {
 }
 
 
+# the key behind each field a whole-document error can open with; kappa
+# and chi hold 2 pi times the value written, and the temperature sets p_therm
+_FIELD_KEYS = {field.arg: key if field.scale == 1.0 else f"2 pi * {key}"
+               for key, field in SCHEMA.items() if field.arg is not None}
+_FIELD_KEYS["p_therm"] = "the thermal population set by device.temperature"
+
+
 def _split_tokens(value: str) -> list[str]:
     # "3%" and "3 %" are both accepted; other units need no such glue
     if value.endswith("%") and len(value) > 1 and not value[:-1].endswith(" "):
@@ -137,7 +144,9 @@ def _build(values: dict, path) -> tuple[ExperimentConfig, float | None]:
     try:
         cfg = ExperimentConfig(device=DeviceParams(**dev_kwargs), **exp_kwargs)
     except ValueError as exc:
-        errors.append(str(exc))
+        # named by the key the user wrote, not by the field it set
+        name, _, rest = str(exc).partition(" ")
+        errors.append(f"{_FIELD_KEYS[name]} {rest}" if name in _FIELD_KEYS else str(exc))
     if errors:
         raise ConfigError("\n".join(f"{path}: {e}" for e in errors))
     return cfg, target

@@ -72,7 +72,6 @@ from .fxp import (
     SHIFT_MAX,
     SHIFT_MIN,
     ConfigError,
-    FxpSample,
     quantize_flagged,
 )
 from .histo import HistogramRam, check_segment_count, correlation_addresses
@@ -119,16 +118,16 @@ class CalibrationError(RuntimeError):
     """A calibration target cannot be reached with this configuration."""
 
 
-def _filter_offset(volts: float, name: str) -> FxpSample:
+def _filter_offset(volts: float, name: str) -> int:
     """An offset quantized onto the filtered-signal grid, which it must fit."""
     if not math.isfinite(volts):
         raise ConfigError(f"{name} ({volts:g} V) must be finite")
-    sample, clipped = quantize_flagged(volts, FILTER_WIDTH)
+    code, clipped = quantize_flagged(volts, FILTER_WIDTH)
     if clipped:
         full_scale = 2 ** (FILTER_WIDTH - 1) * ADC_LSB_VOLTS
         raise ConfigError(f"{name} ({volts:g} V) lies outside the filtered-signal "
                           f"range of +-{full_scale:g} V")
-    return sample
+    return code
 
 
 @dataclass(frozen=True)
@@ -726,7 +725,7 @@ def overlap_probability(cfg: ExperimentConfig) -> float:
 def _overlap(cfg: ExperimentConfig, sigma: float, mu_g: float,
              mu_e: float) -> float:
     """overlap_probability for a positive sigma and precomputed means."""
-    c = cfg.pipeline.c_i.raw * ADC_LSB_VOLTS
+    c = cfg.pipeline.c_i * ADC_LSB_VOLTS
     sigma_f = sigma / math.sqrt(2 * cfg.pipeline.window_len)
     return 0.5 * (_gauss_tail((c - mu_g) / sigma_f)
                   + _gauss_tail((mu_e - c) / sigma_f))
@@ -749,7 +748,7 @@ def calibrate_noise(target_overlap: float, cfg: ExperimentConfig) -> float:
     if target_overlap >= 0.5:
         raise CalibrationError("overlap targets of 50% or more are unattainable")
     mu_g, mu_e = noiseless_filtered_means(cfg)
-    c = cfg.pipeline.c_i.raw * ADC_LSB_VOLTS
+    c = cfg.pipeline.c_i * ADC_LSB_VOLTS
     if not mu_g < c < mu_e:
         raise CalibrationError(
             "threshold lies outside the g/e separation; overlap cannot be tuned")
@@ -832,8 +831,9 @@ class ExperimentReport:
     oracle: dict
     latency: dict
     config_echo: dict
-    # ADC samples clipped by the quantizer, counted over the 2 l samples
-    # of the two integration windows: the only samples a result reads
+    # ADC samples clipped by the quantizer, counted over the 2 l samples of
+    # the two integration windows; window 1's quadrature-phase samples feed
+    # only qt1, which no result reads
     adc_saturated: int
 
     def to_json(self) -> str:
@@ -861,8 +861,8 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
         "pipeline": {
             "window_len": pipe.window_len,
             "delay": pipe.delay,
-            "c_i_raw": pipe.c_i.raw,
-            "c_q_raw": pipe.c_q.raw,
+            "c_i_raw": pipe.c_i,
+            "c_q_raw": pipe.c_q,
             "s_i": pipe.s_i,
             "s_q": pipe.s_q,
             "lut1": list(pipe.lut1),
@@ -870,7 +870,7 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
             "sync_depth": SYNC_DEPTH,
         },
         "threshold_volts": cfg.threshold_volts,
-        "threshold_raw": pipe.c_i.raw,
+        "threshold_raw": pipe.c_i,
     }
 
 
@@ -1019,4 +1019,4 @@ def optimize_threshold(cfg: ExperimentConfig, *, jobs: int = 1) -> float:
     t_scaled = 0.5 * (candidates[best[0]] + candidates[best[-1]])
     pipe = cfg.pipeline
     # ldexp scales exactly, and by a negative shift too
-    return (pipe.c_i.raw + math.ldexp(t_scaled, -pipe.s_i)) * ADC_LSB_VOLTS
+    return (pipe.c_i + math.ldexp(t_scaled, -pipe.s_i)) * ADC_LSB_VOLTS

@@ -1,8 +1,8 @@
 """Signed fixed-point arithmetic with explicit widths, saturation and rounding.
 
-Every digital signal in the pipeline is carried as a two's-complement
-integer of a declared bit width; quantize maps volts onto it in steps
-of one ADC LSB (ADC_LSB_VOLTS).
+Every digital signal in the pipeline is a plain int (or int array) of the
+two's-complement width of the signal it sits on; quantize maps volts onto
+it in steps of one ADC LSB (ADC_LSB_VOLTS).
 All width boundaries saturate (never wrap); saturation events are
 reported to the caller so that stream-level overflow flags can latch.
 """
@@ -10,7 +10,6 @@ reported to the caller so that stream-level overflow flags can latch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 MIN_WIDTH = 4
 MAX_WIDTH = 32
@@ -53,33 +52,26 @@ def round_half_away(x: float) -> int:
     return math.ceil(x - 0.5)
 
 
-@dataclass(frozen=True)
-class FxpSample:
-    """A signed fixed-point value: raw two's-complement integer in ADC LSBs."""
-
-    raw: int
-    width: int
-
-    def __post_init__(self) -> None:
-        lo, hi = raw_bounds(self.width)
-        if not lo <= self.raw <= hi:
-            raise ValueError(f"raw {self.raw} does not fit in {self.width} bits")
+def check_fits(raw: int, width: int) -> None:
+    """Reject a value that does not fit the `width`-bit register it enters."""
+    lo, hi = raw_bounds(width)
+    if not lo <= raw <= hi:
+        raise ValueError(f"raw {raw} does not fit in {width} bits")
 
 
-def quantize(volts: float, width: int) -> FxpSample:
+def quantize(volts: float, width: int) -> int:
     """Quantize a voltage: round half away from zero, then saturate."""
-    sample, _ = quantize_flagged(volts, width)
-    return sample
+    code, _ = quantize_flagged(volts, width)
+    return code
 
 
-def quantize_flagged(volts: float, width: int) -> tuple[FxpSample, bool]:
+def quantize_flagged(volts: float, width: int) -> tuple[int, bool]:
     """Like quantize() but also reports whether the value saturated."""
     if not math.isfinite(volts):
         raise ValueError(f"cannot quantize non-finite voltage {volts!r}")
     # clamped past every width's range, so an LSB count of inf saturates too
     lsbs = min(max(volts / ADC_LSB_VOLTS, -2.0 ** MAX_WIDTH), 2.0 ** MAX_WIDTH)
-    raw, clipped = saturate(round_half_away(lsbs), width)
-    return FxpSample(raw, width), clipped
+    return saturate(round_half_away(lsbs), width)
 
 
 def shift_raw(raw: int, s: int, width: int) -> tuple[int, bool]:

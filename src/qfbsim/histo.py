@@ -64,13 +64,6 @@ def pack_correlation_address(i2, q, i1, seg):
     return ((i2 << _BITS["q"] | q) << _BITS["i1"] | i1) << _BITS["seg"] | seg
 
 
-def unpack_correlation_address(addr):
-    """(i2, q, i1, seg) of an address or an array of addresses."""
-    _check_field("address", addr, ADDRESS_BITS)
-    shifts = [sum(b for _, b in CORR_FIELDS[k + 1:]) for k in range(len(CORR_FIELDS))]
-    return tuple((addr >> s) & ((1 << b) - 1) for s, (_, b) in zip(shifts, CORR_FIELDS))
-
-
 def correlation_addresses(it1: np.ndarray, it2: np.ndarray, qt2: np.ndarray,
                           seg) -> np.ndarray:
     """Addresses of repetitions with preprocessed readouts (it1, it2, qt2).

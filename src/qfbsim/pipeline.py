@@ -39,7 +39,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import fxp
-from .fxp import ADC_WIDTH, ConfigError, FxpSample
+from .fxp import ADC_WIDTH, ConfigError
 
 # Datapath widths.  A full-scale 14-bit sample negated by the mixer needs
 # 15 bits (-(-8192) = +8192); the accumulator holds up to 40 mixer
@@ -75,7 +75,8 @@ class PipelineConfig:
         normalizer requires a power of two).
     delay: trigger-to-evaluation delay d in clock cycles; d clock
         periods are the readout time covered by the integration window.
-    c_i, c_q: offsets subtracted from the filtered I/Q before scaling.
+    c_i, c_q: integer offsets on the FILTER_WIDTH (15-bit) filtered-signal
+        grid, subtracted from the filtered I/Q before scaling.
     s_i, s_q: power-of-two scale exponents (-7..+7).
     lut1, lut2: 4-entry truth tables indexed by (x << 1) | y where x, y
         are the sign bits of the preprocessed I/Q.
@@ -83,8 +84,8 @@ class PipelineConfig:
 
     window_len: int = 4
     delay: int = 10
-    c_i: FxpSample = FxpSample(0, FILTER_WIDTH)
-    c_q: FxpSample = FxpSample(0, FILTER_WIDTH)
+    c_i: int = 0
+    c_q: int = 0
     s_i: int = 0
     s_q: int = 0
     lut1: tuple[int, int, int, int] = (1, 1, 0, 0)  # 1 iff x = 0
@@ -101,6 +102,13 @@ class PipelineConfig:
             )
         if not 0 <= self.delay <= MAX_DELAY:
             raise ConfigError(f"delay {self.delay} outside 0..{MAX_DELAY}")
+        for name, c in (("c_i", self.c_i), ("c_q", self.c_q)):
+            if isinstance(c, bool) or not isinstance(c, int):
+                raise ConfigError(f"{name} must be an integer, got {c!r}")
+            try:
+                fxp.check_fits(c, FILTER_WIDTH)
+            except ValueError as exc:
+                raise ConfigError(f"{name}: {exc}") from None
         for name, s in (("s_i", self.s_i), ("s_q", self.s_q)):
             if not fxp.SHIFT_MIN <= s <= fxp.SHIFT_MAX:
                 raise ConfigError(f"{name}={s} outside {fxp.SHIFT_MIN}..{fxp.SHIFT_MAX}")
@@ -222,17 +230,16 @@ def sign_bit(raw: int) -> int:
     return 1 if raw < 0 else 0
 
 
-def tick(config: PipelineConfig, state: PipelineState, adc_sample: FxpSample,
-         tr: int, cycle: int = 0) -> TickOutput:
-    """Advance the machine one clock cycle; returns the observable signals."""
-    if adc_sample.width != ADC_WIDTH:
-        raise ValueError(f"ADC samples must be {ADC_WIDTH}-bit")
+def tick(config: PipelineConfig, state: PipelineState, raw: int, tr: int,
+         cycle: int = 0) -> TickOutput:
+    """Advance the machine one clock on ADC code raw; returns the observable signals."""
+    fxp.check_fits(raw, ADC_WIDTH)
     if tr not in (0, 1):
         raise ValueError("trigger must be a bit")
 
     # Combinational logic fed by the current register state.
-    i_t, clip_i = preprocess_raw(state.i_reg, config.c_i.raw, config.s_i)
-    q_t, clip_q = preprocess_raw(state.q_reg, config.c_q.raw, config.s_q)
+    i_t, clip_i = preprocess_raw(state.i_reg, config.c_i, config.s_i)
+    q_t, clip_q = preprocess_raw(state.q_reg, config.c_q, config.s_q)
     state.overflow["i_t"] |= clip_i
     state.overflow["q_t"] |= clip_q
     x = sign_bit(i_t)
@@ -244,7 +251,7 @@ def tick(config: PipelineConfig, state: PipelineState, adc_sample: FxpSample,
 
     out = TickOutput(
         cycle=cycle,
-        adc_raw=adc_sample.raw,
+        adc_raw=raw,
         tr=tr,
         re_sm=state.mix_re,
         im_sm=state.mix_im,
@@ -271,7 +278,7 @@ def tick(config: PipelineConfig, state: PipelineState, adc_sample: FxpSample,
     state.mix_re, state.mix_im = mixer_fs4(state.adc_raw, state.adc_phase)
 
     # ADC register captures the new sample, stamped with the running phase.
-    state.adc_raw = adc_sample.raw
+    state.adc_raw = raw
     state.adc_phase = state.phase
     state.phase = (state.phase + 1) & 3
 
@@ -286,18 +293,18 @@ def tick(config: PipelineConfig, state: PipelineState, adc_sample: FxpSample,
     return out
 
 
-def run_stream(config: PipelineConfig, samples: list[FxpSample],
-               triggers: list[int],
+def run_stream(config: PipelineConfig, raw, triggers,
                state: PipelineState | None = None) -> list[TickOutput]:
-    """Fold tick() over a sample/trigger stream from reset or from state;
-    the returned cycles count from 0."""
-    if len(samples) != len(triggers):
-        raise ValueError("samples and triggers must have equal length")
+    """Fold tick() over one row of what run_stream_batch takes, from reset
+    or from state; the returned cycles count from 0."""
+    raw, triggers = np.asarray(raw), np.asarray(triggers)
+    if raw.ndim != 1 or raw.shape != triggers.shape:
+        raise ValueError("raw and triggers must be 1-D and of equal length")
     if state is None:
         state = PipelineState(config)
     return [
         tick(config, state, s, t, cycle=n)
-        for n, (s, t) in enumerate(zip(samples, triggers))
+        for n, (s, t) in enumerate(zip(raw.tolist(), triggers.tolist()))
     ]
 
 
@@ -435,8 +442,8 @@ def scaled_iq_at(config: PipelineConfig, window: np.ndarray,
     if first < 0:
         raise ValueError("the window must start at or after stream sample 0")
     i, q = _filter_registers(config, window, first)
-    return (preprocess_array(i, config.c_i.raw, config.s_i),
-            preprocess_array(q, config.c_q.raw, config.s_q))
+    return (preprocess_array(i, config.c_i, config.s_i),
+            preprocess_array(q, config.c_q, config.s_q))
 
 
 def run_stream_batch(config: PipelineConfig, raw: np.ndarray,
@@ -466,8 +473,8 @@ def run_stream_batch(config: PipelineConfig, raw: np.ndarray,
     for r in range(4):
         i_arr[:, r::4], q_arr[:, r::4] = _filter_registers(
             config, windows[:, r::4], start + r)
-    i_t = preprocess_array(i_arr, config.c_i.raw, config.s_i)
-    q_t = preprocess_array(q_arr, config.c_q.raw, config.s_q)
+    i_t = preprocess_array(i_arr, config.c_i, config.s_i)
+    q_t = preprocess_array(q_arr, config.c_q, config.s_q)
     fbt_comb, fbt_reg = _trigger_path(config, triggers)
     fb_comb = lut_bits(config.lut1, i_t, q_t) & fbt_comb
     fb2_comb = lut_bits(config.lut2, i_t, q_t) & fbt_comb

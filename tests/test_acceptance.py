@@ -20,13 +20,13 @@ from qfbsim.experiment import (
     readout_fidelity,
     run_feedback_comparison,
 )
-from qfbsim.fxp import ADC_LSB_VOLTS, FxpSample, quantize
+from qfbsim.fxp import ADC_LSB_VOLTS, quantize
 from qfbsim.histo import (
+    CORR_FIELDS,
     RAM_WORDS,
     WORD_MAX,
     HistogramRam,
     pack_correlation_address,
-    unpack_correlation_address,
 )
 from qfbsim.latency import BUDGET, tau_eltot, total_feedback_latency, trigger_to_fb_delay
 from qfbsim.pipeline import (
@@ -138,8 +138,8 @@ def test_criterion_04_latency_reproduction():
     # measured digital latency: impulse on the ADC lane to the first
     # filter response
     pipe = ExperimentConfig(device=DeviceParams(), scenario=PI_HALF_INIT).pipeline
-    samples = [FxpSample(0, 14)] * 30
-    samples[10] = FxpSample(4000, 14)
+    samples = [0] * 30
+    samples[10] = 4000
     trace = run_stream(pipe, samples, [0] * 30)
     first = next(t.cycle for t in trace if t.i != 0)
     cycles = first - 10
@@ -238,7 +238,8 @@ def test_criterion_10_histogram_integrity():
     i1 = rng.integers(0, 128, size=100_000)
     seg = rng.integers(0, 4, size=100_000)
     addresses = pack_correlation_address(i2, q, i1, seg)
-    for got, want in zip(unpack_correlation_address(addresses), (i2, q, i1, seg)):
+    fields = np.unravel_index(addresses, [1 << bits for _, bits in CORR_FIELDS])
+    for got, want in zip(fields, (i2, q, i1, seg)):
         assert np.array_equal(got, want)
 
     ram2 = HistogramRam(segment_count=4)

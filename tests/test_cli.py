@@ -70,7 +70,7 @@ def test_parse_unit_variants(tmp_path):
                                  "experiment.threshold = 0.016 V\n"
                                  "calibration.noise_overlap_target = 3%\n")
     assert cfg.device.t1 == pytest.approx(1.4e-6)
-    assert cfg.pipeline.c_i.raw == 131
+    assert cfg.pipeline.c_i == 131
     assert target == pytest.approx(0.03)
 
 
@@ -147,7 +147,7 @@ def test_shipped_configs_load():
         assert cfg.scenario == scenario
         assert cfg.repetitions == 1 << 17
         assert cfg.master_seed == 20260825
-        assert cfg.pipeline.c_i.raw == 131
+        assert cfg.pipeline.c_i == 131
         assert target == pytest.approx(0.03)
 
 
@@ -284,8 +284,8 @@ def test_optimize_threshold_with_a_negative_scale_shift(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line,name", [
-    ("experiment.threshold = 3 V", "threshold_volts"),
-    ("experiment.threshold = -3 V", "threshold_volts"),
+    ("experiment.threshold = 3 V", "experiment.threshold"),
+    ("experiment.threshold = -3 V", "experiment.threshold"),
     ("device.offset_q = 2 V", "device.amp_ss and device.offset_q"),
     ("device.amp_ss = 5 V", "device.amp_ss and device.offset_q"),
 ])
@@ -310,8 +310,8 @@ def test_offset_beyond_the_filter_range_is_usage_error(tmp_path, capsys, line,
     ("calibration.noise_overlap_target = nan %", None, "target overlap"),
     ("device.noise_sigma = 0 mV", "nan", "target overlap"),
     ("device.noise_sigma = 0 mV", "inf", "target overlap"),
-    ("experiment.threshold = nan mV", None, "threshold_volts"),
-    ("experiment.threshold = inf mV", None, "threshold_volts"),
+    ("experiment.threshold = nan mV", None, "experiment.threshold"),
+    ("experiment.threshold = inf mV", None, "experiment.threshold"),
     ("device.temperature = inf mK", None, "device.temperature"),
     ("device.temperature = nan mK", None, "device.temperature"),
 ])
@@ -343,7 +343,7 @@ def test_non_finite_values_are_usage_errors(tmp_path, capsys, line, target,
      "noise_sigma must be within +-1e300, got 1.7e+308"),
     # its LSB count overflows, so the offset saturates
     (["experiment.threshold = 1.7e308 V"], 1,
-     "threshold_volts (1.7e+308 V) lies outside the filtered-signal range"),
+     "experiment.threshold (1.7e+308 V) lies outside the filtered-signal range"),
 ])
 def test_extreme_device_values_run_or_are_usage_errors(tmp_path, capsys, lines,
                                                        rc, err):
@@ -554,7 +554,7 @@ def test_seed_outside_64_bits_is_a_usage_error(tmp_path, capsys, monkeypatch, se
     path.write_text(good.replace("master_seed = 11", f"master_seed = {seed}"),
                     encoding="ascii")
     assert cli.main(args) == 1
-    assert capsys.readouterr().err == f"error: {path}: {problem}\n"
+    assert capsys.readouterr().err == f"error: {path}: experiment.{problem}\n"
     path.write_text(good, encoding="ascii")
     monkeypatch.setenv(cli.SEED_ENV, str(seed))
     assert cli.main(args) == 1
@@ -567,9 +567,9 @@ def test_seed_outside_64_bits_is_a_usage_error(tmp_path, capsys, monkeypatch, se
 INTEGER_SITES = ["document", "QFB_SEED", "--jobs", "--repetitions", "--ticks",
                  "--delay-cycles", "t_ns", "raw", "tr"]
 _CSV_SITES = ("t_ns", "raw", "tr")
-# the line grammars of a document and of an ADC CSV trim the spaces around
-# a value and around a row, so " 7" reads as 7 there
-_TRIMMED = {("document", " 7"), ("t_ns", " 7")}
+# a document's line grammar trims the spaces around a value, so " 7" reads
+# as 7 there; an ADC CSV field holds no spaces
+_TRIMMED = {("document", " 7")}
 
 
 def _integer_site_argv(tmp_path, monkeypatch, site, text):
@@ -639,7 +639,7 @@ def test_every_integer_input_reads_leading_zeros_as_decimal(tmp_path,
         # the next row, at 20 ns, is one clock period after 10 ns
         assert len(cli._parse_adc_csv(argv[-1])[0]) == 2
     elif site == "raw":
-        assert cli._parse_adc_csv(argv[-1])[0][0].raw == 10
+        assert cli._parse_adc_csv(argv[-1])[0][0] == 10
     elif site == "tr":
         with pytest.raises(ConfigError, match="trigger 10 must be a bit"):
             cli._parse_adc_csv(argv[-1])
@@ -685,12 +685,15 @@ def test_simulate_pipeline_csv_roundtrip(tmp_path, capsys):
     ref = trace_path.read_text()
     rows = list(csv.DictReader(io.StringIO(ref)))
     adc = tmp_path / "adc.csv"
-    adc.write_text("t_ns,raw,tr\n" + "\n".join(
-        f"{int(r['cycle']) * 10},{r['adc_raw']},{r['tr']}" for r in rows) + "\n")
-    rc = cli.main(["simulate-pipeline", "--config", cfg_path,
-                   "--input", str(adc), "--out", str(tmp_path / "re.csv")])
-    assert rc == 0
-    assert (tmp_path / "re.csv").read_text() == ref
+    # an LF or a CRLF line ending is not part of the row
+    for end in ("\n", "\r\n"):
+        adc.write_bytes(("t_ns,raw,tr" + end + end.join(
+            f"{int(r['cycle']) * 10},{r['adc_raw']},{r['tr']}" for r in rows)
+            + end).encode("ascii"))
+        rc = cli.main(["simulate-pipeline", "--config", cfg_path,
+                       "--input", str(adc), "--out", str(tmp_path / "re.csv")])
+        assert rc == 0
+        assert (tmp_path / "re.csv").read_text() == ref
     capsys.readouterr()
 
 
@@ -750,6 +753,13 @@ def test_simulate_pipeline_empty_input_is_usage_error(tmp_path, capsys):
     ("10,5,2", "trigger 2 must be a bit"),
     ("10,5,x", "'x' is not an integer"),
     ("10,5", "bad ADC CSV line '10,5'"),
+    # a field holds no spaces, at the row's ends or after a comma
+    (" 10,5,0", "' 10' is not an integer"),
+    ("10, 5,0", "' 5' is not an integer"),
+    ("10,5 ,0", "'5 ' is not an integer"),
+    ("10,5,0 ", "'0 ' is not an integer"),
+    ("10,5,0\t", "'0\\t' is not an integer"),
+    ("  ", "bad ADC CSV line '  '"),
 ])
 def test_simulate_pipeline_bad_input_row_names_its_file_and_line(
         tmp_path, capsys, row, message):
@@ -842,8 +852,16 @@ def test_non_ascii_config_bytes_name_their_path_and_line(tmp_path, capsys,
       "mutually exclusive",
       " target overlap must be positive and finite, got -0.03",
       " device.temperature: t_env must be positive and finite",
-      " repetitions must be at least 1"]),
-    (["device.t1 = -1 us"], [" t1 must be at least one sample period, 10 ns"]),
+      " experiment.repetitions must be at least 1"]),
+    (["device.t1 = -1 us"], [" device.t1 must be at least one sample period, 10 ns"]),
+    # a field's error names the key that set it, and its value as the
+    # field holds it
+    (["device.temperature = 1e300 K"],
+     [" the thermal population set by device.temperature must be within [0, 0.5)"]),
+    (["experiment.threshold = 3 V"],
+     [" experiment.threshold (3 V) lies outside the filtered-signal range of +-2 V"]),
+    (["device.kappa = 1e300 Hz"],
+     [" 2 pi * device.kappa must be within +-1e300, got 6.283185307179586e+300"]),
 ])
 def test_every_document_error_names_the_document(tmp_path, capsys, command,
                                                   lines, errors):
@@ -856,6 +874,9 @@ def test_every_document_error_names_the_document(tmp_path, capsys, command,
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "".join(f"error: {doc}:{e}\n" for e in errors)
+    # the dataclass fields behind the keys stay out of the messages
+    for field in ("p_therm", "threshold_volts"):
+        assert field not in err
 
 
 def test_run_experiment_oracle_flip_is_half_the_calibrated_overlap(tmp_path,

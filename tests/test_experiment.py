@@ -30,7 +30,7 @@ from qfbsim.experiment import (
     readout_fidelity,
     run_feedback_comparison,
 )
-from qfbsim.fxp import ADC_LSB_VOLTS, ADC_WIDTH, ConfigError, FxpSample, quantize
+from qfbsim.fxp import ADC_LSB_VOLTS, ConfigError, quantize
 from qfbsim.pipeline import FILTER_WIDTH, run_stream
 from qfbsim.sigmodel import (
     STATE_E,
@@ -125,7 +125,7 @@ def test_pipeline_is_derived_not_set():
 def test_offsets_must_fit_the_filtered_signal_grid():
     # the 15-bit filtered-signal grid spans -2 V .. 2 V - 1 LSB
     good = make_config()
-    assert replace(good, threshold_volts=-2.0).pipeline.c_i.raw == -16384
+    assert replace(good, threshold_volts=-2.0).pipeline.c_i == -16384
     for volts in (2.0, 3.0, -3.0, math.inf, -math.inf, math.nan):
         with pytest.raises(ConfigError, match="threshold_volts"):
             replace(good, threshold_volts=volts)
@@ -135,8 +135,8 @@ def test_offsets_must_fit_the_filtered_signal_grid():
 
 def test_threshold_quantization():
     c_i = make_config(threshold=0.016).pipeline.c_i
-    assert c_i.raw == 131
-    assert c_i.raw * ADC_LSB_VOLTS == pytest.approx(0.016, abs=1e-4)
+    assert c_i == 131
+    assert c_i * ADC_LSB_VOLTS == pytest.approx(0.016, abs=1e-4)
 
 
 def test_default_pipeline_shape():
@@ -146,7 +146,7 @@ def test_default_pipeline_shape():
     assert pipe.lut1 == (1, 1, 0, 0)
     assert _config_echo(cfg)["pipeline"]["sync_depth"] == 6
     q_mean = 0.3 * bench_device().steady_alpha(0).real
-    assert pipe.c_q.raw * ADC_LSB_VOLTS == pytest.approx(q_mean, abs=1e-4)
+    assert pipe.c_q * ADC_LSB_VOLTS == pytest.approx(q_mean, abs=1e-4)
 
 
 def test_timing_properties():
@@ -179,9 +179,7 @@ def test_noiseless_means_are_the_scalar_machines_register(name):
     want = []
     for state in (STATE_G, STATE_E):
         stream = synthesize_adc_stream(device, *held_state_readout(state, N_SOURCE))
-        trace = run_stream(cfg.pipeline,
-                           [FxpSample(r, ADC_WIDTH) for r in stream.raw.tolist()],
-                           stream.triggers.tolist())
+        trace = run_stream(cfg.pipeline, stream.raw, stream.triggers)
         want.append(trace[cfg.eval_tick(TRIG1_TICK)].i * ADC_LSB_VOLTS)
     assert noiseless_filtered_means(cfg) == tuple(want)
 
@@ -211,7 +209,7 @@ def test_calibrate_noise_asymmetry_matches_gaussian_tails():
                       reps=1 << 15)
     cfg = calibrated(cfg, 0.03)
     mu_g, mu_e = noiseless_filtered_means(cfg)
-    c = cfg.pipeline.c_i.raw * ADC_LSB_VOLTS
+    c = cfg.pipeline.c_i * ADC_LSB_VOLTS
     sigma_f = cfg.device.noise_sigma / math.sqrt(8)
     fid = readout_fidelity(cfg)
     q = lambda z: 0.5 * math.erfc(z / math.sqrt(2))
@@ -454,7 +452,7 @@ def test_optimize_threshold_midpoint_of_int16_readouts_does_not_wrap(monkeypatch
     cfg = replace(make_config(), scale_shift=shift)
     pipe = cfg.pipeline
     assert pipe.s_i == shift
-    assert optimize_threshold(cfg) == (pipe.c_i.raw + 25500 * 2.0 ** -shift) * ADC_LSB_VOLTS
+    assert optimize_threshold(cfg) == (pipe.c_i + 25500 * 2.0 ** -shift) * ADC_LSB_VOLTS
 
 
 def test_optimize_threshold_flat_signal_errors():

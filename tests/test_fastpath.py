@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 
 from qfbsim import experiment as ex
 from qfbsim.config import load_file, resolve_noise
-from qfbsim.fxp import ADC_LSB_VOLTS, SHIFT_MAX, ConfigError, FxpSample, raw_bounds
+from qfbsim.fxp import ADC_LSB_VOLTS, SHIFT_MAX, ConfigError, raw_bounds
 from qfbsim.pipeline import (
     CLOCK_PERIOD_NS,
     FILTER_WIDTH,
@@ -69,8 +69,8 @@ def tick_cases(draw):
     first = draw(st.integers(0, 7))
     cfg = PipelineConfig(
         window_len=l,
-        c_i=FxpSample(draw(st.integers(FILTER_LO, FILTER_HI)), FILTER_WIDTH),
-        c_q=FxpSample(draw(st.integers(FILTER_LO, FILTER_HI)), FILTER_WIDTH),
+        c_i=draw(st.integers(FILTER_LO, FILTER_HI)),
+        c_q=draw(st.integers(FILTER_LO, FILTER_HI)),
         s_i=draw(st.integers(-7, 7)),
         s_q=draw(st.integers(-7, 7)))
     reps = draw(st.integers(1, 4))
@@ -86,8 +86,7 @@ def tick_cases(draw):
 
 def _scalar_iq_t(cfg, stream, tick):
     """(i_t, q_t) of each row's stream at tick, from the scalar machine."""
-    outs = [run_stream(cfg, [FxpSample(int(v), 14) for v in row],
-                       [0] * len(row))[tick] for row in stream]
+    outs = [run_stream(cfg, row, [0] * len(row))[tick] for row in stream]
     return np.array([o.i_t for o in outs]), np.array([o.q_t for o in outs])
 
 
@@ -132,8 +131,8 @@ def test_scaled_iq_at_matches_scalar_at_every_phase_and_length(l, first):
     rng = np.random.default_rng([l, first])
     cfg = PipelineConfig(
         window_len=l,
-        c_i=FxpSample(int(rng.integers(FILTER_LO, FILTER_HI)), FILTER_WIDTH),
-        c_q=FxpSample(int(rng.integers(FILTER_LO, FILTER_HI)), FILTER_WIDTH),
+        c_i=int(rng.integers(FILTER_LO, FILTER_HI)),
+        c_q=int(rng.integers(FILTER_LO, FILTER_HI)),
         s_i=int(rng.integers(-3, 1)), s_q=int(rng.integers(-3, 1)))
     stream = rng.integers(ADC_LO, ADC_HI + 1, size=(3, first + l + 3))
     i_t, q_t = scaled_iq_at(cfg, stream[:, first:first + l], first)
@@ -975,8 +974,7 @@ def test_chunk_repetitions_replay_through_the_scalar_machine(
                 assert _near_rounding_boundary(volts[cols][differ]).all(), r
                 near += int(differ.sum())
                 raw[cols] = chunk_codes[r]
-            samples = [FxpSample(v, 14) for v in np.pad(raw, (SYNC_DEPTH, 0)).tolist()]
-            trace = run_stream(cfg.pipeline, samples, triggers)
+            trace = run_stream(cfg.pipeline, np.pad(raw, (SYNC_DEPTH, 0)), triggers)
             m1, m2 = [n - 1 for n, t in enumerate(trace) if t.fb_time]
             got[:, r] = (trace[m1].i_t, trace[m1].q_t, trace[m1 + 1].fb,
                          trace[m2].i_t, trace[m2].q_t)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from qfbsim import fxp
-from qfbsim.fxp import ConfigError, FxpSample, quantize, shift_raw
+from qfbsim.fxp import ConfigError, check_fits, quantize, shift_raw
 
 
 def oracle_quantize_raw(volts: float, width: int, lsb: float) -> int:
@@ -24,31 +24,31 @@ def oracle_quantize_raw(volts: float, width: int, lsb: float) -> int:
 
 
 def test_quantize_zero():
-    assert quantize(0.0, 14).raw == 0
+    assert quantize(0.0, 14) == 0
 
 
 def test_quantize_full_scale_saturates():
     # +1.0 V would need raw 8192, unrepresentable in 14 bits
-    assert quantize(1.0, 14).raw == 8191
-    assert quantize(-1.0, 14).raw == -8192
-    assert quantize(1.0, 14).raw == oracle_quantize_raw(1.0, 14, fxp.ADC_LSB_VOLTS)
-    assert quantize(-1.0, 14).raw == oracle_quantize_raw(-1.0, 14, fxp.ADC_LSB_VOLTS)
+    assert quantize(1.0, 14) == 8191
+    assert quantize(-1.0, 14) == -8192
+    assert quantize(1.0, 14) == oracle_quantize_raw(1.0, 14, fxp.ADC_LSB_VOLTS)
+    assert quantize(-1.0, 14) == oracle_quantize_raw(-1.0, 14, fxp.ADC_LSB_VOLTS)
 
 
 def test_quantize_matches_rational_oracle():
     rng = random.Random(101)
     for _ in range(2000):
         v = rng.uniform(-1.5, 1.5)
-        got = quantize(v, 14).raw
+        got = quantize(v, 14)
         assert got == oracle_quantize_raw(v, 14, fxp.ADC_LSB_VOLTS), v
 
 
 def test_quantize_half_lsb_ties():
     lsb = fxp.ADC_LSB_VOLTS
-    assert quantize(0.5 * lsb, 14).raw == 1
-    assert quantize(-0.5 * lsb, 14).raw == -1
-    assert quantize(1.5 * lsb, 14).raw == 2
-    assert quantize(-1.5 * lsb, 14).raw == -2
+    assert quantize(0.5 * lsb, 14) == 1
+    assert quantize(-0.5 * lsb, 14) == -1
+    assert quantize(1.5 * lsb, 14) == 2
+    assert quantize(-1.5 * lsb, 14) == -2
 
 
 def test_quantize_roundtrip_error_within_half_lsb():
@@ -56,8 +56,8 @@ def test_quantize_roundtrip_error_within_half_lsb():
     rng = random.Random(7)
     for _ in range(1000):
         v = rng.uniform(-1.0 + lsb, 1.0 - 2 * lsb)
-        s = quantize(v, 14)
-        assert abs(s.raw * lsb - v) <= lsb / 2 + 1e-15
+        code = quantize(v, 14)
+        assert abs(code * lsb - v) <= lsb / 2 + 1e-15
 
 
 def test_quantize_rejects_non_finite():
@@ -143,11 +143,13 @@ def test_shift_scale_exponent_range():
             shift_raw(1, s, 14)
 
 
-def test_fxp_sample_validates():
-    with pytest.raises(ValueError):
-        FxpSample(8192, 14)
+def test_check_fits_validates():
+    check_fits(8191, 14)
+    check_fits(-8192, 14)
+    with pytest.raises(ValueError, match="raw 8192 does not fit in 14 bits"):
+        check_fits(8192, 14)
     with pytest.raises(ConfigError):
-        FxpSample(0, 2)
+        check_fits(0, 2)
 
 
 def test_adc_constants():

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from qfbsim.fxp import ConfigError, FxpSample
+from qfbsim.fxp import ConfigError
 from qfbsim.latency import (
     BUDGET,
     TAU_ADC,
@@ -20,7 +20,6 @@ from qfbsim.experiment import (
     held_state_readout,
 )
 from qfbsim.pipeline import (
-    ADC_WIDTH,
     CLOCK_PERIOD_NS,
     MAX_DELAY,
     SYNC_DEPTH,
@@ -84,8 +83,7 @@ def test_proc_delay_matches_pipeline_measurement():
     # after the sample enters, matching the fixed processing delay
     config = PipelineConfig(window_len=4, delay=1)
     impulse_at = 8
-    samples = [FxpSample(4000 if n == impulse_at else 0, ADC_WIDTH)
-               for n in range(20)]
+    samples = [4000 if n == impulse_at else 0 for n in range(20)]
     trace = run_stream(config, samples, [0] * 20)
     first_response = next(t.cycle for t in trace if t.i != 0)
     measured_cycles = first_response - impulse_at
@@ -103,12 +101,10 @@ def _fb_rise_after_analog_edge(delay: int, ticks: int = 64) -> int:
     """
     sched, traj = held_state_readout(STATE_E, ticks - SYNC_DEPTH)
     stream = synthesize_adc_stream(DeviceParams(), sched, traj)
-    samples = [FxpSample(r, ADC_WIDTH) for r in stream.raw.tolist()]
-    triggers = stream.triggers.tolist()
     edge = round((sched.readout_pulses[0][0] - sched.t_start) / SAMPLE_PERIOD)
-    assert triggers.index(1) == edge
+    assert stream.triggers.tolist().index(1) == edge
     trace = run_stream(PipelineConfig(delay=delay, lut1=(1, 1, 1, 1)),
-                       samples, triggers)
+                       stream.raw, stream.triggers)
     rises = [t.cycle for k, t in enumerate(trace)
              if t.fb and (k == 0 or not trace[k - 1].fb)]
     assert len(rises) == 1

@@ -11,18 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfbsim import pipeline as pl
-from qfbsim.fxp import ADC_LSB_VOLTS, ConfigError, FxpSample, quantize, raw_bounds
+from qfbsim.fxp import ADC_LSB_VOLTS, ConfigError, quantize, raw_bounds
 
 ADC_LO, ADC_HI = raw_bounds(14)
 FILTER_LO, FILTER_HI = raw_bounds(pl.FILTER_WIDTH)
-
-
-def adc(raw: int) -> FxpSample:
-    return FxpSample(raw, 14)
-
-
-def zero_stream(n: int) -> list[FxpSample]:
-    return [adc(0)] * n
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +156,7 @@ def test_zero_stream_with_trigger_fires_fb_once():
     n_e = 10
     n = 40
     triggers = [1 if k == n_e else 0 for k in range(n)]
-    trace = pl.run_stream(cfg, zero_stream(n), triggers)
+    trace = pl.run_stream(cfg, [0] * n, triggers)
     fb_cycles = [t.cycle for t in trace if t.fb]
     assert fb_cycles == [n_e + pl.trigger_to_eval_cycles(cfg) + 1]
     for t in trace:
@@ -180,7 +172,7 @@ def test_fb_edge_timing_across_delays_and_sync_depths():
         n = n_e + sync + d + 10
         triggers = [1 if k == n_e else 0 for k in range(n)]
         rng = random.Random(d * 100 + sync)
-        samples = [adc(rng.randint(-8192, 8191)) for _ in range(n)]
+        samples = [rng.randint(-8192, 8191) for _ in range(n)]
         trace = pl.run_stream(cfg, samples, triggers)
         rising = [t.cycle for k, t in enumerate(trace)
                   if t.fb and (k == 0 or not trace[k - 1].fb)]
@@ -191,7 +183,7 @@ def test_processing_latency_is_three_cycles():
     cfg = pl.PipelineConfig(window_len=4, delay=0)
     k = 8  # phase k % 4 == 0, so the impulse lands on a +1 mixer coefficient
     n = 20
-    samples = [adc(4000 if j == k else 0) for j in range(n)]
+    samples = [4000 if j == k else 0 for j in range(n)]
     trace = pl.run_stream(cfg, samples, [0] * n)
     first_nonzero = next(t.cycle for t in trace if t.i != 0)
     assert first_nonzero == k + 3
@@ -203,7 +195,7 @@ def test_mixer_phase_stamps_input_sample_index():
     cfg = pl.PipelineConfig(window_len=2, delay=0)
     n = 16
     for k in range(8):
-        samples = [adc(1000 if j == k else 0) for j in range(n)]
+        samples = [1000 if j == k else 0 for j in range(n)]
         trace = pl.run_stream(cfg, samples, [0] * n)
         re = trace[k + 2].re_sm
         im = trace[k + 2].im_sm
@@ -216,7 +208,7 @@ def test_fb_implies_fb_time_on_random_streams():
     cfg = pl.PipelineConfig(window_len=4, delay=3, lut1=(1, 0, 1, 1),
                             lut2=(0, 1, 1, 0))
     n = 3000
-    samples = [adc(rng.randint(-8192, 8191)) for _ in range(n)]
+    samples = [rng.randint(-8192, 8191) for _ in range(n)]
     triggers = [1 if rng.random() < 0.05 else 0 for _ in range(n)]
     for t in pl.run_stream(cfg, samples, triggers):
         assert not (t.fb and not t.fb_time)
@@ -228,11 +220,23 @@ def test_empty_stream():
     assert pl.run_stream(cfg, [], []) == []
 
 
+def test_run_stream_takes_one_row_of_the_batch_input():
+    cfg = pl.PipelineConfig()
+    raw = np.array([[5, -7, 0]])
+    triggers = np.array([0, 1, 0])
+    trace = pl.run_stream(cfg, raw[0], triggers)
+    assert trace == pl.run_stream(cfg, [5, -7, 0], [0, 1, 0])
+    assert [type(t.adc_raw) for t in trace] == [int] * 3
+    for bad_raw, bad_triggers in ((raw, triggers), (raw[0], triggers[:2])):
+        with pytest.raises(ValueError, match="1-D and of equal length"):
+            pl.run_stream(cfg, bad_raw, bad_triggers)
+
+
 def test_repeated_runs_are_bit_identical():
     rng = random.Random(5)
     cfg = pl.PipelineConfig(window_len=8, delay=7, s_i=2, s_q=1)
     n = 200
-    samples = [adc(rng.randint(-8192, 8191)) for _ in range(n)]
+    samples = [rng.randint(-8192, 8191) for _ in range(n)]
     triggers = [1 if k % 60 == 10 else 0 for k in range(n)]
     t1 = pl.run_stream(cfg, samples, triggers)
     t2 = pl.run_stream(cfg, samples, triggers)
@@ -242,8 +246,8 @@ def test_repeated_runs_are_bit_identical():
 def test_concatenation_resumes_from_saved_state():
     rng = random.Random(6)
     cfg = pl.PipelineConfig(window_len=4, delay=6)
-    a = [adc(rng.randint(-8192, 8191)) for _ in range(70)]
-    b = [adc(rng.randint(-8192, 8191)) for _ in range(70)]
+    a = [rng.randint(-8192, 8191) for _ in range(70)]
+    b = [rng.randint(-8192, 8191) for _ in range(70)]
     tra = [1 if k == 5 else 0 for k in range(70)]
     trb = [1 if k == 9 else 0 for k in range(70)]
 
@@ -252,7 +256,7 @@ def test_concatenation_resumes_from_saved_state():
     state = pl.PipelineState(cfg)
     head = pl.run_stream(cfg, a, tra, state=state)
     resumed = copy.deepcopy(state)
-    pl.run_stream(cfg, [adc(0)] * 5, [1] * 5, state=state)  # must not leak
+    pl.run_stream(cfg, [0] * 5, [1] * 5, state=state)  # must not leak
     tail = pl.run_stream(cfg, b, trb, state=resumed)
     assert head + [replace(t, cycle=70 + t.cycle) for t in tail] == full
 
@@ -262,9 +266,9 @@ def test_state_reset_zeroes_everything():
     st = pl.PipelineState(cfg)
     rng = random.Random(3)
     for k in range(50):
-        pl.tick(cfg, st, adc(rng.randint(-8192, 8191)), k % 7 == 0)
+        pl.tick(cfg, st, rng.randint(-8192, 8191), k % 7 == 0)
     st.reset()
-    out = pl.tick(cfg, st, adc(0), 0)
+    out = pl.tick(cfg, st, 0, 0)
     assert (out.i, out.q, out.re_sm, out.im_sm, out.fb, out.fb2, out.fb_time) \
         == (0, 0, 0, 0, 0, 0, 0)
 
@@ -273,7 +277,7 @@ def test_state_reset_zeroes_everything():
 # Demodulation correctness against a floating-point reference
 # ---------------------------------------------------------------------------
 
-def tone_stream(amp: float, phase: float, n: int) -> list[FxpSample]:
+def tone_stream(amp: float, phase: float, n: int) -> list[int]:
     """Noiseless 25 MHz tone sampled at 100 MS/s: s_k = A cos(pi k / 2 + phi)."""
     return [quantize(amp * math.cos(math.pi * k / 2 + phase), 14) for k in range(n)]
 
@@ -300,7 +304,7 @@ def test_full_stream_matches_float_demodulator_within_2lsb():
     cfg = pl.PipelineConfig(window_len=8, delay=0)
     n = 120
     raws = [rng.randint(-8192, 8191) for _ in range(n)]
-    trace = pl.run_stream(cfg, [adc(r) for r in raws], [0] * n)
+    trace = pl.run_stream(cfg, raws, [0] * n)
     l = cfg.window_len
     for t in trace:
         nn = t.cycle
@@ -318,7 +322,7 @@ def test_full_stream_matches_float_demodulator_within_2lsb():
 def test_trace_csv_columns_and_shape():
     cfg = pl.PipelineConfig(delay=2)
     n = 12
-    trace = pl.run_stream(cfg, zero_stream(n), [0] * n)
+    trace = pl.run_stream(cfg, [0] * n, [0] * n)
     csv = pl.dump_trace(trace)
     lines = csv.strip().split("\n")
     assert lines[0] == "cycle,adc_raw,tr,re_sm,im_sm,i,q,i_t,q_t,fb_time,fb,fb2"
@@ -332,7 +336,7 @@ def test_readout_events_pair_evaluation_cycle_with_fb():
     n = 40
     triggers = [1 if k == n_e else 0 for k in range(n)]
     # a constant input demodulates to i_t = 0, whose sign bit 0 fires lut1
-    samples = [adc(2000)] * n
+    samples = [2000] * n
     trace = pl.run_stream(cfg, samples, triggers)
     # the discriminator acts during the evaluation cycle; the registered
     # fb_time and fb rise together one tick later
@@ -354,7 +358,7 @@ def test_batch_matches_scalar_bit_exactly():
     for l, d, s_i, s_q in ((2, 0, 0, 0), (4, 10, 2, 2), (8, 3, -2, 1), (4, 6, 7, -7)):
         cfg = pl.PipelineConfig(
             window_len=l, delay=d, s_i=s_i, s_q=s_q,
-            c_i=FxpSample(131, 15), c_q=FxpSample(-77, 15),
+            c_i=131, c_q=-77,
             lut1=(1, 1, 0, 0), lut2=(0, 1, 1, 0),
         )
         reps, m = 6, 90
@@ -363,8 +367,7 @@ def test_batch_matches_scalar_bit_exactly():
         triggers[[7, 45]] = 1
         batch = pl.run_stream_batch(cfg, raw, triggers)
         for b in range(reps):
-            samples = [adc(int(r)) for r in raw[b]]
-            trace = pl.run_stream(cfg, samples, [int(t) for t in triggers])
+            trace = pl.run_stream(cfg, raw[b], triggers)
             for n, t in enumerate(trace):
                 assert batch.i[b, n] == t.i
                 assert batch.q[b, n] == t.q
@@ -386,8 +389,8 @@ def stream_cases(draw):
     cfg = pl.PipelineConfig(
         window_len=draw(st.sampled_from([2, 4, 8, 16, 32])),
         delay=draw(st.integers(0, pl.MAX_DELAY)),
-        c_i=FxpSample(draw(st.integers(FILTER_LO, FILTER_HI)), pl.FILTER_WIDTH),
-        c_q=FxpSample(draw(st.integers(FILTER_LO, FILTER_HI)), pl.FILTER_WIDTH),
+        c_i=draw(st.integers(FILTER_LO, FILTER_HI)),
+        c_q=draw(st.integers(FILTER_LO, FILTER_HI)),
         s_i=draw(st.integers(-7, 7)),
         s_q=draw(st.integers(-7, 7)),
         lut1=draw(bits),
@@ -417,7 +420,7 @@ def test_batch_matches_scalar_on_random_configs_and_trigger_lanes(case):
     cfg, raw, lane = case
     batch = pl.run_stream_batch(cfg, raw, np.array(lane, dtype=np.int64))
     for b in range(raw.shape[0]):
-        trace = pl.run_stream(cfg, [adc(int(r)) for r in raw[b]], lane)
+        trace = pl.run_stream(cfg, raw[b], lane)
         for name in BATCH_FIELDS:
             np.testing.assert_array_equal(
                 getattr(batch, name)[b], [getattr(t, name) for t in trace],
@@ -431,7 +434,7 @@ def test_batch_rejects_non_bit_triggers(bad):
     lane = [0] * 16
     lane[2] = bad
     with pytest.raises(ValueError, match="trigger must be a bit"):
-        pl.run_stream(cfg, zero_stream(16), lane)
+        pl.run_stream(cfg, [0] * 16, lane)
     with pytest.raises(ValueError, match="trigger must be a bit"):
         pl.run_stream_batch(cfg, np.zeros((1, 16), dtype=np.int64), lane)
 
@@ -451,3 +454,21 @@ def test_config_validation():
         pl.PipelineConfig(s_i=8)
     with pytest.raises(ConfigError):
         pl.PipelineConfig(lut1=(2, 0, 0, 0))
+    # the offsets load the 15-bit filtered-signal register
+    pl.PipelineConfig(c_i=FILTER_HI, c_q=FILTER_LO)
+    with pytest.raises(ConfigError, match="c_i: raw 16384 does not fit in 15 bits"):
+        pl.PipelineConfig(c_i=16384)
+    with pytest.raises(ConfigError, match="c_q: raw -16385 does not fit in 15 bits"):
+        pl.PipelineConfig(c_q=-16385)
+    for bad in (True, 1.0):
+        with pytest.raises(ConfigError, match="c_i must be an integer"):
+            pl.PipelineConfig(c_i=bad)
+
+
+@pytest.mark.parametrize("raw", [ADC_HI + 1, ADC_LO - 1])
+def test_tick_rejects_a_code_beyond_the_adc_width(raw):
+    cfg = pl.PipelineConfig()
+    with pytest.raises(ValueError, match=f"raw {raw} does not fit in 14 bits"):
+        pl.tick(cfg, pl.PipelineState(cfg), raw, 0)
+    with pytest.raises(ValueError, match=f"raw {raw} does not fit in 14 bits"):
+        pl.run_stream(cfg, [0, raw], [0, 0])

@@ -291,8 +291,8 @@ def test_quantize_array_matches_scalar():
     raw, clipped = quantize_array(volts)
     expect_clips = 0
     for v, r in zip(volts, raw):
-        sample, clip = fxp.quantize_flagged(v, fxp.ADC_WIDTH)
-        assert r == sample.raw
+        code, clip = fxp.quantize_flagged(v, fxp.ADC_WIDTH)
+        assert r == code
         expect_clips += clip
     assert clipped == expect_clips
 
@@ -345,7 +345,7 @@ def test_quantize_array_matches_scalar_at_ties_and_edges():
     volts = np.concatenate([_ties(k), -_ties(k), [0.0, -0.0, 1.0, -1.0]])
     raw, clipped = quantize_array(volts.reshape(-1, 2))
     want = [fxp.quantize_flagged(v, fxp.ADC_WIDTH) for v in volts]
-    assert raw.ravel().tolist() == [sample.raw for sample, _ in want]
+    assert raw.ravel().tolist() == [code for code, _ in want]
     assert clipped == sum(clip for _, clip in want) > 0
 
 
@@ -378,7 +378,7 @@ def test_quantize_array_matches_the_scalar_quantizer_at_the_range_edges(k, scale
     volts = np.array([k * LSB, 0.25 * LSB, -3.0 * LSB])
     raw, clipped = quantize_array(volts)
     want = [fxp.quantize_flagged(v, fxp.ADC_WIDTH) for v in volts]
-    assert raw.tolist() == [sample.raw for sample, _ in want]
+    assert raw.tolist() == [code for code, _ in want]
     assert clipped == sum(clip for _, clip in want)
 
 
